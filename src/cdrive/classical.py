@@ -2,9 +2,11 @@
 
 Single trajectories use a classical fourth-order Runge-Kutta scheme with
 step-halving error control (the half-step pair also brackets wall-crossing
-events for the box, which are then refined by bisection).  Box ensembles
-run on a vectorized fast path: fixed substeps, per-particle bisection for
-collisions, all particles advanced in lockstep.
+events for the box, which are then refined by bisection); smooth-well
+ensembles run it particle by particle.  Box ensembles are exact: the driven
+flow is free flight of x = q/L on the clock tau = integral of L^-2
+(schedules.clock), closed-form at every snapshot, and the bare flow is free
+flight whose substeps only bracket the wall hits.
 
 The hard-wall collision rules live in collide(): under the driven flow the
 generator carries the wall's motion, so the bounce is p -> -p at both
@@ -22,7 +24,7 @@ from scipy.integrate import solve_ivp
 from scipy.stats import kstest
 
 from .errors import DomainError, NumericalError
-from .schedules import Schedule
+from .schedules import Schedule, clock
 from .shells import adiabatic_invariant, orbit_period, shell_energy_from_volume, turning_points
 from .systems import SystemModel, as_qp
 
@@ -434,67 +436,64 @@ def _draw_initial_conditions(system, sampler, lam, n, seed):
 
 
 # ---------------------------------------------------------------------------
-# vectorized box ensemble propagation
+# exact box ensemble propagation
 
 
-def _rk4_vec_box(schedule, m, cd, t0, qs, ps, h):
-    """One vectorized RK4 step of the box flow; t0 and h may be arrays."""
+def _box_cd_flow(schedule, m, qs, ps, times):
+    """Driven box flow in closed form: rows of q and of p at each time.
 
-    def f(tt, q, p):
-        if cd:
-            r = schedule.rate(tt) / schedule.value(tt)
-            return p / m + r * q, -r * p
-        return p / m, np.zeros_like(p)
-
-    k1q, k1p = f(t0, qs, ps)
-    k2q, k2p = f(t0 + 0.5 * h, qs + 0.5 * h * k1q, ps + 0.5 * h * k1p)
-    k3q, k3p = f(t0 + 0.5 * h, qs + 0.5 * h * k2q, ps + 0.5 * h * k2p)
-    k4q, k4p = f(t0 + h, qs + h * k3q, ps + h * k3p)
-    return (
-        qs + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q),
-        ps + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p),
-    )
+    In x = q/L, P = pL the driving term cancels: P is conserved and x moves
+    at P/m on the clock tau, unfolded across the walls with period 2.
+    """
+    lams = schedule.value(np.asarray(times))[:, None]
+    x0, P0 = qs / lams[0], ps * lams[0]
+    y = np.mod(x0 + P0 * clock(schedule, times)[:, None] / m, 2.0)
+    back = y > 1.0
+    return lams * np.where(back, 2.0 - y, y), np.where(back, -P0, P0) / lams
 
 
-def _advance_box_batch(system, schedule, cd, qs, ps, t_start, t_end, h_target, T):
-    """March all particles from t_start to t_end with fixed substeps and
-    per-particle bisection of wall crossings."""
-    m = system.mass
+def _box_bare_flight(schedule, m, qs, ps, t_start, t_end, h_target, T):
+    """Free flight with wall bounces from t_start to t_end.
+
+    Substeps of at most h_target only bracket the wall hits.  A left-wall
+    hit time is exact; a right-wall hit time comes from bisection of
+    q + v (s - t) - L(s) to 1e-13 T, closed by one secant step.
+    """
     n_sub = max(1, int(math.ceil((t_end - t_start) / h_target)))
     edges = np.linspace(t_start, t_end, n_sub + 1)
     qs = qs.copy()
     ps = ps.copy()
     for ta_scalar, tb in zip(edges[:-1], edges[1:]):
         ta = np.full_like(qs, ta_scalar)
-        q0, p0 = qs.copy(), ps.copy()
+        L_b = schedule.value(tb)
         for _ in range(_MAX_COLLISION_ROUNDS):
-            q1, p1 = _rk4_vec_box(schedule, m, cd, ta, q0, p0, tb - ta)
-            out_right = q1 > schedule.value(tb)
-            out_left = q1 < 0.0
-            active = out_right | out_left
-            if not np.any(active):
-                qs, ps = q1, p1
+            q1 = qs + (tb - ta) * ps / m
+            out_right = q1 > L_b
+            ia = np.where(out_right | (q1 < 0.0))[0]
+            if ia.size == 0:
+                qs = q1
                 break
-            ia = np.where(active)[0]
-            s_lo = ta[ia].copy()
-            s_hi = np.full(ia.shape, tb)
-            for _ in range(48):
-                sm = 0.5 * (s_lo + s_hi)
-                qm, _pm = _rk4_vec_box(schedule, m, cd, ta[ia], q0[ia], p0[ia], sm - ta[ia])
-                crossed = (qm > schedule.value(sm)) | (qm < 0.0)
-                s_hi = np.where(crossed, sm, s_hi)
-                s_lo = np.where(crossed, s_lo, sm)
-            t_c = s_hi
-            qc, pc = _rk4_vec_box(schedule, m, cd, ta[ia], q0[ia], p0[ia], t_c - ta[ia])
-            L_c = schedule.value(t_c)
-            hit_right = np.abs(qc - L_c) <= np.abs(qc)
-            qc = np.where(hit_right, L_c, 0.0)
-            if cd:
-                pc = -pc
-            else:
-                rate_c = schedule.rate(t_c)
-                pc = np.where(hit_right, -pc + 2.0 * m * rate_c, -pc)
-            q0[ia], p0[ia], ta[ia] = qc, pc, t_c
+            right = out_right[ia]
+            q0, p0, t0 = qs[ia], ps[ia], ta[ia]
+            left = ~right
+            t_c = np.empty(ia.size)
+            t_c[left] = t0[left] - q0[left] * m / p0[left]
+            if np.any(right):
+                qr, vr, tr = q0[right], p0[right] / m, t0[right]
+                lo, hi = tr, np.full(tr.shape, tb)
+                g_lo = np.minimum(qr - schedule.value(tr), 0.0)
+                g_hi = q1[ia][right] - L_b
+                while np.max(hi - lo) > 1e-13 * T:
+                    mid = 0.5 * (lo + hi)
+                    g = qr + vr * (mid - tr) - schedule.value(mid)
+                    crossed = g > 0.0
+                    hi, g_hi = np.where(crossed, mid, hi), np.where(crossed, g, g_hi)
+                    lo, g_lo = np.where(crossed, lo, mid), np.where(crossed, g_lo, g)
+                # a secant step inside the final bracket is exact for linear ramps
+                t_c[right] = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+            qs[ia] = np.where(right, schedule.value(t_c), 0.0)
+            ps[ia] = np.where(right, -p0 + 2.0 * m * schedule.rate(t_c), -p0)
+            ta[ia] = t_c
         else:
             raise NumericalError("collision resolution did not settle within a substep")
     return qs, ps
@@ -505,11 +504,14 @@ def evolve_ensemble(system: SystemModel, generator, schedule: Schedule, sampler,
                     dt: Optional[float] = None, tol: float = 1e-10) -> EnsembleRecord:
     """Propagate independent particles and record snapshots.
 
-    Box systems advance on a vectorized path (the driven flow needs only
-    the schedule, not the generator object, since the wall-scaling form is
-    the unique one compatible with the collision rule).  For box systems
-    each snapshot also gets the Kolmogorov-Smirnov statistic of q/L against
-    the uniform law.
+    Box systems need no time stepping.  The driven arm is the closed-form
+    flow on the clock tau (it needs only the schedule, not the generator
+    object, since the wall-scaling form is the unique one compatible with
+    the collision rule).  The bare arm is exact free flight; dt (default
+    T/500) only sets the substeps that bracket its wall hits.  For box
+    systems each snapshot also gets the Kolmogorov-Smirnov statistic of q/L
+    against the uniform law.  Smooth wells run the adaptive RK4 integrator
+    particle by particle from dt (default T/1000).
     """
     if n_particles < 1:
         raise DomainError("need at least one particle")
@@ -523,10 +525,14 @@ def evolve_ensemble(system: SystemModel, generator, schedule: Schedule, sampler,
     qs, ps = _draw_initial_conditions(system, sampler, lam0, n_particles, seed)
 
     snaps_q, snaps_p = [qs.copy()], [ps.copy()]
-    if system.kind == "box":
+    if system.kind == "box" and cd:
+        q_rows, p_rows = _box_cd_flow(schedule, system.mass, qs, ps, times)
+        snaps_q += list(q_rows[1:])
+        snaps_p += list(p_rows[1:])
+    elif system.kind == "box":
         h_target = dt if dt is not None else T / 500.0
         for t_a, t_b in zip(times[:-1], times[1:]):
-            qs, ps = _advance_box_batch(system, schedule, cd, qs, ps, t_a, t_b, h_target, T)
+            qs, ps = _box_bare_flight(schedule, system.mass, qs, ps, t_a, t_b, h_target, T)
             snaps_q.append(qs.copy())
             snaps_p.append(ps.copy())
     else:

@@ -67,7 +67,8 @@ def _worker_count(n_jobs: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: each returns (metrics, artifact names, resolved numerics)
+# experiment runners: each returns (metrics, artifact names, resolved numerics);
+# the resolved numerics name the integrator that ran
 
 
 def _classical_generator(cfg: ExperimentConfig):
@@ -102,7 +103,7 @@ def _run_classical_trajectory(cfg, out):
         "final_h0": float(s["final_h0"]),
         "n_collisions": int(s["n_collisions"]),
     }
-    return metrics, artifacts, {"dt": float(dt)}
+    return metrics, artifacts, {"dt": float(dt), "integrator": "adaptive_rk4_events"}
 
 
 def _run_classical_ensemble(cfg, out):
@@ -140,8 +141,12 @@ def _run_classical_ensemble(cfg, out):
         ]
         metrics["ks_max"] = float(np.max(rec.ks_stats))
     # mirror the engine's internal step default so the report records it
-    auto = sched.duration / (500.0 if cfg.system.kind == "box" else 1000.0)
-    return metrics, artifacts, {"dt": float(dt if dt is not None else auto)}
+    is_box = cfg.system.kind == "box"
+    auto = sched.duration / (500.0 if is_box else 1000.0)
+    return metrics, artifacts, {
+        "dt": float(dt if dt is not None else auto),
+        "integrator": "box_exact_flow" if is_box else "adaptive_rk4_events",
+    }
 
 
 def _run_quantum_grid(cfg, out):
@@ -180,7 +185,7 @@ def _run_quantum_grid(cfg, out):
         "final_fidelity": float(rec.final_fidelity),
         "norm_drift": float(np.max(np.abs(rec.norms - 1.0))),
     }
-    return metrics, artifacts, {"dt": float(dt)}
+    return metrics, artifacts, {"dt": float(dt), "integrator": "cayley_midpoint"}
 
 
 def _run_quantum_basis(cfg, out):
@@ -208,7 +213,8 @@ def _run_quantum_basis(cfg, out):
         "norm_drift": float(np.max(np.abs(rec.norms - 1.0))),
         "leakage_warning": bool(rec.leakage_warning),
     }
-    return metrics, artifacts, {"dt": float(dt)}
+    integrator = "exact_phase" if cfg.cd_enabled else "interaction_rk4"
+    return metrics, artifacts, {"dt": float(dt), "integrator": integrator}
 
 
 def _run_generator_check(cfg, out):
@@ -238,7 +244,7 @@ def _run_generator_check(cfg, out):
             "bracket_residual": float(chk.bracket_residual),
             "average_residual": float(chk.average_residual),
         }
-    return {"generator_residuals": residuals}, [], {}
+    return {"generator_residuals": residuals}, [], {"integrator": "orbit_quadrature"}
 
 
 _RUNNERS = {
@@ -247,14 +253,6 @@ _RUNNERS = {
     "quantum_grid": _run_quantum_grid,
     "quantum_basis": _run_quantum_basis,
     "generator_check": _run_generator_check,
-}
-
-_INTEGRATORS = {
-    "classical_trajectory": "adaptive_rk4_events",
-    "classical_ensemble": "adaptive_rk4_events",
-    "quantum_grid": "cayley_midpoint",
-    "quantum_basis": "interaction_rk4",
-    "generator_check": "orbit_quadrature",
 }
 
 
@@ -407,7 +405,6 @@ def _verify_block(cfg: ExperimentConfig) -> tuple[dict, list, bool]:
 def _base_report(cfg: ExperimentConfig, mode: str, threads: int, resolved: dict) -> dict:
     system = cfg.system
     numerics = {
-        "integrator": _INTEGRATORS[cfg.kind],
         "threads": int(threads),
         **{k: cfg.numerics.get(k) for k in (
             "dt", "tol", "n_points", "n_levels", "n_particles", "e_max",
@@ -592,7 +589,8 @@ def do_sweep(cfg: ExperimentConfig, out: Path, axis: str, values, verify: bool) 
             cells += ["" if r[n] is None else repr(float(r[n])) for n in names]
             fh.write(",".join(cells) + "\n")
 
-    report = _base_report(cfg, "sweep", threads, {})
+    integrator = results[(ts[0], "on")][2]["integrator"]
+    report = _base_report(cfg, "sweep", threads, {"integrator": integrator})
     report["cd_enabled"] = None
     report["metrics"] = {}
     report["sweep"] = sweep_block

@@ -7,8 +7,9 @@ H(t) = H0(lam(t)) + lam_dot(t) * xi(lam(t)).
 
 The box is excluded from grid propagation on purpose: a moving Dirichlet
 wall on a fixed grid is ill-posed without coordinate remapping, and the box
-already has an exact solution the basis path reproduces.  hbar = 1 by
-default; every operation takes it as a keyword.
+already has an exact solution, which the basis path returns for the driven
+arm without stepping.  hbar = 1 by default; every operation takes it as a
+keyword.
 """
 
 import math
@@ -20,7 +21,7 @@ from scipy.integrate import quad
 from scipy.linalg import eigh, eigh_tridiagonal, expm, solve_banded
 
 from .errors import DomainError, NumericalError
-from .schedules import Schedule
+from .schedules import Schedule, clock
 from .systems import SystemModel
 
 __all__ = [
@@ -553,45 +554,19 @@ def propagate_grid(
 # ---------------------------------------------------------------------------
 # box eigenbasis propagation
 
-_GL_NODES = np.array(
-    [-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526]
-)
-_GL_WEIGHTS = np.array(
-    [0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538]
-)
 
+def _sine_coupling(n_levels: int) -> np.ndarray:
+    """L <n|d/dL m> of the box sine states in closed form.
 
-def _gauss4(f, a: float, b: float) -> float:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return half * float(np.sum(_GL_WEIGHTS * f(mid + half * _GL_NODES)))
-
-
-def _box_overlaps(ns: np.ndarray, la: float, lb: float) -> np.ndarray:
-    """Exact overlap integrals <n(la)|m(lb)> of box sine eigenstates.
-
-    Integration runs over [0, min(la, lb)] where both states are defined;
-    the sinc form keeps the n = m near-diagonal stable.
-    """
-    a = math.pi * ns[:, None] / la
-    b = math.pi * ns[None, :] / lb
-    cut = min(la, lb)
-    diff = (a - b) * cut / math.pi
-    summ = (a + b) * cut / math.pi
-    ints = 0.5 * cut * (np.sinc(diff) - np.sinc(summ))
-    return 2.0 / math.sqrt(la * lb) * ints
-
-
-def _box_coupling(n_levels: int, lam: float, delta_rel: float = 1e-6) -> np.ndarray:
-    """<n|d/dL m> by central differencing of the exact overlaps.
-
-    Antisymmetrized: for a real orthonormal family the matrix is exactly
-    antisymmetric, and the symmetric part is pure differencing noise.
+    (-1)^(n+m) 2 n m / (n^2 - m^2) off the diagonal, zero on it; integer
+    arithmetic up to the last division keeps it exactly antisymmetric.
     """
     ns = np.arange(1, n_levels + 1, dtype=float)
-    d = delta_rel * lam
-    raw = (_box_overlaps(ns, lam, lam + d) - _box_overlaps(ns, lam, lam - d)) / (2.0 * d)
-    return 0.5 * (raw - raw.T)
+    gaps = ns[:, None] ** 2 - ns[None, :] ** 2
+    np.fill_diagonal(gaps, 1.0)
+    d1 = (-1.0) ** (ns[:, None] + ns[None, :]) * 2.0 * ns[:, None] * ns[None, :] / gaps
+    np.fill_diagonal(d1, 0.0)
+    return d1
 
 
 @dataclass(frozen=True)
@@ -599,7 +574,9 @@ class BasisTrajectory:
     """Eigenbasis coefficient history for the driven box.
 
     coeffs[i, n] is c_n at times[i] (n = 0 is the ground state, sine quantum
-    number 1).  leakage_warning flags a final retained norm below 0.999.
+    number 1).  edge_population is the largest population any of the top
+    ceil(n_levels / 10) retained levels reaches at any step; leakage_warning
+    flags it above 1e-3, where basis truncation starts to bias the result.
     """
 
     times: np.ndarray
@@ -607,6 +584,7 @@ class BasisTrajectory:
     norms: np.ndarray
     n_levels: int
     with_cd: bool
+    edge_population: float
     leakage_warning: bool
 
     @property
@@ -644,12 +622,13 @@ def propagate_basis(
 ) -> BasisTrajectory:
     """Evolve box eigenbasis coefficients i hbar dc/dt = (H0 + L_dot (xi - i hbar D)) c.
 
-    D_nm = <n|d/dL m> comes from differenced exact sine overlaps; with_cd
-    builds xi_nm = i hbar D_nm off the diagonal, which cancels the coupling
-    identically and leaves pure dynamical phases.  Integration uses the
-    rotating frame c_n = a_n exp(-i theta_n) with theta_n the accumulated
-    dynamical phase, so only the residual coupling is stepped with RK4 and
-    the stiff diagonal never limits dt.
+    D_nm = <n|d/dL m> is the closed-form constant _sine_coupling over L.  In
+    the frame c_n = a_n exp(-i theta_n), theta_n = n^2 pi^2 hbar tau / (2 m)
+    on the clock tau = integral of L^-2, only the coupling moves a.  with_cd
+    adds xi = i hbar D, which cancels it identically, so a = c(0) and no step
+    is taken.  The bare arm steps a with RK4 on a grid of dt, which the stiff
+    diagonal never limits; its non-unitarity shows in the norms column.
+    Both arms record every record_every steps and at the end.
     """
     c0 = np.asarray(c0, dtype=complex)
     if c0.ndim != 1 or c0.size != n_levels:
@@ -661,79 +640,57 @@ def propagate_basis(
     if n_levels < 1:
         raise DomainError("need at least one level")
 
-    lam0 = float(schedule.value(0.0))
-    dmat = _box_coupling(n_levels, lam0)
-    if with_cd:
-        xi = 1j * hbar * dmat.copy()
-        np.fill_diagonal(xi, 0.0)
-        coupling = xi - 1j * hbar * dmat  # exact zero off-diagonal by construction
-    else:
-        coupling = -1j * hbar * dmat
-    lam_of_coupling = lam0
-
-    ns2 = np.arange(1, n_levels + 1, dtype=float) ** 2
-    # theta_n(t) = n^2 pi^2 hbar / (2 m) * integral of L^-2; track the integral
-    phase_k = math.pi * math.pi * hbar / (2.0 * mass)
-
-    def inv_l2(t):
-        return np.asarray(schedule.value(t), dtype=float) ** -2.0
-
     n_steps = max(1, math.ceil(schedule.duration / dt - 1e-12))
     step = schedule.duration / n_steps
+    recorded = {i for i in range(1, n_steps + 1) if i % record_every == 0 or i == n_steps}
+    rec_steps = np.array([0, *sorted(recorded)])
+    half = np.arange(2 * n_steps + 1) * (0.5 * step)
+    taus = clock(schedule, half)
+    phase_k = math.pi * math.pi * hbar / (2.0 * mass)
+    ns2 = np.arange(1, n_levels + 1, dtype=float) ** 2
+    top = n_levels - math.ceil(n_levels / 10)
 
-    def rhs(t, a, integ, lam, rate):
-        nonlocal coupling, lam_of_coupling
-        if lam != lam_of_coupling:
-            base = _box_coupling(n_levels, lam)
-            if with_cd:
-                xi = 1j * hbar * base.copy()
-                np.fill_diagonal(xi, 0.0)
-                coupling = xi - 1j * hbar * base
-            else:
-                coupling = -1j * hbar * base
-            lam_of_coupling = lam
-        u = np.exp(1j * phase_k * integ * ns2)
-        return (-1j / hbar) * rate * (u * (coupling @ (np.conj(u) * a)))
+    def edge(a):
+        return float(np.max(np.abs(a[top:]) ** 2))
 
-    a = c0.copy()
-    integ = 0.0
-    times = [0.0]
-    coeff_rows = [c0.copy()]
-    norm_rows = [float(np.sqrt(np.sum(np.abs(c0) ** 2)))]
+    def lab_frame(a, tau):
+        return a * np.exp(-1j * phase_k * tau * ns2)
 
-    for i in range(n_steps):
-        t = i * step
-        i_half = integ + _gauss4(inv_l2, t, t + 0.5 * step)
-        i_full = i_half + _gauss4(inv_l2, t + 0.5 * step, t + step)
-        lam_m = float(schedule.value(t + 0.5 * step))
-        rate_m = float(schedule.rate(t + 0.5 * step))
-        k1 = rhs(t, a, integ, float(schedule.value(t)), float(schedule.rate(t)))
-        k2 = rhs(t + 0.5 * step, a + 0.5 * step * k1, i_half, lam_m, rate_m)
-        k3 = rhs(t + 0.5 * step, a + 0.5 * step * k2, i_half, lam_m, rate_m)
-        k4 = rhs(
-            t + step, a + step * k3, i_full,
-            float(schedule.value(t + step)), float(schedule.rate(t + step)),
-        )
-        a = a + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        integ = i_full
-        # RK4 is not exactly unitary; drift shows up in the norms column and,
-        # past 0.1%, in the leakage flag rather than as a hard error
-        norm = float(np.sqrt(np.sum(np.abs(a) ** 2)))
-        if (i + 1) % record_every == 0 or i + 1 == n_steps:
-            phase = np.exp(-1j * phase_k * integ * ns2)
-            times.append((i + 1) * step)
-            coeff_rows.append(a * phase)
-            norm_rows.append(norm)
+    peak = edge(c0)
+    norm0 = math.sqrt(float(np.sum(np.abs(c0) ** 2)))
+    if with_cd:
+        coeffs = lab_frame(c0, taus[2 * rec_steps, None])
+        norms = np.full(rec_steps.size, norm0)
+    else:
+        # da/dt = -(L_dot / L) u * (D1 @ (conj(u) * a)) with u = exp(i theta)
+        d1 = _sine_coupling(n_levels).astype(complex)
+        gain = -np.asarray(schedule.rate(half)) / np.asarray(schedule.value(half))
 
-    coeffs = np.array(coeff_rows)
-    retained = float(np.sum(np.abs(coeffs[-1]) ** 2))
+        def rhs(j, a):
+            u = np.exp(1j * phase_k * taus[j] * ns2)
+            return gain[j] * (u * (d1 @ (np.conj(u) * a)))
+
+        a = c0.copy()
+        coeff_rows, norm_rows = [c0], [norm0]
+        for i in range(n_steps):
+            k1 = rhs(2 * i, a)
+            k2 = rhs(2 * i + 1, a + 0.5 * step * k1)
+            k3 = rhs(2 * i + 1, a + 0.5 * step * k2)
+            k4 = rhs(2 * i + 2, a + step * k3)
+            a = a + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            peak = max(peak, edge(a))
+            if i + 1 in recorded:
+                coeff_rows.append(lab_frame(a, taus[2 * i + 2]))
+                norm_rows.append(math.sqrt(float(np.sum(np.abs(a) ** 2))))
+        coeffs, norms = np.array(coeff_rows), np.array(norm_rows)
     return BasisTrajectory(
-        times=np.array(times),
+        times=step * rec_steps,
         coeffs=coeffs,
-        norms=np.array(norm_rows),
+        norms=norms,
         n_levels=n_levels,
         with_cd=with_cd,
-        leakage_warning=retained < 0.999,
+        edge_population=peak,
+        leakage_warning=peak > 1e-3,
     )
 
 

@@ -250,6 +250,42 @@ def test_input_validation():
 # ensembles
 
 
+@pytest.mark.parametrize("T", [0.05, 0.5, 5.0])
+@pytest.mark.parametrize("lams", [(1.0, 2.0), (1.5, 0.75)])
+@pytest.mark.parametrize("driven", [True, False])
+def test_box_ensemble_matches_linear_oracle(T, lams, driven):
+    # every particle of both exact box engines against the closed-form flows
+    lam0, lam1 = lams
+    sched = linear_ramp(lam0, lam1, T)
+    gen, oracle = (box_generator(), _cd_linear_oracle) if driven else (None, _bare_linear_oracle)
+    rec = evolve_ensemble(BOX, gen, sched, uniform_gas_sampler(20.0, "gaussian"), 200,
+                          seed=19, snapshot_times=[0.0, T / 3, T])
+    for k, t in enumerate(rec.snapshot_times):
+        for q0, p0, q, p in zip(rec.positions[0], rec.momenta[0],
+                                rec.positions[k], rec.momenta[k]):
+            q_ref, p_ref = oracle(q0, p0, lam0, (lam1 - lam0) / T, t)
+            assert q == pytest.approx(q_ref, abs=1e-9)
+            assert p == pytest.approx(p_ref, abs=1e-9)
+
+
+@pytest.mark.parametrize("driven", [True, False])
+def test_box_ensemble_matches_scalar_rk4_on_smoothstep(driven):
+    # no closed form for a curved ramp: the scalar event-driven RK4 is the check
+    sched = smoothstep_ramp(1.0, 2.0, 0.5)
+    gen = box_generator() if driven else None
+    rec = evolve_ensemble(BOX, gen, sched, uniform_gas_sampler(6.0, "gaussian"), 12,
+                          seed=4, snapshot_times=[0.0, 0.5])
+    for q0, p0, q, p in zip(rec.positions[0], rec.momenta[0],
+                            rec.positions[1], rec.momenta[1]):
+        if driven:
+            scalar = evolve_cd(BOX, gen, sched, (q0, p0), dt=1e-3, tol=1e-12)
+        else:
+            scalar = evolve_bare(BOX, sched, (q0, p0), dt=1e-3, tol=1e-12)
+        q_ref, p_ref = scalar.final_state
+        assert q == pytest.approx(q_ref, abs=1e-8)
+        assert p == pytest.approx(p_ref, abs=1e-8)
+
+
 def test_shell_ensemble_stays_on_shell():
     sched = linear_ramp(1.0, 2.0, 0.05)
     rec = evolve_ensemble(

@@ -143,6 +143,31 @@ def test_bad_thread_cap_is_config_error(tmp_path, monkeypatch):
     assert main(["compare", p, "--out", str(tmp_path / "out")]) == 2
 
 
+_GAS = {"kind": "classical_ensemble", "system": {"kind": "box"},
+        "initial": {"gas_momentum": 2.0}, "numerics": {"n_particles": 50}}
+_WELL_ENSEMBLE = {"kind": "classical_ensemble", "system": {"kind": "power_law", "b": 2},
+                  "initial": {"energy": 1.0}, "numerics": {"n_particles": 2}}
+_BASIS = {"kind": "quantum_basis", "system": {"kind": "box"},
+          "numerics": {"n_levels": 8, "dt": 1e-3}}
+
+
+@pytest.mark.parametrize("cfg, cd_enabled, integrator", [
+    (_GAS, True, "box_exact_flow"),
+    (_GAS, False, "box_exact_flow"),
+    (_WELL_ENSEMBLE, True, "adaptive_rk4_events"),
+    (_BASIS, True, "exact_phase"),
+    (_BASIS, False, "interaction_rk4"),
+    (box_expansion(), True, "adaptive_rk4_events"),
+])
+def test_report_names_the_integrator_that_ran(tmp_path, cfg, cd_enabled, integrator):
+    cfg = {"schedule": {"shape": "linear", "lam_start": 1.0, "lam_end": 2.0,
+                        "duration": 0.05},
+           **cfg, "cd_enabled": cd_enabled}
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+    assert load_report(out)["numerics"]["integrator"] == integrator
+
+
 def test_compare_quantum_grid(tmp_path):
     p = write_config(tmp_path, "c.json", {
         "kind": "quantum_grid",
@@ -255,6 +280,7 @@ def test_sweep_dissipation_trend(tmp_path):
     assert diss[0] > diss[1] > diss[2] > 0
     assert rep["sweep"]["flags"]["dissipation_off_strictly_decreasing"] is True
     assert rep["sweep"]["flags"]["max_omega_drift_on"] < 1e-7
+    assert rep["numerics"]["integrator"] == "box_exact_flow"
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0].startswith("T,omega_drift_on,omega_drift_off,dissipation_on")
     assert len(lines) == 4

@@ -34,6 +34,7 @@ from cdrive.quantum import (
     well_grid,
     xi_dilation,
     xi_spectral,
+    _sine_coupling,
 )
 from cdrive.schedules import constant_hold, linear_ramp, smoothstep_ramp
 from cdrive.systems import box, power_law
@@ -385,6 +386,56 @@ def test_basis_bare_expansion_regression():
         pops.append(rec.populations[-1, 0])
     assert pops[0] == pytest.approx(0.36366, abs=5e-4)
     assert abs(pops[0] - pops[1]) < 1e-3
+
+
+def test_basis_bare_flags_truncation_leakage():
+    # level 3 of 8 under a sudden doubling spills most of its population into
+    # the top retained level, which the retained norm cannot show
+    c0 = np.zeros(8, dtype=complex)
+    c0[3] = 1.0
+    rec = propagate_basis(linear_ramp(1.0, 2.0, 0.05), c0, n_levels=8, dt=2e-5,
+                          with_cd=False)
+    assert np.max(np.abs(rec.norms - 1.0)) < 1e-6
+    assert rec.leakage_warning
+    assert rec.edge_population > 0.5
+
+
+def test_basis_cd_superposition_phases_match_box_phase():
+    rng = np.random.default_rng(8)
+    c0 = rng.normal(size=16) + 1j * rng.normal(size=16)
+    c0 /= np.linalg.norm(c0)
+    for sched in (linear_ramp(1.0, 2.0, 0.05), smoothstep_ramp(1.0, 0.6, 0.02)):
+        T = sched.duration
+        rec = propagate_basis(sched, c0, n_levels=16, dt=1e-5, record_every=1)
+        for n in range(16):
+            advance = rec.phase(n)[-1] - np.angle(c0[n])
+            assert abs(advance - box_phase(n + 1, sched, T)) < 1e-10, (sched.tag, n)
+        assert np.max(np.abs(rec.populations - rec.populations[0])) < 1e-12
+
+
+def _box_overlaps(ns, la, lb):
+    """Exact overlaps <n(la)|m(lb)> of box sine states over [0, min(la, lb)]."""
+    a = math.pi * ns[:, None] / la
+    b = math.pi * ns[None, :] / lb
+    cut = min(la, lb)
+    ints = 0.5 * cut * (np.sinc((a - b) * cut / math.pi) - np.sinc((a + b) * cut / math.pi))
+    return 2.0 / math.sqrt(la * lb) * ints
+
+
+def _fd_box_coupling(n_levels, lam, delta_rel=1e-6):
+    """<n|d/dL m> by central differencing of the exact overlaps, antisymmetrized."""
+    ns = np.arange(1, n_levels + 1, dtype=float)
+    d = delta_rel * lam
+    raw = (_box_overlaps(ns, lam, lam + d) - _box_overlaps(ns, lam, lam - d)) / (2.0 * d)
+    return 0.5 * (raw - raw.T)
+
+
+def test_sine_coupling_closed_form():
+    d1 = _sine_coupling(32)
+    np.testing.assert_array_equal(d1, -d1.T)
+    for lam in (1.0, 1.7, 3.0):
+        err = np.max(np.abs(d1 / lam - _fd_box_coupling(32, lam)))
+        assert err < 1e-8 * np.max(np.abs(d1)) / lam, lam
 
 
 def test_basis_superposition_interference():

@@ -3,8 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from scipy.integrate import quad
+
 from cdrive import DomainError, constant_hold, cosine_ramp, linear_ramp, smoothstep_ramp, tabulated
-from cdrive.schedules import Schedule, check_rate_consistency
+from cdrive.schedules import Schedule, check_rate_consistency, clock
 
 
 def test_endpoints_hit_exactly():
@@ -65,3 +67,40 @@ def test_tabulated_validation():
 def test_duration_must_be_positive():
     with pytest.raises(DomainError):
         linear_ramp(1.0, 2.0, 0.0)
+
+
+_KNOTS = np.linspace(0.0, 1.2, 9)
+
+
+@pytest.mark.parametrize("sched", [
+    linear_ramp(1.0, 2.0, 0.05),
+    smoothstep_ramp(2.0, 1.0, 0.3),
+    cosine_ramp(1.0, 3.0, 1.7),
+    constant_hold(1.5, 1.0),
+    tabulated(_KNOTS, [1.0, 1.2, 1.1, 1.5, 1.9, 1.7, 2.2, 2.0, 2.4]),
+], ids=lambda s: s.tag)
+def test_clock_matches_adaptive_quadrature(sched):
+    T = sched.duration
+    times = T * np.array([0.0, 1e-3, 0.13, 0.5, 0.77, 0.771, 1.0])
+    knots = _KNOTS if sched.tag == "tabulated" else []
+
+    def reference(t):
+        # piecewise between spline knots, where the integrand is smooth
+        cuts = [0.0, *(k for k in knots if 0.0 < k < t), t]
+        return sum(quad(lambda s: float(sched.value(s)) ** -2.0, a, b,
+                        epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+                   for a, b in zip(cuts[:-1], cuts[1:]))
+
+    got = clock(sched, times)
+    assert got[0] == 0.0
+    for t, tau in zip(times[1:], got[1:]):
+        ref = reference(t)
+        assert abs(tau - ref) <= 1e-12 * ref
+
+
+def test_clock_rejects_unsorted_times():
+    sched = linear_ramp(1.0, 2.0, 1.0)
+    with pytest.raises(DomainError):
+        clock(sched, [0.0, 0.5, 0.2])
+    with pytest.raises(DomainError):
+        clock(sched, [-0.1, 0.5])
