@@ -20,12 +20,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.stats import kstest
 
 from .errors import DomainError, NumericalError
 from .schedules import Schedule, clock
-from .shells import adiabatic_invariant, orbit_period, shell_energy_from_volume, turning_points
+from .shells import adiabatic_invariant, orbit_states, shell_energy_from_volume
 from .systems import SystemModel, as_qp
 
 _MAX_COLLISION_ROUNDS = 64
@@ -416,22 +415,7 @@ def _draw_initial_conditions(system, sampler, lam, n, seed):
             qs = np.array([r.random() * lam for r in streams])
             ps = np.array([absp if r.random() < 0.5 else -absp for r in streams])
             return qs, ps
-        tau = orbit_period(system, E, lam)
-        _, q_plus = turning_points(system, E, lam)
-        t_draws = np.array([r.random() * tau for r in streams])
-        order = np.argsort(t_draws)
-        sol = solve_ivp(
-            lambda t, y: [y[1] / m, -system.grad_q(y[0], lam)],
-            (0.0, tau), [q_plus, 0.0], method="DOP853",
-            rtol=1e-12, atol=1e-12, t_eval=t_draws[order],
-        )
-        if not sol.success:
-            raise NumericalError(f"shell sampling orbit failed: {sol.message}")
-        qs = np.empty(n)
-        ps = np.empty(n)
-        qs[order] = sol.y[0]
-        ps[order] = sol.y[1]
-        return qs, ps
+        return orbit_states(system, E, lam, [r.random() for r in streams])
     raise DomainError(f"unknown sampler {sampler!r}")
 
 

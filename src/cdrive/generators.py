@@ -3,25 +3,37 @@
 A generator xi(z; lam) added to the bare Hamiltonian as lam_dot * xi keeps
 every trajectory on its initial invariant shell at any ramp speed.  On a
 shell it is fixed (up to a constant) by two conditions: its Poisson bracket
-with the invariant equals the parameter gradient of the invariant, and its
-orbit average vanishes (the gauge choice used throughout).
+with H0 is the centered parameter gradient, {xi, H0} = dH0/dlam -
+<dH0/dlam>_E, and its orbit average vanishes (the gauge used throughout).
 
 Analytic forms: the box has xi = q p / lam, and the even power-law well
-xi = [b/(b+2)] q p / lam.  For anything else, build_xi_numeric constructs
-the generator on one shell by integrating the centered gradient
-dH0/dlam - <dH0/dlam> along the orbit, which closes into a periodic profile
-precisely because the average was subtracted.
+xi = [b/(b+2)] q p / lam.  For other smooth wells, NumericShellGenerator
+integrates the first condition along the orbit from the right turning
+point q+, where xi = 0, to the query point:
 
-NumericShellGenerator makes the tables usable inside the driving engine: it
-maintains a pair of tables bracketing the current shell and interpolates
-between them at matched angle fraction, reconstructing phase-space
-gradients from the along-orbit derivative plus the cross-shell difference.
+    xi(q, p) = -sgn(p) m int_q^{q+} [dU/dlam(q') - <dU/dlam>_E]
+                                    / sqrt(2m(E - U(q'))) dq',   E = H0(q, p).
+
+This xi is odd in p, so its orbit average vanishes by itself.  The integral
+and the shell average <dU/dlam>_E share the sin^2 quadrature of
+shells._orbit_quadrature, so the full half-orbit integral cancels.  The
+phase-space gradient splits along the flow X_H = (p/m, -dU/dq) and the unit
+normal n = grad H0 / |grad H0|, which are orthogonal:
+
+    grad xi = beta X_H + (d xi / dn) n,   beta = (dH0/dlam - <dH0/dlam>_E) / |grad H0|^2,
+
+where beta is exact and d xi / dn is one central difference of xi along n.
+
+build_xi_numeric builds the same generator on one shell a second way, by
+integrating the orbit ODE, and stores it as a ShellGeneratorTable; it backs
+the generator_check experiment and is the independent oracle for the
+pointwise generator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,10 +44,12 @@ from scipy.optimize import brentq
 from .errors import DomainError, NumericalError
 from .systems import SystemModel, as_qp
 from .shells import (
+    _orbit_quadrature,
     d_volume_dE,
     d_volume_dlam,
     microcanonical_average,
     orbit_period,
+    orbit_states,
     shell_average_grad_lambda,
     turning_points,
 )
@@ -210,10 +224,6 @@ class ShellGeneratorTable:
             return self._invert(self._p_spline, self.ps, self._mid, self._i_pmax, p)
         return self._invert(self._p_spline, self.ps, self._i_pmax, n, p)
 
-    def state_at_time(self, t: float) -> tuple[float, float]:
-        t = t % self.period
-        return float(self._q_spline(t)), float(self._p_spline(t))
-
     def value_at_time(self, t: float) -> float:
         return float(self._xi_spline(t % self.period))
 
@@ -300,113 +310,74 @@ def build_xi_numeric(
 
 
 # ---------------------------------------------------------------------------
-# table pairs usable inside the driving engine
+# pointwise generator usable inside the driving engine
+
+# central-difference step across the shell, as a fraction of |z|
+_NORMAL_STEP = 1e-4
+
+
+def _shell_source(system: SystemModel, E: float, lam: float):
+    """(q-, q+, <dH0/dlam>_E, scale) of the shell H0 = E on the sin^2
+    quadrature; scale bounds the half-orbit integral of the centered source
+    dH0/dlam - <dH0/dlam>_E over the orbit time."""
+    if E <= 0:
+        raise DomainError(f"point energy {E} leaves no shell to build on")
+    m = system.mass
+    qm, qp = turning_points(system, E, lam)
+    half_tau = _orbit_quadrature(system, E, lam, qm, qp, lambda x, absp: m / absp)
+    g = _orbit_quadrature(
+        system, E, lam, qm, qp, lambda x, absp: system.grad_lambda((x, absp), lam) * m / absp
+    ) / half_tau
+    ends = (abs(system.grad_lambda((x, 0.0), lam) - g) for x in (qm, qp))
+    return qm, qp, g, half_tau * max(abs(g), *ends)
 
 
 class NumericShellGenerator:
-    """Table-backed generator for driving generic potentials.
-
-    Keeps two tables bracketing the current shell energy and rebuilds the
-    pair whenever the queried energy or parameter moves more than
-    rebuild_tol (relative) from the values it was built at.  Evaluation
-    finds the angle fraction of the query point on each table, interpolates
-    the angle and the profile linearly in energy, and reconstructs the
-    phase-space gradient from the along-orbit derivative plus the
-    cross-shell difference at fixed angle:
-
-        grad xi = beta * zdot + alpha * grad H0,
-        beta  = (d xi / dt) / |zdot|^2,
-        alpha = dXi/dE - beta * (zdot . dz/dE),
-
-    where dXi/dE and dz/dE are matched-angle differences between the two
-    tables.  The split is exact because zdot and grad H0 are orthogonal.
-    """
+    """Generator of a smooth well, evaluated pointwise by one orbit quadrature
+    (see the module docstring for the formula and the gradient split)."""
 
     tag = "numeric"
 
-    def __init__(
-        self,
-        system: SystemModel,
-        n_samples: int = 256,
-        rebuild_tol: float = 1e-3,
-        pair_halfwidth: float = 5e-3,
-    ):
+    def __init__(self, system: SystemModel):
         if system.kind == "box":
-            raise DomainError("numeric tables are for smooth wells, not the box")
+            raise DomainError("numeric generators are for smooth wells, not the box")
         self.system = system
-        self.n_samples = n_samples
-        self.rebuild_tol = rebuild_tol
-        self.pair_halfwidth = pair_halfwidth
-        self._built_lam = None
-        self._E_center = None
-        self._lo = None
-        self._hi = None
-        self.rebuild_count = 0
-
-    def _ensure(self, z, lam):
-        E = self.system.energy(z, lam)
-        if E <= 0:
-            raise DomainError(f"point energy {E} leaves no shell to build on")
-        if (
-            self._built_lam is not None
-            and abs(lam - self._built_lam) <= self.rebuild_tol * self._built_lam
-            and abs(E - self._E_center) <= self.rebuild_tol * self._E_center
-        ):
-            return
-        hw = self.pair_halfwidth
-        self._lo = build_xi_numeric(self.system, E * (1 - hw), lam, self.n_samples)
-        self._hi = build_xi_numeric(self.system, E * (1 + hw), lam, self.n_samples)
-        self._built_lam = lam
-        self._E_center = E
-        self.rebuild_count += 1
-
-    def _angle_blend(self, z):
-        """Angle fraction of z interpolated between the two tables, with the
-        energy interpolation weight."""
-        lo, hi = self._lo, self._hi
-        E = self.system.energy(z, self._built_lam)
-        frac = (E - lo.E) / (hi.E - lo.E)
-        w_lo = lo.phase_time(z) / lo.period
-        w_hi = hi.phase_time(z) / hi.period
-        w = (1.0 - frac) * w_lo + frac * w_hi
-        return w, frac
 
     def evaluate(self, z, lam: float) -> float:
-        self._ensure(z, lam)
-        lo, hi = self._lo, self._hi
-        w, frac = self._angle_blend(z)
-        x_lo = lo.value_at_time(w * lo.period)
-        x_hi = hi.value_at_time(w * hi.period)
-        return (1.0 - frac) * x_lo + frac * x_hi
+        q, p = as_qp(z)
+        system, m = self.system, self.system.mass
+        E = system.energy((q, p), lam)
+        if p == 0.0 and E > 0:
+            return 0.0
+        qm, qp, g, scale = _shell_source(system, E, lam)
+        # the half-orbit integral vanishes, so [q, q+] is minus [q-, q]: take
+        # the longer piece, whose nodes keep clear of the turning points where
+        # rounding in E - U swamps 1/|p|.  The absolute tolerance on the shell
+        # scale keeps quad from chasing that rounding or a cancelling sum.
+        theta = math.atan2(math.sqrt(max(q - qm, 0.0)), math.sqrt(max(qp - q, 0.0)))
+        right = theta <= 0.25 * math.pi
+        part = _orbit_quadrature(
+            system, E, lam, qm, qp,
+            lambda x, absp: (system.grad_lambda((x, absp), lam) - g) * m / absp,
+            theta=(theta, 0.5 * math.pi) if right else (0.0, theta), epsabs=1e-12 * scale,
+        )
+        return (part if right else -part) * (1.0 if p < 0.0 else -1.0)
 
     def evaluate_grad_z(self, z, lam: float) -> tuple[float, float]:
-        self._ensure(z, lam)
-        lo, hi = self._lo, self._hi
-        w, frac = self._angle_blend(z)
         q, p = as_qp(z)
-        m = self.system.mass
-        lamb = self._built_lam
-        dE = hi.E - lo.E
-
-        x_lo = lo.value_at_time(w * lo.period)
-        x_hi = hi.value_at_time(w * hi.period)
-        xdot = (1.0 - frac) * lo.derivative_at_time(w * lo.period) + frac * hi.derivative_at_time(
-            w * hi.period
-        )
-        q_lo, p_lo = lo.state_at_time(w * lo.period)
-        q_hi, p_hi = hi.state_at_time(w * hi.period)
-
-        vq = self.system.grad_q(q, lamb)
-        flow = (p / m, -vq)
-        speed2 = flow[0] ** 2 + flow[1] ** 2
-        beta = xdot / speed2
-        dz_dE = ((q_hi - q_lo) / dE, (p_hi - p_lo) / dE)
-        alpha = (x_hi - x_lo) / dE - beta * (flow[0] * dz_dE[0] + flow[1] * dz_dE[1])
-        grad_h = (vq, p / m)
-        return (
-            beta * flow[0] + alpha * grad_h[0],
-            beta * flow[1] + alpha * grad_h[1],
-        )
+        system = self.system
+        g = _shell_source(system, system.energy((q, p), lam), lam)[2]
+        hq, hp = system.grad_z((q, p), lam)
+        norm = math.hypot(hq, hp)
+        beta = (system.grad_lambda((q, p), lam) - g) / (norm * norm)
+        nq, np_ = hq / norm, hp / norm
+        h = _NORMAL_STEP * (math.hypot(q, p) or 1.0)
+        dxi_dn = (
+            self.evaluate((q + h * nq, p + h * np_), lam)
+            - self.evaluate((q - h * nq, p - h * np_), lam)
+        ) / (2.0 * h)
+        # flow X_H = (hp, -hq) and normal n = (nq, np_)
+        return beta * hp + dxi_dn * nq, -beta * hq + dxi_dn * np_
 
 
 # ---------------------------------------------------------------------------
@@ -424,25 +395,14 @@ class GeneratorCheck:
 
 def _shell_sample_points(system, E, lam, n_points):
     """n_points phase points spread uniformly in orbit time over the shell."""
-    m = system.mass
     if system.kind == "box":
-        absp = math.sqrt(2 * m * E)
+        absp = math.sqrt(2 * system.mass * E)
         half = n_points // 2
         qs = (np.arange(half) + 0.5) / half * lam
         pts = [(q, absp) for q in qs] + [(q, -absp) for q in qs]
         return pts
-    tau = orbit_period(system, E, lam)
-    _, qp = turning_points(system, E, lam)
-    ts = (np.arange(n_points) + 0.5) / n_points * tau
-
-    def rhs(t, y):
-        return [y[1] / m, -system.grad_q(y[0], lam)]
-
-    sol = solve_ivp(rhs, (0.0, tau), [qp, 0.0], method="DOP853",
-                    rtol=1e-12, atol=1e-12, t_eval=ts)
-    if not sol.success:
-        raise NumericalError(f"orbit sampling failed: {sol.message}")
-    return list(zip(sol.y[0], sol.y[1]))
+    qs, ps = orbit_states(system, E, lam, (np.arange(n_points) + 0.5) / n_points)
+    return list(zip(qs, ps))
 
 
 def verify_generator(

@@ -198,7 +198,10 @@ class EigenSystem:
 def _potential_diagonal(system: SystemModel, lam: float, grid: GridSpec) -> np.ndarray:
     if system.kind == "box":
         return np.zeros(grid.n_points)
-    vs = np.array([system.potential_energy(q, lam) for q in grid.qs], dtype=float)
+    if system.kind == "power_law":
+        vs = system.epsilon * (grid.qs / lam) ** system.b
+    else:  # user callables may take scalars only
+        vs = np.array([system.potential_energy(q, lam) for q in grid.qs], dtype=float)
     if not np.all(np.isfinite(vs)):
         raise DomainError("potential is not finite on the grid")
     return vs

@@ -160,8 +160,11 @@ def _check_unimodal(system, E, lam, q0, qm, qp):
         raise DomainError("potential is not unimodal about a single minimum")
 
 
-def _orbit_quadrature(system, E, lam, qm, qp, integrand_of_q_absp):
-    """integral over [q-, q+] of f(q, |p(q)|) dq with the sin^2 substitution."""
+def _orbit_quadrature(
+    system, E, lam, qm, qp, integrand_of_q_absp, theta=(0.0, 0.5 * math.pi), epsabs=1e-300
+):
+    """integral over [q-, q+] of f(q, |p(q)|) dq with the sin^2 substitution;
+    a narrower theta range integrates over part of the orbit."""
     m = system.mass
     width = qp - qm
 
@@ -174,7 +177,7 @@ def _orbit_quadrature(system, E, lam, qm, qp, integrand_of_q_absp):
         absp = math.sqrt(2.0 * m * ke)
         return integrand_of_q_absp(q, absp) * width * math.sin(2.0 * theta)
 
-    val, err = quad(g, 0.0, 0.5 * math.pi, epsabs=1e-300, epsrel=_QUAD_RTOL, limit=_QUAD_LIMIT)
+    val, err = quad(g, *theta, epsabs=epsabs, epsrel=_QUAD_RTOL, limit=_QUAD_LIMIT)
     if not math.isfinite(val):
         raise NumericalError(f"orbit quadrature failed (value {val}, error {err})")
     return val
@@ -242,6 +245,28 @@ def orbit_period(system: SystemModel, E: float, lam: float, method: str = "auto"
         return val
     qm, qp = turning_points(system, E, lam)
     return 2.0 * _orbit_quadrature(system, E, lam, qm, qp, lambda q, absp: m / absp)
+
+
+def orbit_states(system: SystemModel, E: float, lam: float, fractions) -> tuple:
+    """Phase points (qs, ps) on a smooth-well orbit at the given fractions of
+    the period, counted from the right turning point (any order)."""
+    m = system.mass
+    tau = orbit_period(system, E, lam)
+    _, q_plus = turning_points(system, E, lam)
+    ts = np.asarray(fractions, dtype=float) * tau
+    order = np.argsort(ts)
+    sol = solve_ivp(
+        lambda t, y: [y[1] / m, -system.grad_q(y[0], lam)],
+        (0.0, tau), [q_plus, 0.0], method="DOP853",
+        rtol=1e-12, atol=1e-12, t_eval=ts[order],
+    )
+    if not sol.success:
+        raise NumericalError(f"orbit sampling failed: {sol.message}")
+    qs = np.empty(len(ts))
+    ps = np.empty(len(ts))
+    qs[order] = sol.y[0]
+    ps[order] = sol.y[1]
+    return qs, ps
 
 
 def d_volume_dE(system: SystemModel, E: float, lam: float, method: str = "auto") -> float:

@@ -182,12 +182,12 @@ def test_cd_generic_with_numeric_generator():
         dV_dq=lambda q, lam: 4 * q**3 / lam**4,
         dV_dlam=lambda q, lam: -4 * q**4 / lam**5,
     )
-    gen = NumericShellGenerator(vee, n_samples=128)
+    gen = NumericShellGenerator(vee)
     tau0 = orbit_period(vee, 1.0, 1.0)
     sched = smoothstep_ramp(1.0, 1.3, 0.5 * tau0)
     qp = turning_points(vee, 1.0, 1.0)[1]
-    # controller tolerance below the table interpolation noise (~1e-5
-    # relative) just collapses the step size without gaining accuracy
+    # the controller tolerance sets the drift: the analytic generator of
+    # this q^4 well drifts as much (about 3e-7)
     rec = evolve_cd(vee, gen, sched, (0.7 * qp, 0.4), dt=1e-2, tol=1e-7, record_every=20)
     bare = evolve_bare(vee, sched, (0.7 * qp, 0.4), dt=1e-2, record_every=20)
     assert rec.drift() < 1e-3

@@ -244,6 +244,27 @@ def test_generator_check_numeric(tmp_path):
     assert res["bracket_residual"] < 1e-3
 
 
+def test_numeric_generator_drift_matches_analytic(tmp_path):
+    # b = 4 trajectory from E = 1, seed 1234: the pointwise numeric generator
+    # must hold the invariant about as well as the closed form does
+    drifts = {}
+    for generator in ("numeric", "analytic"):
+        p = write_config(tmp_path, f"{generator}.json", {
+            "kind": "classical_trajectory",
+            "system": {"kind": "power_law", "b": 4},
+            "generator": generator,
+            "schedule": {"shape": "smoothstep", "lam_start": 1.0, "lam_end": 1.3,
+                         "duration": 0.5},
+            "initial": {"energy": 1.0},
+            "numerics": {"dt": 1e-2, "tol": 1e-7},
+            "seed": 1234,
+        })
+        out = tmp_path / generator
+        assert main(["compare", p, "--out", str(out)]) == 0
+        drifts[generator] = load_report(out)["compare"]["on"]["omega_drift"]
+    assert drifts["numeric"] < 2.0 * drifts["analytic"]
+
+
 def test_verify_flag_appends_residual_suite(tmp_path):
     p = write_config(tmp_path, "c.json", {
         "kind": "quantum_basis",

@@ -275,40 +275,59 @@ def test_map_check_needs_gradients():
 
 
 # ---------------------------------------------------------------------------
-# table-backed driving generator
+# pointwise driving generator
+
+
+def _power_law_probe_points(system, seed, n_random=32):
+    """Random phase points, turning points at p = 0, and points 1e-3 inside
+    each turning point on both momentum branches."""
+    rng = np.random.default_rng(seed)
+    pts = []
+    while len(pts) < n_random:
+        q, p = rng.uniform(-0.9, 0.9), rng.uniform(-1.2, 1.2)
+        if system.energy((q, p), 1.0) > 0.05:
+            pts.append((q, p))
+    for E in (0.5, 2.0):
+        qm, qp = turning_points(system, E, 1.0)
+        for q_turn, q_in in ((qm, qm + 1e-3), (qp, qp - 1e-3)):
+            pts.append((q_turn, 0.0))
+            absp = math.sqrt(2.0 * (E - system.potential_energy(q_in, 1.0)))
+            pts += [(q_in, absp), (q_in, -absp)]
+    return pts
 
 
 def test_numeric_generator_tracks_analytic_values():
-    gen = NumericShellGenerator(SHO, n_samples=256)
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        q = rng.uniform(-0.8, 0.8)
-        p = rng.uniform(-1.0, 1.0)
-        if SHO.energy((q, p), 1.0) < 0.1:
-            continue
-        ref = xi_power_law((q, p), 1.0, 2)
-        assert gen.evaluate((q, p), 1.0) == pytest.approx(ref, abs=2e-5)
+    for b in (2, 4, 6):
+        system = power_law(b)
+        gen = NumericShellGenerator(system)
+        for q, p in _power_law_probe_points(system, seed=9 + b):
+            ref = xi_power_law((q, p), 1.0, b)
+            assert abs(gen.evaluate((q, p), 1.0) - ref) < 1e-9, f"b={b} at ({q}, {p})"
 
 
 def test_numeric_generator_gradients():
-    for system, b, tol in ((SHO, 2, 1e-4), (QUARTIC, 4, 5e-3)):
-        gen = NumericShellGenerator(system, n_samples=256)
+    for b in (2, 4, 6):
+        system = power_law(b)
+        gen = NumericShellGenerator(system)
         mu = b / (b + 2.0)
-        for q, p in [(0.4, 0.9), (-0.55, -0.6), (0.1, 1.2)]:
+        for q, p in _power_law_probe_points(system, seed=19 + b):
             gq, gp = gen.evaluate_grad_z((q, p), 1.0)
             scale = max(abs(mu * p), abs(mu * q), 1e-3)
-            assert abs(gq - mu * p) < tol * scale, f"b={b} dq"
-            assert abs(gp - mu * q) < tol * scale, f"b={b} dp"
+            assert abs(gq - mu * p) < 1e-6 * scale, f"b={b} dq at ({q}, {p})"
+            assert abs(gp - mu * q) < 1e-6 * scale, f"b={b} dp at ({q}, {p})"
 
 
-def test_numeric_generator_rebuild_cadence():
-    gen = NumericShellGenerator(SHO, n_samples=64)
-    gen.evaluate((0.5, 1.0), 1.0)
-    n0 = gen.rebuild_count
-    gen.evaluate((0.5, 1.0), 1.0)          # same shell: no rebuild
-    assert gen.rebuild_count == n0
-    gen.evaluate((0.5, 1.0), 1.002)        # parameter moved past tolerance
-    assert gen.rebuild_count == n0 + 1
+def test_numeric_generator_matches_orbit_table_on_generic_well():
+    # no closed form here: the ODE-built table is the independent oracle
+    well = generic_1d(
+        lambda q, lam: (q / lam) ** 4 + 0.3 * q * q,
+        dV_dq=lambda q, lam: 4 * q**3 / lam**4 + 0.6 * q,
+        dV_dlam=lambda q, lam: -4 * q**4 / lam**5,
+    )
+    table = build_xi_numeric(well, 1.0, 1.1, n_samples=128)
+    gen = NumericShellGenerator(well)
+    for q, p, xi in zip(table.qs, table.ps, table.xis):
+        assert abs(gen.evaluate((q, p), 1.1) - xi) < 1e-9, f"at ({q}, {p})"
 
 
 def test_numeric_generator_rejects_box():

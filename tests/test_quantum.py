@@ -34,6 +34,7 @@ from cdrive.quantum import (
     well_grid,
     xi_dilation,
     xi_spectral,
+    _potential_diagonal,
     _sine_coupling,
 )
 from cdrive.schedules import constant_hold, linear_ramp, smoothstep_ramp
@@ -92,6 +93,19 @@ def test_hermitian_operator_rejects_defect():
 
 # ---------------------------------------------------------------------------
 # discretization and spectra
+
+
+def test_power_law_potential_diagonal_matches_pointwise_loop():
+    # one numpy expression in place of the per-point loop: same arithmetic,
+    # so within a few ulps of the scalar potential at every grid point
+    for b in (2, 4, 6):
+        system = power_law(b, epsilon=1.7)
+        for lam in (1.0, 1.37):
+            grid = well_grid(system, lam, 40.0, 512)
+            ref = np.array([system.potential_energy(q, lam) for q in grid.qs])
+            np.testing.assert_allclose(
+                _potential_diagonal(system, lam, grid), ref, rtol=4 * np.finfo(float).eps, atol=0
+            )
 
 
 def test_box_ground_energy():
