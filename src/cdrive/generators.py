@@ -314,6 +314,10 @@ def build_xi_numeric(
 
 # central-difference step across the shell, as a fraction of |z|
 _NORMAL_STEP = 1e-4
+# turning-point distance, as a fraction of the orbit width, below which the
+# momentum gives it more accurately than the positions: sqrt of the rounding
+# unit, where the first-order error d/width meets the rounding error eps/d
+_TURNING_ZONE = math.sqrt(np.finfo(float).eps)
 
 
 def _shell_source(system: SystemModel, E: float, lam: float):
@@ -354,7 +358,15 @@ class NumericShellGenerator:
         # the longer piece, whose nodes keep clear of the turning points where
         # rounding in E - U swamps 1/|p|.  The absolute tolerance on the shell
         # scale keeps quad from chasing that rounding or a cancelling sum.
-        theta = math.atan2(math.sqrt(max(q - qm, 0.0)), math.sqrt(max(qp - q, 0.0)))
+        # Near a turning point its distance d is lost to rounding in E and q;
+        # there p^2/2m = |U'(q)| d to first order gives d from the momentum.
+        dist = [max(q - qm, 0.0), max(qp - q, 0.0)]
+        slope = system.grad_q(q, lam)
+        if slope != 0.0:
+            near = p * p / (2.0 * m * abs(slope))
+            if near < _TURNING_ZONE * (qp - qm):
+                dist[1 if slope > 0.0 else 0] = near
+        theta = math.atan2(math.sqrt(dist[0]), math.sqrt(dist[1]))
         right = theta <= 0.25 * math.pi
         part = _orbit_quadrature(
             system, E, lam, qm, qp,

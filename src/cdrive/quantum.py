@@ -251,22 +251,22 @@ def eigensystem(
 ) -> EigenSystem:
     """Dense eigendecomposition with the package sign convention.
 
-    n_levels keeps only the lowest levels; the residual, orthonormality and
-    nondegeneracy invariants apply to the retained block.  Wide grids for
-    smooth wells need the truncation: the top of the finite-difference band
-    carries checkerboard modes pinned to the two artificial walls, split
-    only by tunneling, and a gap below 1e-8 of the spread leaves the
-    spectral generator undefined.
+    n_levels keeps only the lowest levels, computed by a subset solve; the
+    residual, orthonormality and nondegeneracy invariants apply to the
+    retained block.  Wide grids for smooth wells need the truncation: the
+    top of the finite-difference band carries checkerboard modes pinned to
+    the two artificial walls, split only by tunneling, and a gap below 1e-8
+    of the spread leaves the spectral generator undefined.
     """
     m = h0.matrix
     if np.max(np.abs(m.imag)) == 0.0:
         m = m.real
-    energies, vecs = eigh(m)
-    if n_levels is not None:
-        if not 1 <= n_levels <= energies.size:
-            raise DomainError(f"cannot keep {n_levels} of {energies.size} levels")
-        energies = energies[:n_levels]
-        vecs = vecs[:, :n_levels]
+    if n_levels is None:
+        energies, vecs = eigh(m)
+    else:
+        if not 1 <= n_levels <= m.shape[0]:
+            raise DomainError(f"cannot keep {n_levels} of {m.shape[0]} levels")
+        energies, vecs = eigh(m, subset_by_index=[0, n_levels - 1])
     scale = float(np.max(np.abs(energies)))
     residual = float(np.max(np.abs(m @ vecs - vecs * energies)))
     if residual > 1e-10 * max(scale, 1e-300):
@@ -477,9 +477,13 @@ def propagate_grid(
     """Propagate grid samples under H(t) with the midpoint Cayley step.
 
     psi(t+dt) = [1 + (i dt/2hbar) H(t+dt/2)]^-1 [1 - (i dt/2hbar) H(t+dt/2)] psi(t),
-    unconditionally unitary; a per-step norm drift above 1e-10 raises.
-    The box is rejected: its moving wall cannot live on a fixed grid, and
-    propagate_basis covers it exactly.
+    unconditionally unitary; a per-step norm drift above 1e-10, or a
+    non-finite state, raises.  The schedule is evaluated once per run at
+    every midpoint and record time.  Power-law wells use scale invariance,
+    V(q; lam) = lam^-b V(q; 1), and the dilation generator is
+    xi(lam) = xi(1) / lam, so a step rescales fixed bands instead of
+    rebuilding them.  The box is rejected: its moving wall cannot live on a
+    fixed grid, and propagate_basis covers it exactly.
     """
     if system.kind == "box":
         raise DomainError("grid propagation excludes the box; use propagate_basis")
@@ -497,51 +501,68 @@ def propagate_grid(
     n_steps = max(1, math.ceil(schedule.duration / dt - 1e-12))
     step = schedule.duration / n_steps
     kappa = step / (2.0 * hbar)
+    rec_steps = [i for i in range(n_steps + 1)
+                 if i % record_every == 0 or i == n_steps]
+    mids = (np.arange(n_steps) + 0.5) * step
+    lams = np.asarray(schedule.value(mids), dtype=float)
+    rates = np.asarray(schedule.rate(mids), dtype=float)
+    rec_lams = np.asarray(schedule.value(step * np.array(rec_steps)), dtype=float)
+    if not (np.all(lams > 0.0) and np.all(rec_lams > 0.0)):
+        raise DomainError("schedule leaves the positive parameter range")
 
+    if system.kind == "power_law":
+        v1 = _potential_diagonal(system, 1.0, grid)
+
+        def diagonal(lam):
+            return 2.0 * kin + lam ** -system.b * v1
+    else:  # user callables may take scalars only
+
+        def diagonal(lam):
+            return 2.0 * kin + _potential_diagonal(system, float(lam), grid)
+
+    k = max(n_leading, track_level + 1)
+    kin_off = np.full(n - 1, -kin)
     psi = psi0.amplitudes.copy()
     times, norms, fids, phases, pops = [], [], [], [], []
 
-    def record(t, psi):
-        lam_t = float(schedule.value(t))
-        diag0 = 2.0 * kin + _potential_diagonal(system, lam_t, grid)
-        off0 = np.full(n - 1, -kin)
-        k = max(n_leading, track_level + 1)
-        _, vecs = _lowest_states(diag0, off0, h, k)
+    def record(psi):
+        j = len(times)
+        _, vecs = _lowest_states(diagonal(rec_lams[j]), kin_off, h, k)
         coeff = h * (vecs.T @ psi)
-        times.append(t)
+        times.append(rec_steps[j] * step)
         norms.append(math.sqrt(h * float(np.sum(np.abs(psi) ** 2))))
         fids.append(float(np.abs(coeff[track_level]) ** 2))
         phases.append(float(np.angle(coeff[track_level])))
         pops.append(np.abs(coeff[:n_leading]) ** 2)
 
-    record(0.0, psi)
+    # off the diagonal, i kappa H is -i kappa kin plus (super) or minus (sub)
+    # kappa lam_dot w(lam), with the dilation weight w(lam) = w(1) / lam
+    off_kin = -1j * kappa * kin
+    w1 = kappa * _dilation_offdiag(1.0, mu, grid, hbar)
     ab = np.zeros((3, n), dtype=complex)
+    record(psi)
     for i in range(n_steps):
-        t_mid = (i + 0.5) * step
-        lam = float(schedule.value(t_mid))
-        rate = float(schedule.rate(t_mid))
-        diag = 2.0 * kin + _potential_diagonal(system, lam, grid)
-        upper = np.full(n - 1, -kin, dtype=complex)
-        lower = np.full(n - 1, -kin, dtype=complex)
-        if mu != 0.0 and rate != 0.0:
-            w = rate * _dilation_offdiag(lam, mu, grid, hbar)
-            upper -= 1j * w
-            lower += 1j * w
+        lam = lams[i]
+        cd = (rates[i] / lam) * w1
+        upper = off_kin + cd
+        lower = off_kin - cd
+        d = 1j * kappa * diagonal(lam)
         # rhs = (1 - i kappa H) psi
-        rhs = (1.0 - 1j * kappa * diag) * psi
-        rhs[:-1] -= 1j * kappa * upper * psi[1:]
-        rhs[1:] -= 1j * kappa * lower * psi[:-1]
-        # solve (1 + i kappa H) psi_next = rhs
-        ab[0, 1:] = 1j * kappa * upper
-        ab[1, :] = 1.0 + 1j * kappa * diag
-        ab[2, :-1] = 1j * kappa * lower
-        psi_next = solve_banded((1, 1), ab, rhs)
-        norm = math.sqrt(h * float(np.sum(np.abs(psi_next) ** 2)))
-        if abs(norm - 1.0) > 1e-10:
+        rhs = (1.0 - d) * psi
+        rhs[:-1] -= upper * psi[1:]
+        rhs[1:] -= lower * psi[:-1]
+        # solve (1 + i kappa H) psi_next = rhs; both buffers are consumed
+        ab[0, 1:] = upper
+        ab[1] = 1.0 + d
+        ab[2, :-1] = lower
+        psi = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True,
+                           check_finite=False)
+        norm = math.sqrt(h * float(np.vdot(psi, psi).real))
+        # written so that a NaN norm fails too
+        if not abs(norm - 1.0) <= 1e-10:
             raise NumericalError(f"norm drift {abs(norm - 1.0):.3e} at step {i}")
-        psi = psi_next
-        if (i + 1) % record_every == 0 or i + 1 == n_steps:
-            record((i + 1) * step, psi)
+        if i + 1 == rec_steps[len(times)]:
+            record(psi)
 
     return GridTrajectory(
         times=np.array(times),

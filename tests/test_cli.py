@@ -137,6 +137,34 @@ def test_numerical_failure_writes_diagnostic(tmp_path, monkeypatch):
     assert "solver fell over" in diag["message"]
 
 
+def test_non_finite_grid_state_exits_3(tmp_path, monkeypatch):
+    import cdrive.quantum as quantum
+
+    real = quantum.solve_banded
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        calls.append(None)
+        x = real(*args, **kwargs)
+        if len(calls) == 5:
+            x[:] = np.nan
+        return x
+
+    monkeypatch.setattr(quantum, "solve_banded", poisoned)
+    p = write_config(tmp_path, "c.json", {
+        "kind": "quantum_grid",
+        "system": {"kind": "power_law", "b": 2},
+        "schedule": {"shape": "smoothstep", "lam_start": 1.0, "lam_end": 2.0,
+                     "duration": 0.1},
+        "numerics": {"n_points": 128, "dt": 1e-2},
+    })
+    out = tmp_path / "out"
+    assert main(["compare", p, "--out", str(out)]) == 3
+    diag = json.loads((out / "error.json").read_text())
+    assert diag["error"] == "NumericalError"
+    assert "norm drift nan" in diag["message"]
+
+
 def test_bad_thread_cap_is_config_error(tmp_path, monkeypatch):
     monkeypatch.setenv("CDRIVE_THREADS", "zero")
     p = write_config(tmp_path, "c.json", box_expansion())

@@ -305,6 +305,19 @@ def test_numeric_generator_tracks_analytic_values():
             assert abs(gen.evaluate((q, p), 1.0) - ref) < 1e-9, f"b={b} at ({q}, {p})"
 
 
+def test_numeric_generator_at_turning_point_to_the_last_bit():
+    # q+ - q rounds to 0 here, so the orbit angle must come from the momentum
+    lam = 1.3
+    for b in (4, 6):
+        system = power_law(b)
+        gen = NumericShellGenerator(system)
+        analytic = analytic_generator_for(system)
+        for q in turning_points(system, 1.0, lam):
+            for p in (1.5e-8, -1.5e-8):
+                ref = analytic.evaluate((q, p), lam)
+                assert abs(gen.evaluate((q, p), lam) - ref) < 1e-9, f"b={b} at ({q}, {p})"
+
+
 def test_numeric_generator_gradients():
     for b in (2, 4, 6):
         system = power_law(b)

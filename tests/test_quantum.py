@@ -11,7 +11,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
+import cdrive.quantum as quantum
 from cdrive.errors import DomainError, NumericalError
 from cdrive.quantum import (
     BasisTrajectory,
@@ -34,11 +38,14 @@ from cdrive.quantum import (
     well_grid,
     xi_dilation,
     xi_spectral,
+    _dilation_offdiag,
+    _fix_signs,
+    _lowest_states,
     _potential_diagonal,
     _sine_coupling,
 )
-from cdrive.schedules import constant_hold, linear_ramp, smoothstep_ramp
-from cdrive.systems import box, power_law
+from cdrive.schedules import constant_hold, cosine_ramp, linear_ramp, smoothstep_ramp, tabulated
+from cdrive.systems import box, generic_1d, power_law
 
 BOX = box()
 SHO = power_law(2)
@@ -149,6 +156,35 @@ def test_eigensystem_orthonormal_and_signed():
         v = es.states[:, col]
         lead = v[np.flatnonzero(np.abs(v) > 1e-8)[0]]
         assert lead > 0
+
+
+def test_eigensystem_subset_matches_full_decomposition():
+    # a dense symmetric eigensolver is accurate to a few rounding units of the
+    # spectral radius, which on stiff grids exceeds 1e-12 of the lowest
+    # energies (box, 256 points: the full solve is 5e-12 off the closed-form
+    # finite-difference levels); the energy bound allows for that floor
+    eps = np.finfo(float).eps
+    g = box_grid(1.0, 256)
+    h0 = discretize_h0(BOX, 1.0, g)
+    full = eigensystem(h0, g, 1.0)
+    floor = 64 * eps * np.max(np.abs(full.energies))
+    for k in (1, 8, 40):
+        es = eigensystem(h0, g, 1.0, n_levels=k)
+        np.testing.assert_allclose(es.energies, full.energies[:k], rtol=1e-12, atol=floor)
+        np.testing.assert_allclose(es.states, full.states[:, :k], rtol=0, atol=1e-10)
+    # wide well grids: the full spectrum is near-degenerate at the top, so
+    # the full decomposition is taken straight from LAPACK
+    for system, lam in ((SHO, 1.0), (QUARTIC, 1.3), (power_law(6), 0.8)):
+        g = well_grid(system, lam, 40.0, 512)
+        h0 = discretize_h0(system, lam, g)
+        energies, vecs = scipy.linalg.eigh(h0.matrix.real)
+        floor = 64 * eps * np.max(np.abs(energies))
+        for k in (1, 8, 40):
+            es = eigensystem(h0, g, lam, n_levels=k)
+            np.testing.assert_allclose(es.energies, energies[:k], rtol=1e-12, atol=floor)
+            np.testing.assert_allclose(
+                es.states, _fix_signs(vecs[:, :k]) / math.sqrt(g.h), rtol=0, atol=1e-10
+            )
 
 
 def test_quartic_ground_state_node_free():
@@ -341,6 +377,13 @@ def test_propagate_grid_rejects_box():
         propagate_grid(BOX, linear_ramp(1.0, 2.0, 1.0), psi, dt=1e-3)
 
 
+def test_propagate_grid_rejects_nonpositive_schedule():
+    g, es, _ = _driving_setup(SHO, 128)
+    psi0 = QuantumState("grid", es.states[:, 0].astype(complex), g)
+    with pytest.raises(DomainError, match="positive parameter range"):
+        propagate_grid(SHO, linear_ramp(1.0, -1.0, 0.1), psi0, dt=1e-2)
+
+
 def test_grid_trajectory_csv(tmp_path):
     g, es, sched = _driving_setup(SHO, 128)
     psi0 = QuantumState("grid", es.states[:, 0].astype(complex), g)
@@ -352,6 +395,147 @@ def test_grid_trajectory_csv(tmp_path):
     assert len(rows) == len(rec.times) + 1
     back = np.array([[float(x) for x in r.split(",")] for r in rows[1:]])
     np.testing.assert_allclose(back[:, 1], rec.fidelities, rtol=0, atol=0)
+
+
+def _reference_propagate_grid(system, schedule, psi0, dt, with_cd=True, track_level=0,
+                              n_leading=4, record_every=10, hbar=1.0):
+    """The per-step Cayley loop as first written: the schedule is called and
+    every band rebuilt from scratch at each step.  Returns (times, norms,
+    fidelities, phases, populations, final amplitudes)."""
+    grid = psi0.grid
+    n = grid.n_points
+    h = grid.h
+    kin = hbar * hbar / (2.0 * system.mass * h * h)
+    mu = system.mu if with_cd else 0.0
+    n_steps = max(1, math.ceil(schedule.duration / dt - 1e-12))
+    step = schedule.duration / n_steps
+    kappa = step / (2.0 * hbar)
+    psi = psi0.amplitudes.copy()
+    times, norms, fids, phases, pops = [], [], [], [], []
+
+    def record(t, psi):
+        lam_t = float(schedule.value(t))
+        diag0 = 2.0 * kin + _potential_diagonal(system, lam_t, grid)
+        off0 = np.full(n - 1, -kin)
+        k = max(n_leading, track_level + 1)
+        _, vecs = _lowest_states(diag0, off0, h, k)
+        coeff = h * (vecs.T @ psi)
+        times.append(t)
+        norms.append(math.sqrt(h * float(np.sum(np.abs(psi) ** 2))))
+        fids.append(float(np.abs(coeff[track_level]) ** 2))
+        phases.append(float(np.angle(coeff[track_level])))
+        pops.append(np.abs(coeff[:n_leading]) ** 2)
+
+    record(0.0, psi)
+    ab = np.zeros((3, n), dtype=complex)
+    for i in range(n_steps):
+        t_mid = (i + 0.5) * step
+        lam = float(schedule.value(t_mid))
+        rate = float(schedule.rate(t_mid))
+        diag = 2.0 * kin + _potential_diagonal(system, lam, grid)
+        upper = np.full(n - 1, -kin, dtype=complex)
+        lower = np.full(n - 1, -kin, dtype=complex)
+        if mu != 0.0 and rate != 0.0:
+            w = rate * _dilation_offdiag(lam, mu, grid, hbar)
+            upper -= 1j * w
+            lower += 1j * w
+        rhs = (1.0 - 1j * kappa * diag) * psi
+        rhs[:-1] -= 1j * kappa * upper * psi[1:]
+        rhs[1:] -= 1j * kappa * lower * psi[:-1]
+        ab[0, 1:] = 1j * kappa * upper
+        ab[1, :] = 1.0 + 1j * kappa * diag
+        ab[2, :-1] = 1j * kappa * lower
+        psi = scipy.linalg.solve_banded((1, 1), ab, rhs)
+        if (i + 1) % record_every == 0 or i + 1 == n_steps:
+            record((i + 1) * step, psi)
+    return (np.array(times), np.array(norms), np.array(fids),
+            np.unwrap(np.array(phases)), np.array(pops), psi)
+
+
+def _assert_matches_reference(system, sched, psi0, dt, with_cd, **kw):
+    rec = propagate_grid(system, sched, psi0, dt, with_cd=with_cd, **kw)
+    times, norms, fids, phases, pops, psi = _reference_propagate_grid(
+        system, sched, psi0, dt, with_cd=with_cd, **kw
+    )
+    np.testing.assert_array_equal(rec.times, times)
+    for got, want in ((rec.final_state.amplitudes, psi), (rec.fidelities, fids),
+                      (rec.phases, phases), (rec.norms, norms), (rec.populations, pops)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_propagate_grid_matches_per_step_loop():
+    # the hoisted stepper rescales fixed bands (V = lam^-b V(q; 1), xi = xi(1)/lam)
+    # and evaluates the schedule once; the loop rebuilds everything per step
+    T = 0.6
+    knots = np.linspace(0.0, T, 9)
+    schedules = (
+        linear_ramp(1.0, 1.7, T),
+        smoothstep_ramp(1.0, 1.7, T),
+        cosine_ramp(1.7, 1.0, T),
+        tabulated(knots, 1.0 + 0.7 * np.sin(0.5 * math.pi * knots / T) ** 2),
+    )
+    for b in (2, 4, 6):
+        system = power_law(b)
+        g = well_grid(system, 1.7, 15.0, 128)
+        es = eigensystem(discretize_h0(system, 1.0, g), g, 1.0, n_levels=2)
+        psi0 = QuantumState("grid", es.states[:, 1].astype(complex), g)
+        for sched in schedules:
+            for with_cd in (True, False):
+                _assert_matches_reference(system, sched, psi0, 3e-3, with_cd,
+                                          track_level=1, record_every=7)
+
+
+def test_propagate_grid_generic_well_matches_per_step_loop():
+    well = generic_1d(lambda q, lam: (q / lam) ** 4 + 0.3 * q * q)
+    g = GridSpec(-4.0, 4.0, 128)
+    es = eigensystem(discretize_h0(well, 1.0, g), g, 1.0, n_levels=2)
+    psi0 = QuantumState("grid", es.states[:, 0].astype(complex), g)
+    _assert_matches_reference(well, smoothstep_ramp(1.0, 1.5, 0.3), psi0, 5e-3, False,
+                              record_every=7)
+
+
+@given(
+    b=st.sampled_from([2, 4, 6]),
+    dt=st.floats(1.5e-3, 2e-2),
+    lam0=st.floats(0.6, 1.8),
+    lam1=st.floats(0.6, 1.8),
+    with_cd=st.booleans(),
+)
+def test_cayley_grid_unitary_and_time_reversible(b, dt, lam0, lam1, with_cd):
+    # H0 is real and xi purely imaginary, so conjugation maps the driven
+    # Hamiltonian onto the one of the reversed ramp, whose lam_dot flips sign:
+    # conj(U_rev) is the exact inverse of the forward midpoint Cayley product
+    system = power_law(b)
+    T = 0.3
+    g = well_grid(system, max(lam0, lam1), 30.0, 128)
+    es = eigensystem(discretize_h0(system, lam0, g), g, lam0, n_levels=1)
+    psi0 = QuantumState("grid", es.states[:, 0].astype(complex), g)
+    fwd = propagate_grid(system, smoothstep_ramp(lam0, lam1, T), psi0, dt,
+                         with_cd=with_cd, record_every=5)
+    assert np.max(np.abs(fwd.norms - 1.0)) < 1e-12
+    back = QuantumState("grid", fwd.final_state.amplitudes.conj(), g)
+    rev = propagate_grid(system, smoothstep_ramp(lam1, lam0, T), back, dt,
+                         with_cd=with_cd, record_every=10**9)
+    np.testing.assert_allclose(rev.final_state.amplitudes.conj(), psi0.amplitudes,
+                               rtol=0, atol=1e-10)
+
+
+def test_propagate_grid_non_finite_state_is_numerical_error(monkeypatch):
+    real = quantum.solve_banded
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        calls.append(None)
+        x = real(*args, **kwargs)
+        if len(calls) == 3:
+            x[:] = np.nan
+        return x
+
+    monkeypatch.setattr(quantum, "solve_banded", poisoned)
+    g, es, sched = _driving_setup(SHO, 128)
+    psi0 = QuantumState("grid", es.states[:, 0].astype(complex), g)
+    with pytest.raises(NumericalError, match="at step 2"):
+        propagate_grid(SHO, sched, psi0, dt=1e-2)
 
 
 # ---------------------------------------------------------------------------
