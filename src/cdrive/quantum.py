@@ -137,7 +137,7 @@ class QuantumState:
 
     def check_normalized(self, tol: float = 1e-10) -> None:
         err = abs(self.norm() - 1.0)
-        if err > tol:
+        if not err <= tol:
             raise NumericalError(f"state norm off by {err:.3e}")
 
 
@@ -657,7 +657,7 @@ def propagate_basis(
     c0 = np.asarray(c0, dtype=complex)
     if c0.ndim != 1 or c0.size != n_levels:
         raise DomainError(f"c0 must hold {n_levels} coefficients, got shape {c0.shape}")
-    if abs(float(np.sum(np.abs(c0) ** 2)) - 1.0) > 1e-10:
+    if not abs(float(np.sum(np.abs(c0) ** 2)) - 1.0) <= 1e-10:
         raise DomainError("initial coefficients are not normalized")
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")

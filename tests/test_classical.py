@@ -9,8 +9,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cdrive.classical import (
+    UniformGasSampler,
+    _draw_initial_conditions,
     collide,
     dissipation,
     evolve_bare,
@@ -22,7 +26,7 @@ from cdrive.classical import (
 from cdrive.errors import DomainError
 from cdrive.generators import box_generator, power_law_generator, NumericShellGenerator
 from cdrive.schedules import constant_hold, linear_ramp, smoothstep_ramp
-from cdrive.shells import orbit_period, turning_points
+from cdrive.shells import orbit_period, orbit_states, turning_points
 from cdrive.systems import box, generic_1d, power_law
 
 BOX = box()
@@ -338,6 +342,63 @@ def test_smooth_shell_ensemble():
     w0 = rec.omegas(SHO, 0)
     assert np.max(np.abs(w0 - w0[0])) / w0[0] < 1e-9
     assert np.max(np.abs(wf - w0[0])) / w0[0] < 1e-7
+
+
+def _reference_draw(system, sampler, lam, n, seed):
+    """The per-particle Generator loop that _draw_initial_conditions
+    reproduces: one default_rng per child of SeedSequence(seed).spawn(n)."""
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
+    m = system.mass
+    if isinstance(sampler, UniformGasSampler):
+        qs = np.array([r.random() * lam for r in streams])
+        if sampler.law == "two_point":
+            ps = np.array([sampler.p_bar if r.random() < 0.5 else -sampler.p_bar
+                           for r in streams])
+        else:
+            ps = np.array([sampler.p_bar * r.standard_normal() for r in streams])
+        return qs, ps
+    E = sampler.E
+    if system.kind == "box":
+        absp = math.sqrt(2.0 * m * E)
+        qs = np.array([r.random() * lam for r in streams])
+        ps = np.array([absp if r.random() < 0.5 else -absp for r in streams])
+        return qs, ps
+    return orbit_states(system, E, lam, [r.random() for r in streams])
+
+
+_DRAW_CASES = {
+    "two_point_gas": (BOX, uniform_gas_sampler(1.7)),
+    "gaussian_gas": (BOX, uniform_gas_sampler(1.7, law="gaussian")),
+    "box_shell": (BOX, shell_sampler(2.0)),
+    "quartic_shell": (QUARTIC, shell_sampler(1.0)),
+}
+
+
+def _assert_draws_match(case, n, seed, lam=1.3):
+    system, sampler = _DRAW_CASES[case]
+    qs, ps = _draw_initial_conditions(system, sampler, lam, n, seed)
+    ref_q, ref_p = _reference_draw(system, sampler, lam, n, seed)
+    assert np.array_equal(qs, ref_q) and np.array_equal(ps, ref_p)
+
+
+@pytest.mark.parametrize("case", sorted(_DRAW_CASES))
+@pytest.mark.parametrize("seed", [0, 1, 23, 2**32 - 1, 2**32, 2**64 + 3])
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_draws_match_per_particle_generators(case, seed, n):
+    _assert_draws_match(case, n, seed)
+
+
+@given(case=st.sampled_from(sorted(_DRAW_CASES)),
+       seed=st.integers(0, 2**96 - 1), n=st.integers(1, 300))
+def test_draws_match_per_particle_generators_property(case, seed, n):
+    _assert_draws_match(case, n, seed)
+
+
+def test_negative_seed_is_domain_error():
+    sched = linear_ramp(1.0, 2.0, 0.05)
+    with pytest.raises(DomainError):
+        evolve_ensemble(BOX, box_generator(), sched, uniform_gas_sampler(1.0), 10,
+                        -1, [0.0, 0.05])
 
 
 def test_uniform_gas_needs_box():

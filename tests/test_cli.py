@@ -256,6 +256,28 @@ def test_compare_box_gas_ks_gap(tmp_path):
         assert (out / "on" / f"ensemble_{k}.csv").exists()
 
 
+def test_compare_csvs_identical_across_thread_counts(tmp_path, monkeypatch):
+    p = write_config(tmp_path, "c.json", {
+        "kind": "classical_ensemble",
+        "system": {"kind": "box"},
+        "schedule": {"shape": "linear", "lam_start": 1.0, "lam_end": 2.0,
+                     "duration": 0.05},
+        "initial": {"gas_momentum": 25.0, "momentum_law": "two_point"},
+        "numerics": {"n_particles": 200},
+        "snapshots": [0.0, 0.025, 0.05],
+        "seed": 23,
+    })
+    csvs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CDRIVE_THREADS", threads)
+        out = tmp_path / f"out{threads}"
+        assert main(["compare", p, "--out", str(out)]) == 0
+        csvs[threads] = {f.relative_to(out): f.read_bytes()
+                         for f in sorted(out.glob("*/ensemble_*.csv"))}
+    assert len(csvs["1"]) == 6
+    assert csvs["1"] == csvs["2"]
+
+
 def test_generator_check_numeric(tmp_path):
     p = write_config(tmp_path, "c.json", {
         "kind": "generator_check",

@@ -90,6 +90,19 @@ def test_state_norm_conventions():
         QuantumState("fourier", np.ones(4))
 
 
+def test_nan_grid_state_fails_norm_check():
+    g = box_grid(1.0, 128)
+    with pytest.raises(NumericalError):
+        QuantumState("grid", np.full(128, np.nan), g).check_normalized()
+
+
+def test_basis_rejects_nan_coefficients():
+    c0 = np.zeros(8, dtype=complex)
+    c0[0] = np.nan
+    with pytest.raises(DomainError):
+        propagate_basis(linear_ramp(1.0, 2.0, 0.05), c0, n_levels=8, dt=1e-3)
+
+
 def test_hermitian_operator_rejects_defect():
     m = np.eye(4, dtype=complex)
     m[0, 1] = 1e-3
