@@ -37,16 +37,15 @@ from .generators import (
 )
 from .quantum import (
     QuantumState,
+    _xi_spectral_parts,
     box_grid,
     box_phase,
     discretize_h0,
     eigensystem,
-    grad_h0_matrix,
     propagate_basis,
     propagate_grid,
     well_grid,
     xi_dilation,
-    xi_spectral,
 )
 
 SCHEMA_VERSION = "cdrive-report-v1"
@@ -213,7 +212,7 @@ def _run_quantum_basis(cfg, out):
         "norm_drift": float(np.max(np.abs(rec.norms - 1.0))),
         "leakage_warning": bool(rec.leakage_warning),
     }
-    integrator = "exact_phase" if cfg.cd_enabled else "interaction_rk4"
+    integrator = "exact_phase" if cfg.cd_enabled else "strang_split"
     return metrics, artifacts, {"dt": float(dt), "integrator": integrator}
 
 
@@ -341,10 +340,7 @@ def _commutator_residual(cfg: ExperimentConfig) -> dict:
         grid = well_grid(system, lam0, num["e_max"], n_points)
         mu = system.b / (system.b + 2.0)
     hbar = num["hbar"]
-    xs = xi_spectral(system, lam0, grid, n_levels, hbar=hbar)
-    es = eigensystem(discretize_h0(system, lam0, grid, hbar), grid, lam0, n_levels)
-    grad = grad_h0_matrix(system, lam0, grid, hbar)
-    block = grid.h * (es.states.conj().T @ grad @ es.states)
+    xs, es, block = _xi_spectral_parts(system, lam0, grid, n_levels, hbar)
     h0 = np.diag(es.energies)
     comm = xs.matrix @ h0 - h0 @ xs.matrix
     target = 1j * hbar * (block - np.diag(np.diag(block)))

@@ -39,8 +39,24 @@ def _load_schema(name: str) -> dict:
     return json.loads(text)
 
 
+def _compiled(schema: dict):
+    """The schema's validator, checked against its metaschema once."""
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(validator, instance) -> None:
+    """jsonschema.validate with a prebuilt validator: raises the same error."""
+    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
+    if error is not None:
+        raise error
+
+
 CONFIG_SCHEMA = _load_schema("config-v1.json")
 REPORT_SCHEMA = _load_schema("report-v1.json")
+_CONFIG_VALIDATOR = _compiled(CONFIG_SCHEMA)
+_REPORT_VALIDATOR = _compiled(REPORT_SCHEMA)
 
 
 def _inject_defaults(obj: dict, schema: dict) -> None:
@@ -179,7 +195,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError("config document must be a JSON object")
     _inject_defaults(data, CONFIG_SCHEMA)
     try:
-        jsonschema.validate(data, CONFIG_SCHEMA)
+        _validate(_CONFIG_VALIDATOR, data)
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"invalid config at {path}: {exc.message}") from exc
@@ -222,4 +238,4 @@ def load_config(path) -> ExperimentConfig:
 
 def validate_report(report: dict) -> None:
     """Self-check an emitted report against the shipped schema."""
-    jsonschema.validate(report, REPORT_SCHEMA)
+    _validate(_REPORT_VALIDATOR, report)

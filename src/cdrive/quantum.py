@@ -330,13 +330,17 @@ def xi_spectral(
     Off-diagonal xi_mn = i hbar (dH0/dlam)_mn / (E_n - E_m), zero on the
     diagonal.  Demands a nondegenerate retained block.
     """
+    return _xi_spectral_parts(system, lam, grid, n_levels, hbar, delta_rel)[0]
+
+
+def _xi_spectral_parts(system, lam, grid, n_levels, hbar, delta_rel=1e-5):
+    """xi_spectral's generator with the eigensystem and dH0/dlam block it used."""
     if n_levels < 2:
         raise DomainError(f"need at least 2 levels, got {n_levels}")
     if n_levels > grid.n_points:
         raise DomainError(f"{n_levels} levels on a {grid.n_points}-point grid")
     es = eigensystem(discretize_h0(system, lam, grid, hbar), grid, lam, n_levels)
-    energies = es.energies
-    vecs = es.states
+    energies, vecs = es.energies, es.states
     spread = float(energies[-1] - energies[0])
     gaps = energies[None, :] - energies[:, None]
     off = ~np.eye(n_levels, dtype=bool)
@@ -346,7 +350,7 @@ def xi_spectral(
     block = grid.h * (vecs.T @ g @ vecs)
     xi = np.zeros((n_levels, n_levels), dtype=complex)
     xi[off] = 1j * hbar * block[off] / gaps[off]
-    return HermitianOperator(xi)
+    return HermitianOperator(xi), es, block
 
 
 def _dilation_offdiag(lam: float, mu: float, grid: GridSpec, hbar: float) -> np.ndarray:
@@ -444,17 +448,20 @@ class GridTrajectory:
         return float(self.fidelities[-1])
 
     def to_csv(self, path) -> None:
-        k = self.populations.shape[1]
-        header = "t,fidelity,norm,phase," + ",".join(f"pop{m}" for m in range(k))
-        rows = [header]
-        for i, t in enumerate(self.times):
-            pops = ",".join(f"{float(v)!r}" for v in self.populations[i])
-            rows.append(
-                f"{float(t)!r},{float(self.fidelities[i])!r},"
-                f"{float(self.norms[i])!r},{float(self.phases[i])!r},{pops}"
-            )
-        with open(path, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+        _trajectory_csv(path, self.times, self.fidelities, self.norms, self.phases,
+                        self.populations)
+
+
+def _trajectory_csv(path, times, fidelities, norms, phases, pops) -> None:
+    """One row per record: t, fidelity, norm, phase, then the pops columns."""
+    header = "t,fidelity,norm,phase," + ",".join(f"pop{m}" for m in range(pops.shape[1]))
+    rows = [header]
+    for i, t in enumerate(times):
+        cols = ",".join(f"{float(v)!r}" for v in pops[i])
+        rows.append(f"{float(t)!r},{float(fidelities[i])!r},"
+                    f"{float(norms[i])!r},{float(phases[i])!r},{cols}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(rows) + "\n")
 
 
 def _lowest_states(diag: np.ndarray, off: np.ndarray, h: float, k: int):
@@ -578,6 +585,8 @@ def propagate_grid(
 # ---------------------------------------------------------------------------
 # box eigenbasis propagation
 
+_KICK_BLOCK = 256  # steps whose phase and kick factors are exponentiated together
+
 
 def _sine_coupling(n_levels: int) -> np.ndarray:
     """L <n|d/dL m> of the box sine states in closed form.
@@ -620,18 +629,9 @@ class BasisTrajectory:
         return np.unwrap(np.angle(self.coeffs[:, n]))
 
     def to_csv(self, path, track_level: int = 0, n_leading: int = 4) -> None:
-        k = min(n_leading, self.n_levels)
-        header = "t,fidelity,norm,phase," + ",".join(f"pop{m}" for m in range(k))
-        phases = self.phase(track_level)
-        rows = [header]
-        for i, t in enumerate(self.times):
-            pops = ",".join(f"{float(v)!r}" for v in self.populations[i, :k])
-            rows.append(
-                f"{float(t)!r},{float(self.populations[i, track_level])!r},"
-                f"{float(self.norms[i])!r},{float(phases[i])!r},{pops}"
-            )
-        with open(path, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+        pops = self.populations
+        _trajectory_csv(path, self.times, pops[:, track_level], self.norms,
+                        self.phase(track_level), pops[:, :n_leading])
 
 
 def propagate_basis(
@@ -650,9 +650,10 @@ def propagate_basis(
     the frame c_n = a_n exp(-i theta_n), theta_n = n^2 pi^2 hbar tau / (2 m)
     on the clock tau = integral of L^-2, only the coupling moves a.  with_cd
     adds xi = i hbar D, which cancels it identically, so a = c(0) and no step
-    is taken.  The bare arm steps a with RK4 on a grid of dt, which the stiff
-    diagonal never limits; its non-unitarity shows in the norms column.
-    Both arms record every record_every steps and at the end.
+    is taken.  The bare arm takes Strang split steps of dt: half the free
+    phase, the exact coupling exp(-ln(L1/L0) D1), the other half; each factor
+    is unitary, and the error is second order in dt.  Both arms record every
+    record_every steps and at the end.
     """
     c0 = np.asarray(c0, dtype=complex)
     if c0.ndim != 1 or c0.size != n_levels:
@@ -674,38 +675,36 @@ def propagate_basis(
     ns2 = np.arange(1, n_levels + 1, dtype=float) ** 2
     top = n_levels - math.ceil(n_levels / 10)
 
-    def edge(a):
-        return float(np.max(np.abs(a[top:]) ** 2))
-
     def lab_frame(a, tau):
         return a * np.exp(-1j * phase_k * tau * ns2)
 
-    peak = edge(c0)
+    peak = float(np.max(np.abs(c0[top:]) ** 2))
     norm0 = math.sqrt(float(np.sum(np.abs(c0) ** 2)))
     if with_cd:
         coeffs = lab_frame(c0, taus[2 * rec_steps, None])
         norms = np.full(rec_steps.size, norm0)
     else:
-        # da/dt = -(L_dot / L) u * (D1 @ (conj(u) * a)) with u = exp(i theta)
-        d1 = _sine_coupling(n_levels).astype(complex)
-        gain = -np.asarray(schedule.rate(half)) / np.asarray(schedule.value(half))
-
-        def rhs(j, a):
-            u = np.exp(1j * phase_k * taus[j] * ns2)
-            return gain[j] * (u * (d1 @ (np.conj(u) * a)))
-
-        a = c0.copy()
-        coeff_rows, norm_rows = [c0], [norm0]
-        for i in range(n_steps):
-            k1 = rhs(2 * i, a)
-            k2 = rhs(2 * i + 1, a + 0.5 * step * k1)
-            k3 = rhs(2 * i + 1, a + 0.5 * step * k2)
-            k4 = rhs(2 * i + 2, a + step * k3)
-            a = a + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            peak = max(peak, edge(a))
-            if i + 1 in recorded:
-                coeff_rows.append(lab_frame(a, taus[2 * i + 2]))
-                norm_rows.append(math.sqrt(float(np.sum(np.abs(a) ** 2))))
+        # i D1 = V diag(w) V^H ("ev" keeps V unitary closest to rounding), so a
+        # kick is V diag(exp(i w dlnL)) V^H.  c is the lab state at clock tau_c up
+        # to the free phase: phases between kicks merge; zero kicks are skipped.
+        w, v = eigh(1j * _sine_coupling(n_levels), driver="ev")
+        vh = v.conj().T
+        kicks = np.diff(np.log(np.asarray(schedule.value(half[::2]), dtype=float)))
+        c, tau_c, coeff_rows, norm_rows = c0, 0.0, [c0], [norm0]
+        for lo in range(0, n_steps, _KICK_BLOCK):
+            kicked = lo + np.flatnonzero(kicks[lo:lo + _KICK_BLOCK])
+            tau_k = taus[2 * kicked + 1]
+            free = lab_frame(1.0, np.diff(tau_k, prepend=tau_c)[:, None])
+            turn = np.exp(1j * kicks[kicked, None] * w)
+            post, j = np.empty((kicked.size, n_levels), dtype=complex), 0
+            for i in range(lo, min(lo + _KICK_BLOCK, n_steps)):
+                if kicks[i]:
+                    c = v @ (turn[j] * (vh @ (free[j] * c)))
+                    post[j], tau_c, j = c, tau_k[j], j + 1
+                if i + 1 in recorded:
+                    coeff_rows.append(lab_frame(c, taus[2 * i + 2] - tau_c))
+                    norm_rows.append(math.sqrt(float(np.sum(np.abs(c) ** 2))))
+            peak = max(peak, float(np.max(np.abs(post[:, top:]) ** 2, initial=0.0)))
         coeffs, norms = np.array(coeff_rows), np.array(norm_rows)
     return BasisTrajectory(
         times=step * rec_steps,

@@ -20,6 +20,7 @@ from cdrive.classical import (
     evolve_bare,
     evolve_cd,
     evolve_ensemble,
+    kstest,
     shell_sampler,
     uniform_gas_sampler,
 )
@@ -319,6 +320,22 @@ def test_uniform_gas_shocks_without_driving():
         snapshot_times=np.linspace(0.0, 0.05, 6),
     )
     assert float(np.max(rec.ks_stats)) > 0.1
+
+
+def test_kstest_equals_scipy_statistic():
+    # the statistic lands in report.json, so it must be scipy's to the bit;
+    # samples reach past [0, 1] on both sides, where the cdf clips
+    from scipy.stats import kstest as scipy_kstest
+
+    rng = np.random.default_rng(20)
+    cases = [np.array([0.5]), np.array([-0.2]), np.array([1.3]), np.zeros(5), np.ones(5),
+             np.array([0.25, 0.25, 0.75, 0.75]), np.linspace(0.0, 1.0, 11)]
+    for n in rng.integers(1, 20001, size=60):
+        lo, hi = sorted(rng.uniform(-0.2, 1.2, size=2))
+        cases.append(rng.uniform(lo, hi, size=n))
+        cases.append(rng.uniform(0.0, 1.0, size=n))
+    for x in cases:
+        assert kstest(x) == scipy_kstest(x, "uniform").statistic, x.size
 
 
 def test_ensemble_determinism():

@@ -4,6 +4,7 @@ Exit-code contract: 0 assertions pass, 1 assertion failed after a completed
 run, 2 config error, 3 numerical failure with an error.json diagnostic.
 """
 
+import copy
 import json
 import subprocess
 import sys
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 
 import cdrive.cli as cli
+import cdrive.config as config
 from cdrive.cli import main
-from cdrive.errors import NumericalError
+from cdrive.errors import ConfigError, NumericalError
 
 
 def write_config(tmp_path, name, cfg):
@@ -124,6 +126,62 @@ def test_config_rejections(tmp_path):
                  "--out", str(tmp_path / "o4")]) == 2
 
 
+@pytest.mark.parametrize("change", [
+    {"bogus": 1},
+    {"kind": "quantum_wave"},
+    {"schedule": {"shape": "linear", "lam_start": 1.0, "lam_end": 2.0,
+                  "duration": -1.0}},
+    {"numerics": {"n_particles": 0}},
+    {"seed": -3},
+    {"initial": {"energy": "high"}},
+    {"system": {"kind": "box", "mass": 0}},
+])
+def test_config_errors_match_schema_validation(change):
+    # the cached validator must raise what jsonschema.validate raised
+    data = {**box_expansion(), **change}
+    doc = copy.deepcopy(data)
+    config._inject_defaults(doc, config.CONFIG_SCHEMA)
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(doc, config.CONFIG_SCHEMA)
+    path = "/".join(str(p) for p in want.value.absolute_path) or "<root>"
+    with pytest.raises(ConfigError) as got:
+        config.config_from_dict(data)
+    assert str(got.value) == f"invalid config at {path}: {want.value.message}"
+
+
+def test_config_error_message_is_unchanged():
+    with pytest.raises(ConfigError) as got:
+        config.config_from_dict({**box_expansion(), "bogus": 1})
+    assert str(got.value) == (
+        "invalid config at <root>: Additional properties are not allowed "
+        "('bogus' was unexpected)")
+
+
+def test_report_validation_matches_schema_validation(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, "c.json", box_expansion()),
+                 "--out", str(out)]) == 0
+    report = load_report(out)
+    config.validate_report(report)
+    for bad in ({**report, "mode": "bogus"}, {**report, "extra": 1},
+                {k: v for k, v in report.items() if k != "metrics"}):
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(bad, config.REPORT_SCHEMA)
+        with pytest.raises(jsonschema.ValidationError) as got:
+            config.validate_report(bad)
+        assert str(got.value) == str(want.value)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cdrive.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_numerical_failure_writes_diagnostic(tmp_path, monkeypatch):
     def boom(cfg, out):
         raise NumericalError("solver fell over")
@@ -184,7 +242,7 @@ _BASIS = {"kind": "quantum_basis", "system": {"kind": "box"},
     (_GAS, False, "box_exact_flow"),
     (_WELL_ENSEMBLE, True, "adaptive_rk4_events"),
     (_BASIS, True, "exact_phase"),
-    (_BASIS, False, "interaction_rk4"),
+    (_BASIS, False, "strang_split"),
     (box_expansion(), True, "adaptive_rk4_events"),
 ])
 def test_report_names_the_integrator_that_ran(tmp_path, cfg, cd_enabled, integrator):

@@ -44,7 +44,14 @@ from cdrive.quantum import (
     _potential_diagonal,
     _sine_coupling,
 )
-from cdrive.schedules import constant_hold, cosine_ramp, linear_ramp, smoothstep_ramp, tabulated
+from cdrive.schedules import (
+    clock,
+    constant_hold,
+    cosine_ramp,
+    linear_ramp,
+    smoothstep_ramp,
+    tabulated,
+)
 from cdrive.systems import box, generic_1d, power_law
 
 BOX = box()
@@ -622,6 +629,122 @@ def test_basis_cd_superposition_phases_match_box_phase():
             advance = rec.phase(n)[-1] - np.angle(c0[n])
             assert abs(advance - box_phase(n + 1, sched, T)) < 1e-10, (sched.tag, n)
         assert np.max(np.abs(rec.populations - rec.populations[0])) < 1e-12
+
+
+def _reference_propagate_basis(schedule, c0, n_levels, dt, mass=1.0, hbar=1.0,
+                               record_every=50):
+    """The bare arm as interaction-picture RK4: a_n = c_n exp(i theta_n) with
+    theta_n = n^2 pi^2 hbar tau / (2 m) on the clock, stepped by RK4 under
+    da/dt = -(L_dot / L) u (D1 @ (conj(u) a)), u = exp(i theta).  Returns
+    (times, lab coefficients, norms, edge population) at the records."""
+    n_steps = max(1, math.ceil(schedule.duration / dt - 1e-12))
+    step = schedule.duration / n_steps
+    half = np.arange(2 * n_steps + 1) * (0.5 * step)
+    taus = clock(schedule, half)
+    phase_k = math.pi * math.pi * hbar / (2.0 * mass)
+    ns2 = np.arange(1, n_levels + 1, dtype=float) ** 2
+    top = n_levels - math.ceil(n_levels / 10)
+    d1 = _sine_coupling(n_levels).astype(complex)
+    gain = -np.asarray(schedule.rate(half)) / np.asarray(schedule.value(half))
+
+    def rhs(j, a):
+        u = np.exp(1j * phase_k * taus[j] * ns2)
+        return gain[j] * (u * (d1 @ (np.conj(u) * a)))
+
+    a = np.asarray(c0, dtype=complex).copy()
+    times, coeffs, norms = [0.0], [a.copy()], [np.linalg.norm(a)]
+    peak = float(np.max(np.abs(a[top:]) ** 2))
+    for i in range(n_steps):
+        k1 = rhs(2 * i, a)
+        k2 = rhs(2 * i + 1, a + 0.5 * step * k1)
+        k3 = rhs(2 * i + 1, a + 0.5 * step * k2)
+        k4 = rhs(2 * i + 2, a + step * k3)
+        a = a + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        peak = max(peak, float(np.max(np.abs(a[top:]) ** 2)))
+        if (i + 1) % record_every == 0 or i + 1 == n_steps:
+            times.append((i + 1) * step)
+            coeffs.append(a * np.exp(-1j * phase_k * taus[2 * i + 2] * ns2))
+            norms.append(np.linalg.norm(a))
+    return np.array(times), np.array(coeffs), np.array(norms), peak
+
+
+_PIN = linear_ramp(1.0, 2.0, 0.05)  # the bare-arm pin: 64 levels, dt 2e-5
+
+
+def _ground(n_levels):
+    c0 = np.zeros(n_levels, dtype=complex)
+    c0[0] = 1.0
+    return c0
+
+
+@pytest.fixture(scope="module")
+def pin_reference():
+    return _reference_propagate_basis(_PIN, _ground(64), 64, 2e-5)
+
+
+def test_basis_bare_matches_rk4_reference(pin_reference):
+    times, coeffs, norms, peak = pin_reference
+    rec = propagate_basis(_PIN, _ground(64), n_levels=64, dt=2e-5, with_cd=False)
+    np.testing.assert_array_equal(rec.times, times)
+    assert np.max(np.abs(rec.coeffs - coeffs)) < 1e-6
+    assert rec.edge_population == pytest.approx(peak, rel=1e-2)
+    # unitary steps: the norm drift is no worse than the RK4 reference's
+    assert np.max(np.abs(rec.norms - 1.0)) <= np.max(np.abs(norms - 1.0))
+
+
+def test_basis_bare_split_step_is_second_order(pin_reference):
+    final = pin_reference[1][-1]
+    errs = [np.max(np.abs(propagate_basis(_PIN, _ground(64), n_levels=64, dt=dt,
+                                          with_cd=False).coeffs[-1] - final))
+            for dt in (2e-5, 1e-5, 5e-6)]
+    for coarse, fine in zip(errs[:-1], errs[1:]):
+        assert 3.6 < coarse / fine < 4.4, errs
+
+
+def _random_state(seed, n_levels):
+    rng = np.random.default_rng(seed)
+    c0 = rng.normal(size=n_levels) + 1j * rng.normal(size=n_levels)
+    return c0 / np.linalg.norm(c0)
+
+
+_RAMPS = {"linear": linear_ramp, "smoothstep": smoothstep_ramp, "cosine": cosine_ramp}
+
+
+@given(
+    shape=st.sampled_from(sorted(_RAMPS)),
+    lam0=st.floats(0.5, 2.0),
+    lam1=st.floats(0.5, 2.0),
+    T=st.floats(0.01, 0.3),
+    n_steps=st.integers(1, 400),
+    n_levels=st.integers(1, 48),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_basis_bare_arm_is_unitary(shape, lam0, lam1, T, n_steps, n_levels, seed):
+    rec = propagate_basis(_RAMPS[shape](lam0, lam1, T), _random_state(seed, n_levels),
+                          n_levels=n_levels, dt=T / n_steps, with_cd=False, record_every=7)
+    assert np.max(np.abs(rec.norms - 1.0)) < 1e-12
+    assert np.max(np.abs(np.sum(rec.populations, axis=1) - 1.0)) < 1e-12
+
+
+@given(
+    lam0=st.floats(0.6, 1.8),
+    lam1=st.floats(0.6, 1.8),
+    T=st.floats(0.01, 0.2),
+    n_steps=st.integers(1, 300),
+    n_levels=st.integers(2, 32),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_basis_bare_arm_is_time_reversible(lam0, lam1, T, n_steps, n_levels, seed):
+    # H0 is real and the coupling -(L_dot / L) D1 real, so conjugation maps
+    # the driven equation onto the one of the reversed ramp; the symmetric
+    # split step inherits this, so the reversed run undoes the forward one
+    c0 = _random_state(seed, n_levels)
+    dt = T / n_steps
+    fwd = propagate_basis(smoothstep_ramp(lam0, lam1, T), c0, n_levels=n_levels, dt=dt,
+                          with_cd=False, record_every=10**9)
+    rev = propagate_basis(smoothstep_ramp(lam1, lam0, T), fwd.coeffs[-1].conj(),
+                          n_levels=n_levels, dt=dt, with_cd=False, record_every=10**9)
+    np.testing.assert_allclose(rev.coeffs[-1].conj(), c0, rtol=0, atol=1e-10)
 
 
 def _box_overlaps(ns, la, lb):
