@@ -1,12 +1,11 @@
 """Trajectory and ensemble integration under H0 + lam_dot * xi.
 
-Single trajectories use a classical fourth-order Runge-Kutta scheme with
-step-halving error control (the half-step pair also brackets wall-crossing
-events for the box, which are then refined by bisection); smooth-well
-ensembles run it particle by particle.  Box ensembles are exact: the driven
+The box is exact, for single trajectories and ensembles alike: the driven
 flow is free flight of x = q/L on the clock tau = integral of L^-2
-(schedules.clock), closed-form at every snapshot, and the bare flow is free
-flight whose substeps only bracket the wall hits.
+(schedules.clock), closed-form at every record, and the bare flow is free
+flight whose substeps only bracket the wall hits.  Smooth wells use a
+classical fourth-order Runge-Kutta scheme with step-halving error control,
+particle by particle for ensembles.
 
 The hard-wall collision rules live in collide(): under the driven flow the
 generator carries the wall's motion, so the bounce is p -> -p at both
@@ -21,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import DomainError, NumericalError
 from .schedules import Schedule, clock
@@ -145,7 +145,7 @@ def collide(p: float, wall: str, L: float, L_dot: float, mass: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# scalar RK4 with step-halving control
+# single trajectories: step-halving RK4 for smooth wells, exact engines for the box
 
 
 def _rk4(f, t, y, h):
@@ -157,24 +157,9 @@ def _rk4(f, t, y, h):
 
 
 def _make_rhs(system: SystemModel, generator, schedule: Schedule):
-    m = system.mass
-    value = schedule.value
-    rate = schedule.rate
-    if system.kind == "box":
-        # zero force between the walls; trial RK4 stages may poke past a
-        # wall before event location truncates the step, so skip the
-        # position domain check here
-        force = lambda q, lam: 0.0
-    else:
-        force = system.grad_q
-
+    m, value, rate, force = system.mass, schedule.value, schedule.rate, system.grad_q
     if generator is None:
-
-        def rhs(t, y):
-            lam = value(t)
-            return np.array([y[1] / m, -force(y[0], lam)])
-
-        return rhs
+        return lambda t, y: np.array([y[1] / m, -force(y[0], value(t))])
 
     def rhs(t, y):
         lam = value(t)
@@ -185,44 +170,26 @@ def _make_rhs(system: SystemModel, generator, schedule: Schedule):
     return rhs
 
 
+def _check_positive(name: str, value) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} must be finite and positive, got {value}")
+
+
 def _integrate(system, generator, schedule, z0, dt, tol, fixed_step, record_every):
-    """Shared driver: adaptive (or fixed) RK4 with box wall events."""
-    if dt <= 0:
-        raise DomainError(f"dt must be positive, got {dt}")
+    """Smooth-well driver: adaptive (or fixed-step) RK4."""
+    _check_positive("dt", dt)
+    _check_positive("tol", tol)
     T = schedule.duration
-    m = system.mass
-    is_box = system.kind == "box"
-    cd = generator is not None
     rhs = _make_rhs(system, generator, schedule)
 
     q0, p0 = as_qp(z0)
-    lam0 = schedule.value(0.0)
-    if is_box:
-        if not (0.0 <= q0 <= lam0):
-            raise DomainError(f"z0 must start inside the box [0, {lam0}], got q={q0}")
-    else:
-        system.check_position(q0, lam0)
-
-    collisions = []
-    # start exactly on a wall heading out: bounce before integrating
-    if is_box and q0 == 0.0 and p0 < 0.0:
-        p0 = collide(p0, "left", float(lam0), float(schedule.rate(0.0)), m, cd)
-        collisions.append((0.0, "left"))
-    if is_box and q0 == lam0:
-        rel = p0 / m if cd else p0 / m - float(schedule.rate(0.0))
-        if rel > 0.0:
-            p0 = collide(p0, "right", float(lam0), float(schedule.rate(0.0)), m, cd)
-            collisions.append((0.0, "right"))
+    system.check_position(q0, schedule.value(0.0))
 
     ts, qs, ps = [0.0], [q0], [p0]
     y = np.array([q0, p0])
     t = 0.0
     h = min(dt, T)
     steps_since_record = 0
-
-    def wall_gap(tt, yy):
-        # negative inside the box for both walls
-        return yy[0] - schedule.value(tt), -yy[0]
 
     while t < T:
         if T - t <= 1e-14 * T:
@@ -231,8 +198,7 @@ def _integrate(system, generator, schedule, z0, dt, tol, fixed_step, record_ever
         if h < 1e-15 * T:
             raise NumericalError("step size underflow")
         if fixed_step:
-            y_new, accept = _rk4(rhs, t, y, h), True
-            h_next = h
+            y_new, h_next = _rk4(rhs, t, y, h), h
         else:
             y_full = _rk4(rhs, t, y, h)
             y_half = _rk4(rhs, t, y, 0.5 * h)
@@ -240,26 +206,12 @@ def _integrate(system, generator, schedule, z0, dt, tol, fixed_step, record_ever
             err = np.max(np.abs(y_new - y_full)) / 15.0
             scale = tol * (1.0 + float(np.max(np.abs(y))))
             ratio = err / scale
-            accept = ratio <= 1.0
+            if not math.isfinite(ratio):
+                raise NumericalError(f"RK4 error estimate is {ratio} at t={t}")
             factor = 0.9 * ratio ** -0.2 if ratio > 0 else 4.0
             h_next = h * min(4.0, max(0.2, factor))
-        if not accept:
-            h = h_next
-            continue
-
-        if is_box:
-            event = _first_wall_crossing(rhs, schedule, t, y, h, y_new, T)
-            if event is not None:
-                t_c, y_c, wall = event
-                L_c = schedule.value(t_c)
-                y_c[0] = L_c if wall == "right" else 0.0
-                y_c[1] = collide(y_c[1], wall, L_c, schedule.rate(t_c), m, cd)
-                collisions.append((t_c, wall))
-                if t_c <= t:
-                    t_c = np.nextafter(t, math.inf)
-                t, y = t_c, y_c
-                ts.append(t), qs.append(float(y[0])), ps.append(float(y[1]))
-                steps_since_record = 0
+            if ratio > 1.0:
+                h = h_next
                 continue
 
         t, y = t + h, y_new
@@ -273,87 +225,67 @@ def _integrate(system, generator, schedule, z0, dt, tol, fixed_step, record_ever
 
     if ts[-1] < t:
         ts.append(t), qs.append(float(y[0])), ps.append(float(y[1]))
-    return np.array(ts), np.array(qs), np.array(ps), tuple(collisions)
+    return np.array(ts), np.array(qs), np.array(ps)
 
 
-def _first_wall_crossing(rhs, schedule, t, y, h, y_new, T):
-    """Scan the accepted step for the earliest wall crossing; refine by
-    bisection on the wall-gap function to |dt| < 1e-13 T."""
-
-    def state_at(s):
-        if s <= t:
-            return y.copy()
-        return _rk4(rhs, t, y, s - t)
-
-    def gaps(s, yy):
-        return yy[0] - schedule.value(s), -yy[0]
-
-    n_scan = 8
-    prev_s, prev_g = t, gaps(t, y)
-    bracket = None
-    for k in range(1, n_scan + 1):
-        s = t + h * k / n_scan
-        yy = y_new if k == n_scan else state_at(s)
-        g = gaps(s, yy)
-        for wall_idx, wall in ((0, "right"), (1, "left")):
-            if prev_g[wall_idx] < 0.0 <= g[wall_idx]:
-                bracket = (prev_s, s, wall)
-                break
-        if bracket:
-            break
-        prev_s, prev_g = s, g
-    if bracket is None:
-        return None
-
-    a, b, wall = bracket
-    idx = 0 if wall == "right" else 1
-    while (b - a) > 1e-13 * T:
-        mid = 0.5 * (a + b)
-        if gaps(mid, state_at(mid))[idx] >= 0.0:
-            b = mid
-        else:
-            a = mid
-    t_c = 0.5 * (a + b)
-    return t_c, state_at(t_c), wall
+def _box_trajectory(system, schedule, z0, dt, record_every, cd):
+    """One box particle on its arm's exact engine, recorded every
+    record_every steps of the uniform dt grid and at T."""
+    _check_positive("dt", dt)
+    T = schedule.duration
+    q0, p0 = as_qp(z0)
+    system.check_position(q0, schedule.value(0.0))
+    n_steps = max(1, math.ceil(T / dt * (1.0 - 1e-12)))
+    times = np.append(dt * np.arange(0, n_steps, max(1, record_every)), T)
+    move = _box_cd_flow if cd else _box_bare_flight
+    # the margin keeps rounding in the grid from splitting a step in two
+    q_rows, p_rows, hits = move(schedule, system.mass, np.array([q0]), np.array([p0]),
+                                times, dt * (1.0 + 1e-12))
+    qs, ps = q_rows[:, 0], p_rows[:, 0]
+    return TrajectoryRecord(times, qs, ps, ps**2 / (2.0 * system.mass),
+                            2.0 * np.abs(ps) * schedule.value(times), tuple(hits))
 
 
-def _build_record(system, schedule, ts, qs, ps, collisions) -> TrajectoryRecord:
-    lams = schedule.value(ts)
+def _evolve(system, generator, schedule, z0, dt, tol, fixed_step, record_every):
     if system.kind == "box":
-        h0s = ps**2 / (2.0 * system.mass)
-        omegas = np.array(
-            [adiabatic_invariant(system, (q, p), lam) for q, p, lam in zip(qs, ps, lams)]
-        )
-    else:
-        h0s = np.array([system.energy((q, p), lam) for q, p, lam in zip(qs, ps, lams)])
-        omegas = np.array(
-            [adiabatic_invariant(system, (q, p), lam) for q, p, lam in zip(qs, ps, lams)]
-        )
-    return TrajectoryRecord(
-        times=ts, qs=qs, ps=ps, h0s=h0s, omegas=omegas, collisions=collisions
+        return _box_trajectory(system, schedule, z0, dt, record_every, generator is not None)
+    ts, qs, ps = _integrate(system, generator, schedule, z0, dt, tol, fixed_step, record_every)
+    lams = schedule.value(ts)
+    h0s = np.array([system.energy((q, p), lam) for q, p, lam in zip(qs, ps, lams)])
+    omegas = np.array(
+        [adiabatic_invariant(system, (q, p), lam) for q, p, lam in zip(qs, ps, lams)]
     )
+    return TrajectoryRecord(ts, qs, ps, h0s, omegas, ())
 
 
 def evolve_cd(system: SystemModel, generator, schedule: Schedule, z0, dt: float,
               tol: float = 1e-10, fixed_step: bool = False,
               record_every: int = 1) -> TrajectoryRecord:
-    """Integrate the driven flow of H0 + lam_dot * xi over the schedule."""
+    """Integrate the driven flow of H0 + lam_dot * xi over the schedule.
+
+    Smooth wells run RK4 from step dt: adaptive to tol, or fixed steps of dt
+    with fixed_step, recording every record_every accepted steps.  The box
+    runs the exact driven flow (_box_cd_flow); there dt is the record and
+    bracket step: records sit every record_every steps of the dt grid and
+    at T, and each wall hit is solved for in a bracket padded by dt.  tol
+    and fixed_step apply to smooth wells only.
+    """
     if generator is None:
         raise DomainError("evolve_cd needs a generator; use evolve_bare for none")
-    ts, qs, ps, coll = _integrate(
-        system, generator, schedule, z0, dt, tol, fixed_step, record_every
-    )
-    return _build_record(system, schedule, ts, qs, ps, coll)
+    return _evolve(system, generator, schedule, z0, dt, tol, fixed_step, record_every)
 
 
 def evolve_bare(system: SystemModel, schedule: Schedule, z0, dt: float,
                 tol: float = 1e-10, fixed_step: bool = False,
                 record_every: int = 1) -> TrajectoryRecord:
-    """Integrate the undriven flow of H0(z; lam(t)) over the schedule."""
-    ts, qs, ps, coll = _integrate(
-        system, None, schedule, z0, dt, tol, fixed_step, record_every
-    )
-    return _build_record(system, schedule, ts, qs, ps, coll)
+    """Integrate the undriven flow of H0(z; lam(t)) over the schedule.
+
+    Smooth wells run RK4 as in evolve_cd.  The box runs exact free flight
+    (_box_bare_flight); there dt is the record and bracket step: records sit
+    every record_every steps of the dt grid and at T, and substeps of dt
+    bracket the wall hits.  tol and fixed_step apply to smooth wells only.
+    """
+    return _evolve(system, None, schedule, z0, dt, tol, fixed_step, record_every)
 
 
 # ---------------------------------------------------------------------------
@@ -521,64 +453,105 @@ def _draw_initial_conditions(system, sampler, lam, n, seed):
 # exact box ensemble propagation
 
 
-def _box_cd_flow(schedule, m, qs, ps, times):
-    """Driven box flow in closed form: rows of q and of p at each time.
+def _box_cd_flow(schedule, m, qs, ps, times, h_target):
+    """Driven box flow in closed form from t = 0: rows of q and of p at the
+    sorted times, and the wall hits as (t, wall) pairs.
 
     In x = q/L, P = pL the driving term cancels: P is conserved and x moves
-    at P/m on the clock tau, unfolded across the walls with period 2.
+    at P/m on the clock tau, unfolded across the walls with period 2.  The
+    hits are the integers the unfolded x passes (odd: right wall, even:
+    left), a wall reached exactly at T counting only once the fold has
+    turned the particle back.  They come particle by particle, each timed by
+    brentq on the clock within its record interval padded by h_target, and
+    are computed only when iterated.
     """
     lams = schedule.value(np.asarray(times))[:, None]
     x0, P0 = qs / lams[0], ps * lams[0]
-    y = np.mod(x0 + P0 * clock(schedule, times)[:, None] / m, 2.0)
-    back = y > 1.0
-    return lams * np.where(back, 2.0 - y, y), np.where(back, -P0, P0) / lams
+    y = x0 + P0 * clock(schedule, times)[:, None] / m
+    folded = np.mod(y, 2.0)
+    back = folded > 1.0
+    q_rows, p_rows = lams * np.where(back, 2.0 - folded, folded), np.where(back, -P0, P0) / lams
+    q_rows[0], p_rows[0] = qs, ps
+    return q_rows, p_rows, _cd_hits(schedule, m, x0, P0, np.asarray(times), y, h_target)
 
 
-def _box_bare_flight(schedule, m, qs, ps, t_start, t_end, h_target, T):
-    """Free flight with wall bounces from t_start to t_end.
+def _cd_hits(schedule, m, x0, P0, times, y, h):
+    T = schedule.duration
+    for x, P, y_k in zip(x0, P0, y.T):
+        # z counts the walls ahead as 1, 2, ...: z = y moving right, 1 - y
+        # moving left (P = 0 reaches none); an odd z reached exactly at T is
+        # still heading out
+        z_k = y_k if P > 0 else 1.0 - y_k
+        top = math.ceil(z_k[-1])
+        for j in range(1, top + (top == z_k[-1] and top % 2 == 0)):
+            n = j if P > 0 else 1 - j
+            tau = (n - x) * m / P
+            i = int(np.searchsorted(z_k, j))
+            # the clock runs on past T at L(T), so rounding cannot empty the bracket
+            t_hit = brentq(lambda s, tau=tau: clock(schedule, [s])[0] - tau,
+                           max(times[max(i - 1, 0)] - h, 0.0), times[i] + h, xtol=1e-13 * T)
+            yield min(float(t_hit), T), "right" if n % 2 else "left"
 
-    Substeps of at most h_target only bracket the wall hits.  A left-wall
-    hit time is exact; a right-wall hit time comes from bisection of
-    q + v (s - t) - L(s) to 1e-13 T, closed by one secant step.
+
+def _box_bare_flight(schedule, m, qs, ps, times, h_target):
+    """Free flight with wall bounces from times[0]: rows of q and of p at the
+    sorted times, and the wall hits as (t, wall) pairs.
+
+    Substeps of at most h_target only bracket the wall hits; the walls at
+    all substep ends come from one schedule call.  A left-wall hit time is
+    exact; a right-wall hit time comes from bisection of q + v (s - t) - L(s)
+    to 1e-13 T, closed by one secant step.
     """
-    n_sub = max(1, int(math.ceil((t_end - t_start) / h_target)))
-    edges = np.linspace(t_start, t_end, n_sub + 1)
-    qs = qs.copy()
-    ps = ps.copy()
-    for ta_scalar, tb in zip(edges[:-1], edges[1:]):
-        ta = np.full_like(qs, ta_scalar)
-        L_b = schedule.value(tb)
-        for _ in range(_MAX_COLLISION_ROUNDS):
-            q1 = qs + (tb - ta) * ps / m
-            out_right = q1 > L_b
-            ia = np.where(out_right | (q1 < 0.0))[0]
-            if ia.size == 0:
-                qs = q1
-                break
-            right = out_right[ia]
-            q0, p0, t0 = qs[ia], ps[ia], ta[ia]
-            left = ~right
-            t_c = np.empty(ia.size)
-            t_c[left] = t0[left] - q0[left] * m / p0[left]
-            if np.any(right):
-                qr, vr, tr = q0[right], p0[right] / m, t0[right]
-                lo, hi = tr, np.full(tr.shape, tb)
-                g_lo = np.minimum(qr - schedule.value(tr), 0.0)
-                g_hi = q1[ia][right] - L_b
-                while np.max(hi - lo) > 1e-13 * T:
-                    mid = 0.5 * (lo + hi)
-                    g = qr + vr * (mid - tr) - schedule.value(mid)
-                    crossed = g > 0.0
-                    hi, g_hi = np.where(crossed, mid, hi), np.where(crossed, g, g_hi)
-                    lo, g_lo = np.where(crossed, lo, mid), np.where(crossed, g_lo, g)
-                # a secant step inside the final bracket is exact for linear ramps
-                t_c[right] = lo + (hi - lo) * g_lo / (g_lo - g_hi)
-            qs[ia] = np.where(right, schedule.value(t_c), 0.0)
-            ps[ia] = np.where(right, -p0 + 2.0 * m * schedule.rate(t_c), -p0)
-            ta[ia] = t_c
-        else:
-            raise NumericalError("collision resolution did not settle within a substep")
-    return qs, ps
+    T = schedule.duration
+    q_rows, p_rows, hits = [qs], [ps], []
+    qs, ps = qs.copy(), ps.copy()
+    ends = []
+    for t_start, t_end in zip(times[:-1], times[1:]):
+        n_sub = max(1, int(math.ceil((t_end - t_start) / h_target)))
+        # [t_end] is what linspace gives for one substep, without its cost
+        ends.append(np.linspace(t_start, t_end, n_sub + 1)[1:] if n_sub > 1 else [t_end])
+    walls = iter(schedule.value(np.concatenate(ends)))
+    ta_scalar = times[0]
+    for interval_ends in ends:
+        for tb in interval_ends:
+            L_b = next(walls)
+            ta = np.full_like(qs, ta_scalar)
+            for _ in range(_MAX_COLLISION_ROUNDS):
+                q1 = qs + (tb - ta) * ps / m
+                out_right = q1 > L_b
+                ia = np.where(out_right | (q1 < 0.0))[0]
+                if ia.size == 0:
+                    qs = q1
+                    break
+                right = out_right[ia]
+                q0, p0, t0 = qs[ia], ps[ia], ta[ia]
+                left = ~right
+                t_c = np.empty(ia.size)
+                t_c[left] = t0[left] - q0[left] * m / p0[left]
+                if np.any(right):
+                    qr, vr, tr = q0[right], p0[right] / m, t0[right]
+                    lo, hi = tr, np.full(tr.shape, tb)
+                    g_lo = np.minimum(qr - schedule.value(tr), 0.0)
+                    g_hi = q1[ia][right] - L_b
+                    while np.max(hi - lo) > 1e-13 * T:
+                        mid = 0.5 * (lo + hi)
+                        g = qr + vr * (mid - tr) - schedule.value(mid)
+                        crossed = g > 0.0
+                        hi, g_hi = np.where(crossed, mid, hi), np.where(crossed, g, g_hi)
+                        lo, g_lo = np.where(crossed, lo, mid), np.where(crossed, g_lo, g)
+                    # a secant step inside the final bracket is exact for linear ramps
+                    t_c[right] = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+                qs[ia] = np.where(right, schedule.value(t_c), 0.0)
+                ps[ia] = np.where(right, -p0 + 2.0 * m * schedule.rate(t_c), -p0)
+                ta[ia] = t_c
+                hits.extend((t, "right" if r else "left")
+                            for t, r in zip(t_c.tolist(), right.tolist()))
+            else:
+                raise NumericalError("collision resolution did not settle within a substep")
+            ta_scalar = tb
+        q_rows.append(qs.copy())
+        p_rows.append(ps.copy())
+    return np.array(q_rows), np.array(p_rows), hits
 
 
 def evolve_ensemble(system: SystemModel, generator, schedule: Schedule, sampler,
@@ -597,47 +570,37 @@ def evolve_ensemble(system: SystemModel, generator, schedule: Schedule, sampler,
     """
     if n_particles < 1:
         raise DomainError("need at least one particle")
+    if dt is not None:
+        _check_positive("dt", dt)
     T = schedule.duration
-    times = sorted(set(float(t) for t in snapshot_times) | {0.0, T})
-    if times[0] < 0.0 or times[-1] > T:
-        raise DomainError("snapshot times must lie within [0, duration]")
-    lam0 = schedule.value(0.0)
-    cd = generator is not None
+    snaps = [float(t) for t in snapshot_times]
+    if not all(0.0 <= t <= T for t in snaps):
+        raise DomainError(f"snapshot times must be finite and lie within [0, {T}]")
+    times = sorted(set(snaps) | {0.0, T})
+    qs, ps = _draw_initial_conditions(system, sampler, schedule.value(0.0), n_particles, seed)
 
-    qs, ps = _draw_initial_conditions(system, sampler, lam0, n_particles, seed)
-
-    snaps_q, snaps_p = [qs.copy()], [ps.copy()]
-    if system.kind == "box" and cd:
-        q_rows, p_rows = _box_cd_flow(schedule, system.mass, qs, ps, times)
-        snaps_q += list(q_rows[1:])
-        snaps_p += list(p_rows[1:])
-    elif system.kind == "box":
-        h_target = dt if dt is not None else T / 500.0
-        for t_a, t_b in zip(times[:-1], times[1:]):
-            qs, ps = _box_bare_flight(schedule, system.mass, qs, ps, t_a, t_b, h_target, T)
-            snaps_q.append(qs.copy())
-            snaps_p.append(ps.copy())
+    if system.kind == "box":
+        move = _box_cd_flow if generator is not None else _box_bare_flight
+        q_rows, p_rows, _ = move(schedule, system.mass, qs, ps, times,
+                                 dt if dt is not None else T / 500.0)
+        snaps_q, snaps_p = list(q_rows), list(p_rows)
     else:
         dt0 = dt if dt is not None else T / 1000.0
+        snaps_q = [qs] + [np.empty(n_particles) for _ in times[1:]]
+        snaps_p = [ps] + [np.empty(n_particles) for _ in times[1:]]
         for i in range(n_particles):
-            y = np.array([qs[i], ps[i]])
-            for k, (t_a, t_b) in enumerate(zip(times[:-1], times[1:])):
-                seg = _clip_schedule_segment(schedule, t_a, t_b)
-                ts, qq, pp, _ = _integrate(
-                    system, generator, seg, (y[0], y[1]), dt0, tol, False, 10**9
-                )
-                y = np.array([qq[-1], pp[-1]])
-                if i == 0:
-                    snaps_q.append(np.empty(n_particles))
-                    snaps_p.append(np.empty(n_particles))
-                snaps_q[k + 1][i] = y[0]
-                snaps_p[k + 1][i] = y[1]
+            y = (qs[i], ps[i])
+            for k in range(1, len(times)):
+                seg = _clip_schedule_segment(schedule, times[k - 1], times[k])
+                _, qq, pp = _integrate(system, generator, seg, y, dt0, tol, False, 10**9)
+                y = (qq[-1], pp[-1])
+                snaps_q[k][i], snaps_p[k][i] = y
 
     times_arr = np.array(times)
     lams = schedule.value(times_arr)
     ks = None
     if system.kind == "box":
-        ks = np.array([kstest(snaps_q[k] / lams[k]) for k in range(len(times))])
+        ks = np.array([kstest(q / lam) for q, lam in zip(snaps_q, lams)])
     return EnsembleRecord(
         snapshot_times=times_arr,
         positions=tuple(snaps_q),

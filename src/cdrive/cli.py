@@ -102,7 +102,8 @@ def _run_classical_trajectory(cfg, out):
         "final_h0": float(s["final_h0"]),
         "n_collisions": int(s["n_collisions"]),
     }
-    return metrics, artifacts, {"dt": float(dt), "integrator": "adaptive_rk4_events"}
+    integrator = "box_exact_flow" if cfg.system.kind == "box" else "adaptive_rk4_events"
+    return metrics, artifacts, {"dt": float(dt), "integrator": integrator}
 
 
 def _run_classical_ensemble(cfg, out):

@@ -1,8 +1,9 @@
 """Driving-engine tests.
 
 The box with a linearly moving wall has closed-form flows in both the
-driven and bare cases; those serve as exact oracles for the numerical
-event-driven integrator.
+driven and bare cases; those serve as exact oracles for the box engines.
+For curved ramps the oracles below rebuild both flows from quadrature and
+root finding alone, sharing no code with the engines.
 """
 
 import math
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from cdrive.classical import (
     UniformGasSampler,
@@ -24,9 +27,15 @@ from cdrive.classical import (
     shell_sampler,
     uniform_gas_sampler,
 )
-from cdrive.errors import DomainError
+from cdrive.errors import DomainError, NumericalError
 from cdrive.generators import box_generator, power_law_generator, NumericShellGenerator
-from cdrive.schedules import constant_hold, linear_ramp, smoothstep_ramp
+from cdrive.schedules import (
+    Schedule,
+    constant_hold,
+    cosine_ramp,
+    linear_ramp,
+    smoothstep_ramp,
+)
 from cdrive.shells import orbit_period, orbit_states, turning_points
 from cdrive.systems import box, generic_1d, power_law
 
@@ -83,6 +92,112 @@ def _bare_linear_oracle(q0, p0, L0, c, T, m=1.0):
     return q + v * (T - t), m * v
 
 
+# ---------------------------------------------------------------------------
+# independent oracles for curved ramps: quadrature and root finding only
+
+# shape -> (schedule factory, profile f(s), f'(s)) with L = L0 + (L1 - L0) f(t/T)
+_SHAPES = {
+    "smoothstep": (smoothstep_ramp, lambda s: s * s * (3.0 - 2.0 * s),
+                   lambda s: 6.0 * s * (1.0 - s)),
+    "cosine": (cosine_ramp, lambda s: 0.5 - 0.5 * np.cos(np.pi * s),
+               lambda s: 0.5 * np.pi * np.sin(np.pi * s)),
+}
+
+
+def _ramp(shape, lams, T):
+    """The engine's schedule, and the same ramp L, dL/dt as plain formulas."""
+    make, f, df = _SHAPES[shape]
+    lam0, lam1 = lams
+    span = lam1 - lam0
+    return (make(lam0, lam1, T),
+            lambda t: lam0 + span * f(np.clip(t / T, 0.0, 1.0)),
+            lambda t: span * df(np.clip(t / T, 0.0, 1.0)) / T)
+
+
+def _quad_clock(L, a, b):
+    return quad(lambda s: L(s) ** -2, a, b, epsabs=1e-15, epsrel=1e-13)[0]
+
+
+def _cd_oracle(L, q0, p0, times, m=1.0):
+    """Driven box: P = pL is conserved and x = q/L runs at P/m on the clock
+    tau = integral of L^-2, unfolded across walls at the integers.  Returns
+    q and p at the times, folded back into the box, and the hits."""
+    x0, P = q0 / L(0.0), p0 * L(0.0)
+    tau = np.cumsum([0.0] + [_quad_clock(L, a, b) for a, b in zip(times[:-1], times[1:])])
+    u = np.mod(x0 + P * tau / m, 2.0)
+    back = u > 1.0
+    lams = L(np.asarray(times))
+    u_T = x0 + P * tau[-1] / m
+    walls = range(1, math.ceil(u_T)) if P > 0 else range(0, math.floor(u_T), -1)
+    hits = [(brentq(lambda t: x0 + P * _quad_clock(L, 0.0, t) / m - n, 0.0, times[-1],
+                    xtol=1e-14 * times[-1]), "right" if n % 2 else "left")
+            for n in walls]
+    return lams * np.where(back, 2.0 - u, u), np.where(back, -P, P) / lams, hits
+
+
+def _bare_oracle(L, L_dot, q0, p0, times, m=1.0):
+    """Bare box, hit by hit: a left hit is at t + q/|v|; a right hit is the
+    first root of q + v (s - t) - L(s), located on a scan of T/4000 and
+    refined by brentq.  Returns q and p at the times, and the hits."""
+    T = times[-1]
+    t, q, v = 0.0, q0, p0 / m
+    legs, hits = [(t, q, v)], []
+    while True:
+        end = T if v >= 0.0 else min(T, t + q / -v)
+        s = np.linspace(t, end, 2 + int(4000 * (end - t) / T))
+        ahead = np.nonzero(q + v * (s[1:] - t) - L(s[1:]) > 0.0)[0]
+        if ahead.size:
+            k = ahead[0] + 1
+            t = brentq(lambda x, t=t, q=q, v=v: q + v * (x - t) - L(x), s[k - 1], s[k],
+                       xtol=1e-14 * T)
+            q, v, wall = L(t), -v + 2.0 * L_dot(t), "right"
+        elif end < T:
+            t, q, v, wall = end, 0.0, -v, "left"
+        else:
+            break
+        legs.append((t, q, v))
+        hits.append((t, wall))
+    qs, ps = [], []
+    for r in times:
+        t, q, v = [leg for leg in legs if leg[0] <= r][-1]
+        qs.append(q + v * (r - t))
+        ps.append(m * v)
+    return np.array(qs), np.array(ps), hits
+
+
+def _assert_matches_oracle(qs, ps, q_ref, p_ref):
+    np.testing.assert_allclose(qs, q_ref, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(ps, p_ref, rtol=0.0, atol=1e-9)
+
+
+_ORACLE_CASES = [
+    pytest.param(shape, lams, T, id=f"{shape}-{direction}-T{T}")
+    for shape in ("smoothstep", "cosine")
+    for direction, lams in (("expand", (1.0, 2.0)), ("compress", (1.5, 0.75)))
+    for T in (0.05, 0.5, 5.0)
+]
+_ORACLE_STARTS = [(0.13, 5.3), (0.46, -2.9), (0.71, 1.7), (0.88, -6.1), (0.29, -23.0)]
+
+
+@pytest.mark.parametrize("driven", [True, False])
+@pytest.mark.parametrize("shape, lams, T", _ORACLE_CASES)
+def test_box_trajectory_matches_oracle(shape, lams, T, driven):
+    sched, L, L_dot = _ramp(shape, lams, T)
+    for u0, p0 in _ORACLE_STARTS:
+        z0 = (u0 * lams[0], p0)
+        if driven:
+            rec = evolve_cd(BOX, box_generator(), sched, z0, dt=T / 400, record_every=20)
+            q_ref, p_ref, hits = _cd_oracle(L, *z0, rec.times)
+        else:
+            rec = evolve_bare(BOX, sched, z0, dt=T / 400, record_every=20)
+            q_ref, p_ref, hits = _bare_oracle(L, L_dot, *z0, rec.times)
+        assert len(rec.times) == 21
+        _assert_matches_oracle(rec.qs, rec.ps, q_ref, p_ref)
+        assert [w for _, w in rec.collisions] == [w for _, w in hits]
+        np.testing.assert_allclose([t for t, _ in rec.collisions], [t for t, _ in hits],
+                                   rtol=0.0, atol=1e-9 * T)
+
+
 def test_cd_box_matches_linear_oracle():
     sched = linear_ramp(1.0, 2.0, 1.0)
     for q0, p0 in [(0.5, 3.0), (0.2, -2.5), (0.8, 6.0)]:
@@ -130,6 +245,118 @@ def test_collide_preconditions():
         collide(0.4, "right", 1.0, 0.5, mass=1.0, cd=False)  # slower than the wall
     with pytest.raises(DomainError):
         collide(1.0, "top", 1.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# box trajectory properties
+
+_BOX_RAMPS = st.builds(
+    lambda make, lams, T: make(*lams, T),
+    st.sampled_from([linear_ramp, smoothstep_ramp, cosine_ramp]),
+    st.sampled_from([(1.0, 2.0), (1.5, 0.75)]),
+    st.floats(0.05, 5.0),
+)
+# (q0 / L0, |p0|, sign of p0)
+_BOX_STARTS = st.tuples(st.floats(0.01, 0.99), st.floats(0.3, 12.0), st.sampled_from([-1.0, 1.0]))
+
+
+def _box_start(sched, start):
+    u, speed, sign = start
+    return u * sched.initial, sign * speed
+
+
+def _box_run(sched, z0, driven, **kw):
+    if driven:
+        return evolve_cd(BOX, box_generator(), sched, z0, **kw)
+    return evolve_bare(BOX, sched, z0, **kw)
+
+
+def _assert_hits_follow_collide(rec, sched, driven):
+    """Replaying collide() at each listed hit reproduces every recorded
+    momentum after the start: exactly on the bare arm, and in P = pL on the
+    driven one."""
+    p = rec.ps[0]
+    P = p * float(sched.value(0.0))
+    hits = list(rec.collisions)
+    for t, p_rec, lam in zip(rec.times[1:], rec.ps[1:], sched.value(rec.times[1:])):
+        while hits and hits[0][0] <= t:
+            t_hit, wall = hits.pop(0)
+            L, L_dot = float(sched.value(t_hit)), float(sched.rate(t_hit))
+            if driven:
+                P = collide(P / L, wall, L, L_dot, cd=True) * L
+            else:
+                p = collide(p, wall, L, L_dot, cd=False)
+        if driven:
+            assert p_rec * lam == pytest.approx(P, rel=1e-14)
+        else:
+            assert p_rec == p
+    assert not hits
+
+
+@given(sched=_BOX_RAMPS, start=_BOX_STARTS)
+def test_bare_box_time_reversal(sched, start):
+    T = sched.duration
+    q0, p0 = _box_start(sched, start)
+    q1, p1 = evolve_bare(BOX, sched, (q0, p0), dt=T / 500).final_state
+    reverse = Schedule(T, lambda t: sched.value(T - np.asarray(t)),
+                       lambda t: -sched.rate(T - np.asarray(t)))
+    q2, p2 = evolve_bare(BOX, reverse, (q1, -p1), dt=T / 500).final_state
+    assert q2 == pytest.approx(q0, abs=1e-9)
+    assert -p2 == pytest.approx(p0, abs=1e-9)
+
+
+@given(sched=_BOX_RAMPS, start=_BOX_STARTS, steps=st.integers(1, 3000))
+def test_cd_box_invariant_is_exact(sched, start, steps):
+    rec = evolve_cd(BOX, box_generator(), sched, _box_start(sched, start),
+                    dt=sched.duration / steps)
+    assert rec.drift() <= 1e-14
+
+
+@given(sched=_BOX_RAMPS, start=_BOX_STARTS, steps=st.floats(0.5, 3000.0),
+       record_every=st.integers(1, 50), driven=st.booleans())
+def test_box_records_sit_on_the_step_grid(sched, start, steps, record_every, driven):
+    T = sched.duration
+    dt = T / steps
+    rec = _box_run(sched, _box_start(sched, start), driven, dt=dt, record_every=record_every)
+    assert rec.times[0] == 0.0 and rec.times[-1] == T
+    assert np.all(np.diff(rec.times) > 0.0)
+    grid = rec.times[:-1] / (record_every * dt)
+    np.testing.assert_allclose(grid, np.arange(grid.size), rtol=0.0, atol=1e-9)
+    assert T - rec.times[-2] <= record_every * dt * (1.0 + 1e-12)
+
+
+@given(sched=_BOX_RAMPS, start=_BOX_STARTS, driven=st.booleans())
+def test_box_hits_follow_collide(sched, start, driven):
+    rec = _box_run(sched, _box_start(sched, start), driven, dt=sched.duration / 400)
+    _assert_hits_follow_collide(rec, sched, driven)
+
+
+@pytest.mark.parametrize("p0, walls, q_T", [
+    (1.5, ["right", "left"], 0.0),  # unfolded x lands on 2: bounced at T
+    (2.5, ["right", "left"], 1.0),  # lands on 3: at the right wall, not yet bounced
+    (-1.5, ["left", "right"], 1.0),  # lands on -1: bounced at T
+    (-2.5, ["left", "right"], 0.0),  # lands on -2: at the left wall, not yet bounced
+])
+def test_cd_box_wall_reached_exactly_at_T(p0, walls, q_T):
+    # on a static box the clock is exact, so x = q/L lands on a wall at T;
+    # as in the ensemble engine's fold, a hit there counts only when it
+    # turns the particle back into the box
+    sched = constant_hold(1.0, 1.0)
+    rec = evolve_cd(BOX, box_generator(), sched, (0.5, p0), dt=1.0 / 1024)
+    assert [w for _, w in rec.collisions] == walls
+    assert rec.final_state == (q_T, p0)
+    _assert_hits_follow_collide(rec, sched, True)
+    bare = evolve_bare(BOX, sched, (0.5, p0), dt=1.0 / 1024)
+    _assert_hits_follow_collide(bare, sched, False)
+
+
+@pytest.mark.parametrize("driven", [True, False])
+@pytest.mark.parametrize("z0, wall", [((0.0, -2.2), "left"), ((1.0, 2.5), "right")])
+def test_box_start_on_wall_heading_out_bounces_at_zero(driven, z0, wall):
+    sched = linear_ramp(1.0, 2.0, 1.0)
+    rec = _box_run(sched, z0, driven, dt=1e-3)
+    assert rec.collisions[0] == (0.0, wall)
+    _assert_hits_follow_collide(rec, sched, driven)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +478,33 @@ def test_input_validation():
         evolve_cd(BOX, None, sched, (0.5, 1.0), dt=1e-3)
 
 
+@pytest.mark.parametrize("driven", [True, False])
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1e-3])
+def test_box_trajectory_rejects_bad_step(driven, dt):
+    with pytest.raises(DomainError):
+        _box_run(linear_ramp(1.0, 2.0, 1.0), (0.5, 1.0), driven, dt=dt)
+
+
+# each of these hung the smooth-well RK4: a NaN step or tolerance, or a NaN
+# state, gives a NaN error ratio, and no step was ever accepted
+@pytest.mark.parametrize("kw", [dict(dt=math.nan), dict(dt=math.inf), dict(dt=-1e-3),
+                                dict(dt=1e-3, tol=math.nan), dict(dt=1e-3, tol=0.0)])
+def test_rk4_rejects_bad_step_and_tolerance(kw):
+    sched = smoothstep_ramp(1.0, 1.5, 1.0)
+    with pytest.raises(DomainError):
+        evolve_cd(QUARTIC, power_law_generator(4), sched, (0.3, 0.8), **kw)
+
+
+def test_rk4_nan_state_is_numerical_error():
+    class NanGenerator:
+        def evaluate_grad_z(self, z, lam):
+            return math.nan, math.nan
+
+    sched = smoothstep_ramp(1.0, 1.5, 1.0)
+    with pytest.raises(NumericalError):
+        evolve_cd(QUARTIC, NanGenerator(), sched, (0.3, 0.8), dt=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # ensembles
 
@@ -274,21 +528,20 @@ def test_box_ensemble_matches_linear_oracle(T, lams, driven):
 
 
 @pytest.mark.parametrize("driven", [True, False])
-def test_box_ensemble_matches_scalar_rk4_on_smoothstep(driven):
-    # no closed form for a curved ramp: the scalar event-driven RK4 is the check
-    sched = smoothstep_ramp(1.0, 2.0, 0.5)
-    gen = box_generator() if driven else None
-    rec = evolve_ensemble(BOX, gen, sched, uniform_gas_sampler(6.0, "gaussian"), 12,
-                          seed=4, snapshot_times=[0.0, 0.5])
-    for q0, p0, q, p in zip(rec.positions[0], rec.momenta[0],
-                            rec.positions[1], rec.momenta[1]):
+@pytest.mark.parametrize("shape, lams, T", _ORACLE_CASES)
+def test_box_ensemble_matches_oracle(shape, lams, T, driven):
+    # no closed form for a curved ramp: the quadrature oracles are the check
+    sched, L, L_dot = _ramp(shape, lams, T)
+    rec = evolve_ensemble(BOX, box_generator() if driven else None, sched,
+                          uniform_gas_sampler(6.0, "gaussian"), 12, seed=4,
+                          snapshot_times=[0.0, T / 3, T])
+    rows = np.array(rec.positions), np.array(rec.momenta)
+    for i, (q0, p0) in enumerate(zip(rec.positions[0], rec.momenta[0])):
         if driven:
-            scalar = evolve_cd(BOX, gen, sched, (q0, p0), dt=1e-3, tol=1e-12)
+            q_ref, p_ref, _ = _cd_oracle(L, q0, p0, rec.snapshot_times)
         else:
-            scalar = evolve_bare(BOX, sched, (q0, p0), dt=1e-3, tol=1e-12)
-        q_ref, p_ref = scalar.final_state
-        assert q == pytest.approx(q_ref, abs=1e-8)
-        assert p == pytest.approx(p_ref, abs=1e-8)
+            q_ref, p_ref, _ = _bare_oracle(L, L_dot, q0, p0, rec.snapshot_times)
+        _assert_matches_oracle(rows[0][:, i], rows[1][:, i], q_ref, p_ref)
 
 
 def test_shell_ensemble_stays_on_shell():
@@ -416,6 +669,22 @@ def test_negative_seed_is_domain_error():
     with pytest.raises(DomainError):
         evolve_ensemble(BOX, box_generator(), sched, uniform_gas_sampler(1.0), 10,
                         -1, [0.0, 0.05])
+
+
+@pytest.mark.parametrize("system, sampler", [(BOX, uniform_gas_sampler(1.0)),
+                                             (SHO, shell_sampler(1.0))], ids=["box", "sho"])
+@pytest.mark.parametrize("driven", [True, False])
+@pytest.mark.parametrize("kw", [
+    dict(dt=0.0), dict(dt=-1e-3), dict(dt=math.nan), dict(dt=math.inf),
+    dict(snapshot_times=[0.0, math.nan]), dict(snapshot_times=[math.inf]),
+    dict(snapshot_times=[-0.01]), dict(snapshot_times=[0.06]),
+], ids=["dt0", "dt_neg", "dt_nan", "dt_inf", "snap_nan", "snap_inf", "snap_neg", "snap_late"])
+def test_ensemble_rejects_bad_step_and_snapshots(system, sampler, driven, kw):
+    sched = linear_ramp(1.0, 2.0, 0.05)
+    gen = (box_generator() if system is BOX else power_law_generator(2)) if driven else None
+    kw = {"snapshot_times": [0.0, 0.05], **kw}
+    with pytest.raises(DomainError):
+        evolve_ensemble(system, gen, sched, sampler, 10, 1, **kw)
 
 
 def test_uniform_gas_needs_box():

@@ -243,7 +243,7 @@ _BASIS = {"kind": "quantum_basis", "system": {"kind": "box"},
     (_WELL_ENSEMBLE, True, "adaptive_rk4_events"),
     (_BASIS, True, "exact_phase"),
     (_BASIS, False, "strang_split"),
-    (box_expansion(), True, "adaptive_rk4_events"),
+    (box_expansion(), True, "box_exact_flow"),
 ])
 def test_report_names_the_integrator_that_ran(tmp_path, cfg, cd_enabled, integrator):
     cfg = {"schedule": {"shape": "linear", "lam_start": 1.0, "lam_end": 2.0,
