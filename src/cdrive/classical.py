@@ -461,9 +461,9 @@ def _box_cd_flow(schedule, m, qs, ps, times, h_target):
     at P/m on the clock tau, unfolded across the walls with period 2.  The
     hits are the integers the unfolded x passes (odd: right wall, even:
     left), a wall reached exactly at T counting only once the fold has
-    turned the particle back.  They come particle by particle, each timed by
-    brentq on the clock within its record interval padded by h_target, and
-    are computed only when iterated.
+    turned the particle back.  They come particle by particle, each listed
+    in the interval that ends at the first record showing its bounce and
+    timed there by brentq on the clock, and are computed only when iterated.
     """
     lams = schedule.value(np.asarray(times))[:, None]
     x0, P0 = qs / lams[0], ps * lams[0]
@@ -485,12 +485,18 @@ def _cd_hits(schedule, m, x0, P0, times, y, h):
         top = math.ceil(z_k[-1])
         for j in range(1, top + (top == z_k[-1] and top % 2 == 0)):
             n = j if P > 0 else 1 - j
-            tau = (n - x) * m / P
-            i = int(np.searchsorted(z_k, j))
-            # the clock runs on past T at L(T), so rounding cannot empty the bracket
-            t_hit = brentq(lambda s, tau=tau: clock(schedule, [s])[0] - tau,
-                           max(times[max(i - 1, 0)] - h, 0.0), times[i] + h, xtol=1e-13 * T)
-            yield min(float(t_hit), T), "right" if n % 2 else "left"
+            # record i is the first whose fold shows the bounce (an odd z reached
+            # exactly does not), so the hit is listed in (times[i - 1], times[i]]
+            i = int(np.searchsorted(z_k, j, side="right" if j % 2 else "left"))
+            t_hit = times[i]
+            if z_k[i] > j:
+                tau = (n - x) * m / P
+                # the clock runs on past T at L(T), so rounding cannot empty the bracket
+                root = brentq(lambda s, tau=tau: clock(schedule, [s])[0] - tau,
+                              max(times[i - 1] - h, 0.0), t_hit + h, xtol=1e-13 * T)
+                # a start on a wall heading out keeps its hit at 0
+                t_hit = min(max(root, np.nextafter(times[i - 1], T) if i > 1 else 0.0), t_hit)
+            yield float(t_hit), "right" if n % 2 else "left"
 
 
 def _box_bare_flight(schedule, m, qs, ps, times, h_target):

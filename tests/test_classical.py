@@ -359,6 +359,30 @@ def test_box_start_on_wall_heading_out_bounces_at_zero(driven, z0, wall):
     _assert_hits_follow_collide(rec, sched, driven)
 
 
+def test_cd_box_hit_on_a_record_time_follows_the_record():
+    # the left wall is reached at t = 0.5, a record time, analytically; the
+    # computed unfolded x there is 2 - 9e-16, so the record still shows the
+    # particle heading left, and the hit must be listed after it
+    sched = linear_ramp(1.0, 2.0, 1.0)
+    rec = evolve_cd(BOX, box_generator(), sched, (1.0, 3.0), dt=1e-3)
+    (t0, w0), (t1, w1) = rec.collisions[:2]
+    assert (t0, w0, w1) == (0.0, "right", "left")
+    assert 0.5 < t1 <= 0.501 and t1 == pytest.approx(0.5, abs=1e-15)
+    _assert_hits_follow_collide(rec, sched, True)
+
+
+def test_cd_box_walls_reached_exactly_at_records():
+    # on a static box the clock is exact: x = 0.5 + 2t sits on the right wall
+    # at the record t = 0.25, not yet turned back (the fold of an odd x), and
+    # on the left wall at t = 0.75, already turned back (an even x)
+    sched = constant_hold(1.0, 1.0)
+    rec = evolve_cd(BOX, box_generator(), sched, (0.5, 2.0), dt=1.0 / 1024)
+    k = np.searchsorted(rec.times, [0.25, 0.75])
+    assert rec.qs[k].tolist() == [1.0, 0.0] and rec.ps[k].tolist() == [2.0, 2.0]
+    assert rec.collisions == ((np.nextafter(0.25, 1.0), "right"), (0.75, "left"))
+    _assert_hits_follow_collide(rec, sched, True)
+
+
 # ---------------------------------------------------------------------------
 # invariant conservation, single trajectories
 

@@ -514,6 +514,72 @@ def test_propagate_grid_generic_well_matches_per_step_loop():
                               record_every=7)
 
 
+@pytest.mark.parametrize("record_every", [1, 7, 64, 65])
+@pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 129])
+def test_propagate_grid_matches_per_step_loop_at_block_edges(n_steps, record_every):
+    # the bands are built quantum._GRID_BLOCK = 64 steps at a time: runs that
+    # end and record on, just before and just after a block edge
+    T = 0.3
+    sched = smoothstep_ramp(1.0, 1.6, T)
+    for b in (2, 4):
+        system = power_law(b)
+        g = well_grid(system, 1.6, 15.0, 128)
+        es = eigensystem(discretize_h0(system, 1.0, g), g, 1.0, n_levels=2)
+        psi0 = QuantumState("grid", es.states[:, 1].astype(complex), g)
+        for with_cd in (True, False):
+            _assert_matches_reference(system, sched, psi0, T / n_steps, with_cd,
+                                      track_level=1, record_every=record_every)
+    well = generic_1d(lambda q, lam: (q / lam) ** 4 + 0.3 * q * q)
+    g = GridSpec(-4.0, 4.0, 128)
+    es = eigensystem(discretize_h0(well, 1.0, g), g, 1.0, n_levels=1)
+    psi0 = QuantumState("grid", es.states[:, 0].astype(complex), g)
+    _assert_matches_reference(well, sched, psi0, T / n_steps, False, record_every=record_every)
+
+
+def test_propagate_grid_makes_one_banded_solve_per_step(monkeypatch):
+    real = quantum.solve_banded
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quantum, "solve_banded", counted)
+    g, es, sched = _driving_setup(SHO, 128)
+    psi0 = QuantumState("grid", es.states[:, 0].astype(complex), g)
+    for n_steps in (1, 63, 64, 65, 129, 200):
+        calls.clear()
+        rec = propagate_grid(SHO, sched, psi0, dt=sched.duration / n_steps, record_every=64)
+        assert len(calls) == n_steps
+        assert rec.times[-1] == pytest.approx(sched.duration, rel=1e-15)
+
+
+_BAD_STEPPING = [
+    pytest.param({"dt": math.nan}, "dt must be finite and positive", id="dt-nan"),
+    pytest.param({"dt": math.inf}, "dt must be finite and positive", id="dt-inf"),
+    pytest.param({"record_every": 0}, "record_every must be at least 1", id="record-0"),
+    pytest.param({"record_every": -5}, "record_every must be at least 1", id="record-neg"),
+]
+
+
+@pytest.mark.parametrize("bad, message", _BAD_STEPPING)
+def test_propagate_grid_rejects_bad_stepping(bad, message):
+    g, es, sched = _driving_setup(SHO, 128)
+    psi0 = QuantumState("grid", es.states[:, 0].astype(complex), g)
+    with pytest.raises(DomainError, match=message):
+        propagate_grid(SHO, sched, psi0, **{"dt": 1e-2, **bad})
+
+
+@pytest.mark.parametrize("with_cd", [True, False])
+@pytest.mark.parametrize("bad, message", _BAD_STEPPING)
+def test_propagate_basis_rejects_bad_stepping(bad, message, with_cd):
+    c0 = np.zeros(8, dtype=complex)
+    c0[0] = 1.0
+    with pytest.raises(DomainError, match=message):
+        propagate_basis(linear_ramp(1.0, 2.0, 0.1), c0, n_levels=8, with_cd=with_cd,
+                        **{"dt": 1e-3, **bad})
+
+
 @given(
     b=st.sampled_from([2, 4, 6]),
     dt=st.floats(1.5e-3, 2e-2),
