@@ -37,11 +37,11 @@ from .generators import (
 )
 from .quantum import (
     QuantumState,
+    _band_eigensystem,
+    _h0_bands,
     _xi_spectral_parts,
     box_grid,
     box_phase,
-    discretize_h0,
-    eigensystem,
     propagate_basis,
     propagate_grid,
     well_grid,
@@ -156,10 +156,11 @@ def _run_quantum_grid(cfg, out):
     lam_wide = float(np.max(sched.value(np.linspace(0.0, sched.duration, 65))))
     grid = well_grid(system, lam_wide, num["e_max"], num["n_points"])
     n_keep = max(8, level + 4)
-    es0 = eigensystem(
-        discretize_h0(system, sched.initial, grid, num["hbar"]),
-        grid, sched.initial, n_levels=n_keep,
-    )
+
+    def spectrum(lam):  # from the bands of H0: no n x n matrix
+        return _band_eigensystem(*_h0_bands(system, lam, grid, num["hbar"]), grid, lam, n_keep)
+
+    es0 = spectrum(sched.initial)
     psi0 = QuantumState("grid", es0.states[:, level].astype(complex), grid)
     dt = num["dt"] or 2e-4
     rec = propagate_grid(
@@ -171,10 +172,7 @@ def _run_quantum_grid(cfg, out):
     if out is not None:
         rec.to_csv(out / "trajectory.csv")
         artifacts.append("trajectory.csv")
-        es_end = eigensystem(
-            discretize_h0(system, sched.final, grid, num["hbar"]),
-            grid, sched.final, n_levels=n_keep,
-        )
+        es_end = spectrum(sched.final)
         with open(out / "spectrum.csv", "w") as fh:
             fh.write("level,energy_start,energy_end\n")
             for k in range(n_keep):

@@ -13,12 +13,13 @@ keyword.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import eigh, eigh_tridiagonal, expm, solve_banded
+from scipy.linalg import bandwidth, eigh, eigh_tridiagonal, expm, solve_banded
 
 from .errors import DomainError, NumericalError
 from .schedules import Schedule, clock
@@ -214,6 +215,15 @@ def _check_box_grid(lam: float, grid: GridSpec) -> None:
         )
 
 
+def _h0_bands(system: SystemModel, lam: float, grid: GridSpec, hbar: float = 1.0):
+    """(diagonal, off-diagonal) of the finite-difference H0: 2k + V and -k."""
+    lam = system.check_param(lam)
+    if system.kind == "box":
+        _check_box_grid(lam, grid)
+    k = hbar * hbar / (2.0 * system.mass * grid.h * grid.h)
+    return 2.0 * k + _potential_diagonal(system, lam, grid), np.full(grid.n_points - 1, -k)
+
+
 def discretize_h0(
     system: SystemModel, lam: float, grid: GridSpec, hbar: float = 1.0
 ) -> HermitianOperator:
@@ -222,17 +232,18 @@ def discretize_h0(
     The box uses the grid itself as the domain [0, L]; both wall points are
     Dirichlet zeros, so the matrix covers interior points only.
     """
-    lam = system.check_param(lam)
-    if system.kind == "box":
-        _check_box_grid(lam, grid)
-    k = hbar * hbar / (2.0 * system.mass * grid.h * grid.h)
-    n = grid.n_points
-    m = np.zeros((n, n))
-    idx = np.arange(n)
-    m[idx, idx] = 2.0 * k + _potential_diagonal(system, lam, grid)
-    m[idx[:-1], idx[:-1] + 1] = -k
-    m[idx[:-1] + 1, idx[:-1]] = -k
+    diag, off = _h0_bands(system, lam, grid, hbar)
+    m = np.diag(diag)
+    idx = np.arange(off.size)
+    m[idx, idx + 1] = m[idx + 1, idx] = off
     return HermitianOperator(m)
+
+
+def _check_index(name: str, value, lo: int, hi: int) -> int:
+    """value as an int in [lo, hi]; DomainError otherwise."""
+    if not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        raise DomainError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+    return int(value)
 
 
 def _fix_signs(states: np.ndarray) -> np.ndarray:
@@ -246,42 +257,58 @@ def _fix_signs(states: np.ndarray) -> np.ndarray:
     return out
 
 
+def _checked_eigensystem(energies, vecs, residual, grid, lam) -> EigenSystem:
+    """EigenSystem of a solve past the residual, orthonormality and gap checks."""
+    scale = float(np.max(np.abs(energies)))
+    if not residual <= 1e-10 * max(scale, 1e-300):
+        raise NumericalError(f"eigendecomposition residual {residual:.3e}")
+    ortho = float(np.max(np.abs(vecs.T.conj() @ vecs - np.eye(vecs.shape[1]))))
+    if not ortho <= 1e-12:
+        raise NumericalError(f"orthonormality defect {ortho:.3e}")
+    spread = float(energies[-1] - energies[0])
+    min_gap = float(np.min(np.diff(energies))) if energies.size > 1 else spread
+    if energies.size > 1 and not min_gap > 1e-8 * spread:
+        raise NumericalError(
+            f"near-degenerate spectrum: min gap {min_gap:.3e} vs spread {spread:.3e}"
+        )
+    vecs = _fix_signs(np.asarray(vecs)) / math.sqrt(grid.h)
+    return EigenSystem(float(lam), energies, vecs, grid)
+
+
+def _band_eigensystem(diag, off, grid: GridSpec, lam: float, n_levels: int) -> EigenSystem:
+    """Lowest n_levels of a real symmetric tridiagonal matrix, from its bands."""
+    n_levels = _check_index("n_levels", n_levels, 1, diag.size)
+    energies, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1))
+    r = diag[:, None] * vecs - vecs * energies
+    r[:-1] += off[:, None] * vecs[1:]
+    r[1:] += off[:, None] * vecs[:-1]
+    return _checked_eigensystem(energies, vecs, float(np.max(np.abs(r))), grid, lam)
+
+
 def eigensystem(
     h0: HermitianOperator, grid: GridSpec, lam: float, n_levels: Optional[int] = None
 ) -> EigenSystem:
-    """Dense eigendecomposition with the package sign convention.
+    """Eigendecomposition with the package sign convention.
 
     n_levels keeps only the lowest levels, computed by a subset solve; the
     residual, orthonormality and nondegeneracy invariants apply to the
     retained block.  Wide grids for smooth wells need the truncation: the
     top of the finite-difference band carries checkerboard modes pinned to
     the two artificial walls, split only by tunneling, and a gap below 1e-8
-    of the spread leaves the spectral generator undefined.
+    of the spread leaves the spectral generator undefined.  A real
+    tridiagonal matrix (every discretize_h0 H0) is solved from its bands;
+    other Hermitian operators take a dense solve.
     """
     m = h0.matrix
+    k = m.shape[0] if n_levels is None else n_levels
     if np.max(np.abs(m.imag)) == 0.0:
         m = m.real
-    if n_levels is None:
-        energies, vecs = eigh(m)
-    else:
-        if not 1 <= n_levels <= m.shape[0]:
-            raise DomainError(f"cannot keep {n_levels} of {m.shape[0]} levels")
-        energies, vecs = eigh(m, subset_by_index=[0, n_levels - 1])
-    scale = float(np.max(np.abs(energies)))
+        if max(bandwidth(m)) <= 1:
+            return _band_eigensystem(np.diag(m), np.diag(m, -1), grid, lam, k)
+    k = _check_index("n_levels", k, 1, m.shape[0])
+    energies, vecs = eigh(m, subset_by_index=None if n_levels is None else [0, k - 1])
     residual = float(np.max(np.abs(m @ vecs - vecs * energies)))
-    if residual > 1e-10 * max(scale, 1e-300):
-        raise NumericalError(f"eigendecomposition residual {residual:.3e}")
-    ortho = float(np.max(np.abs(vecs.T.conj() @ vecs - np.eye(vecs.shape[1]))))
-    if ortho > 1e-12:
-        raise NumericalError(f"orthonormality defect {ortho:.3e}")
-    spread = float(energies[-1] - energies[0])
-    min_gap = float(np.min(np.diff(energies))) if energies.size > 1 else spread
-    if energies.size > 1 and min_gap <= 1e-8 * spread:
-        raise NumericalError(
-            f"near-degenerate spectrum: min gap {min_gap:.3e} vs spread {spread:.3e}"
-        )
-    vecs = _fix_signs(np.asarray(vecs)) / math.sqrt(grid.h)
-    return EigenSystem(float(lam), energies, vecs, grid)
+    return _checked_eigensystem(energies, vecs, residual, grid, lam)
 
 
 def grad_h0_matrix(
@@ -466,12 +493,6 @@ def _trajectory_csv(path, times, fidelities, norms, phases, pops) -> None:
         fh.write("\n".join(rows) + "\n")
 
 
-def _lowest_states(diag: np.ndarray, off: np.ndarray, h: float, k: int):
-    """Lowest k eigenpairs of a real symmetric tridiagonal H0."""
-    energies, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
-    return energies, _fix_signs(vecs) / math.sqrt(h)
-
-
 def _uniform_steps(duration: float, dt: float, record_every: int):
     """Checked stepping inputs: the count and length of equal steps of about dt."""
     if not (math.isfinite(dt) and dt > 0):
@@ -513,6 +534,8 @@ def propagate_grid(
     psi0.check_normalized()
     grid = psi0.grid
     n = grid.n_points
+    track_level = _check_index("track_level", track_level, 0, n - 1)
+    n_leading = _check_index("n_leading", n_leading, 1, n)
     h = grid.h
     kin = hbar * hbar / (2.0 * system.mass * h * h)
     mu = system.mu if with_cd else 0.0
@@ -542,7 +565,8 @@ def propagate_grid(
 
     def record(psi):
         j = len(times)
-        _, vecs = _lowest_states(diagonals(rec_lams[j:j + 1])[0], kin_off, h, k)
+        vecs = _band_eigensystem(diagonals(rec_lams[j:j + 1])[0], kin_off, grid,
+                                 rec_lams[j], k).states
         coeff = h * (vecs.T @ psi)
         times.append(rec_steps[j] * step)
         norms.append(math.sqrt(h * float(np.sum(np.abs(psi) ** 2))))

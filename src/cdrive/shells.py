@@ -22,6 +22,7 @@ volume equals minus the shell average of dH0/dlam.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -71,8 +72,9 @@ def _d_volume_dE_closed(system: SystemModel, E: float, lam: float) -> float:
 # turning points and the regularized orbit quadrature
 
 
+@functools.lru_cache(maxsize=64)
 def _potential_floor(system: SystemModel, lam: float) -> tuple[float, float]:
-    """(q_min, V_min) of the well.  Box and power-law floors are known."""
+    """(q_min, V_min) of the well; known for box and power law, else searched."""
     if system.kind == "box":
         return 0.5 * lam, 0.0
     if system.kind == "power_law":

@@ -223,6 +223,66 @@ def test_non_finite_grid_state_exits_3(tmp_path, monkeypatch):
     assert "norm drift nan" in diag["message"]
 
 
+def test_failed_record_eigensolve_exits_3(tmp_path, monkeypatch):
+    import cdrive.quantum as quantum
+
+    real = quantum.eigh_tridiagonal
+
+    def perturbed(*args, **kwargs):
+        energies, vecs = real(*args, **kwargs)
+        vecs[:, 0] += 1e-6 * vecs[:, -1]
+        return energies, vecs
+
+    monkeypatch.setattr(quantum, "eigh_tridiagonal", perturbed)
+    p = write_config(tmp_path, "c.json", {
+        "kind": "quantum_grid",
+        "system": {"kind": "power_law", "b": 2},
+        "schedule": {"shape": "smoothstep", "lam_start": 1.0, "lam_end": 2.0,
+                     "duration": 0.1},
+        "numerics": {"n_points": 128, "dt": 1e-2},
+    })
+    out = tmp_path / "out"
+    assert main(["compare", p, "--out", str(out)]) == 3
+    diag = json.loads((out / "error.json").read_text())
+    assert diag["error"] == "NumericalError"
+    assert "eigendecomposition residual" in diag["message"]
+
+
+def test_quantum_grid_compare_verify_needs_no_dense_eigensolve(tmp_path, monkeypatch):
+    import cdrive.quantum as quantum
+
+    def dense(*args, **kwargs):
+        raise AssertionError("dense eigh called on a finite-difference H0")
+
+    monkeypatch.setattr(quantum, "eigh", dense)
+    p = write_config(tmp_path, "c.json", {
+        "kind": "quantum_grid",
+        "system": {"kind": "power_law", "b": 4},
+        "initial": {"level": 1},
+        "schedule": {"shape": "smoothstep", "lam_start": 1.0, "lam_end": 2.0,
+                     "duration": 0.2},
+        "numerics": {"n_points": 512, "e_max": 40.0, "dt": 2e-3},
+    })
+    out = tmp_path / "out"
+    assert main(["compare", p, "--out", str(out), "--verify"]) == 0
+    rep = load_report(out)
+    assert rep["verify"]["commutator"]["relative_residual"] < 1e-8
+    for arm in ("on", "off"):
+        assert (out / arm / "spectrum.csv").exists()
+
+
+def test_grid_levels_past_the_grid_are_config_error(tmp_path):
+    p = write_config(tmp_path, "c.json", {
+        "kind": "quantum_grid",
+        "system": {"kind": "power_law", "b": 2},
+        "initial": {"level": 62},
+        "schedule": {"shape": "smoothstep", "lam_start": 1.0, "lam_end": 2.0,
+                     "duration": 0.01},
+        "numerics": {"n_points": 64, "n_levels": 64, "dt": 1e-2},
+    })
+    assert main(["run", p, "--out", str(tmp_path / "out")]) == 2
+
+
 def test_bad_thread_cap_is_config_error(tmp_path, monkeypatch):
     monkeypatch.setenv("CDRIVE_THREADS", "zero")
     p = write_config(tmp_path, "c.json", box_expansion())

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import cdrive.shells as shells
 from cdrive.errors import DomainError
 from cdrive.generators import (
     AnalyticGenerator,
@@ -294,6 +295,46 @@ def _power_law_probe_points(system, seed, n_random=32):
             absp = math.sqrt(2.0 * (E - system.potential_energy(q_in, 1.0)))
             pts += [(q_in, absp), (q_in, -absp)]
     return pts
+
+
+def _generic_quartic():
+    # power_law(4) driven through the generic path: searched floor, bracketed
+    # turning points, unimodality check
+    return generic_1d(
+        lambda q, lam: (q / lam) ** 4,
+        dV_dq=lambda q, lam: 4 * q**3 / lam**4,
+        dV_dlam=lambda q, lam: -4 * q**4 / lam**5,
+    )
+
+
+def test_generic_quartic_generator_matches_power_law():
+    # grad xi takes its normal part as a central difference of xi with step
+    # 1e-4 |z|, so xi agreeing to about 1e-12 bounds the gradient's agreement
+    # near 1e-8 (seen: xi 9e-13, grad xi 2.3e-9)
+    gen, ref = NumericShellGenerator(_generic_quartic()), NumericShellGenerator(QUARTIC)
+    for q, p in _power_law_probe_points(QUARTIC, seed=29, n_random=12):
+        for lam in (1.0, 1.3):
+            assert abs(gen.evaluate((q, p), lam) - ref.evaluate((q, p), lam)) < 1e-9
+            diff = np.subtract(gen.evaluate_grad_z((q, p), lam),
+                               ref.evaluate_grad_z((q, p), lam))
+            assert np.max(np.abs(diff)) < 1e-8, f"lam={lam} at ({q}, {p})"
+
+
+def test_generic_floor_search_runs_once_per_lambda(monkeypatch):
+    real = shells.minimize_scalar
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shells, "minimize_scalar", counted)
+    gen = NumericShellGenerator(_generic_quartic())
+    for lam in (1.0, 1.3, 1.0):
+        for q, p in ((0.3, 0.8), (-0.5, 0.2), (0.1, -1.1)):
+            gen.evaluate((q, p), lam)
+            gen.evaluate_grad_z((q, p), lam)
+    assert len(calls) == 2
 
 
 def test_numeric_generator_tracks_analytic_values():

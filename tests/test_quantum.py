@@ -39,8 +39,9 @@ from cdrive.quantum import (
     xi_dilation,
     xi_spectral,
     _dilation_offdiag,
+    _band_eigensystem,
     _fix_signs,
-    _lowest_states,
+    _h0_bands,
     _potential_diagonal,
     _sine_coupling,
 )
@@ -223,6 +224,16 @@ def test_eigensystem_rejects_degeneracy():
     m = np.eye(64)
     m[0, 0] = m[1, 1] = 1.0
     m[2, 2] = 2.0
+    g = GridSpec(0.0, 1.0, 64)
+    with pytest.raises(NumericalError):
+        eigensystem(HermitianOperator(m), g, 1.0)
+
+
+def test_dense_eigensystem_rejects_degeneracy():
+    # a coupling off the tridiagonal band takes the dense solve
+    m = np.eye(64, dtype=complex)
+    m[2, 2] = 2.0
+    m[5, 60], m[60, 5] = 1e-3j, -1e-3j
     g = GridSpec(0.0, 1.0, 64)
     with pytest.raises(NumericalError):
         eigensystem(HermitianOperator(m), g, 1.0)
@@ -438,7 +449,9 @@ def _reference_propagate_grid(system, schedule, psi0, dt, with_cd=True, track_le
         diag0 = 2.0 * kin + _potential_diagonal(system, lam_t, grid)
         off0 = np.full(n - 1, -kin)
         k = max(n_leading, track_level + 1)
-        _, vecs = _lowest_states(diag0, off0, h, k)
+        _, vecs = scipy.linalg.eigh_tridiagonal(diag0, off0, select="i",
+                                                select_range=(0, k - 1))
+        vecs = _fix_signs(vecs) / math.sqrt(h)
         coeff = h * (vecs.T @ psi)
         times.append(t)
         norms.append(math.sqrt(h * float(np.sum(np.abs(psi) ** 2))))
@@ -578,6 +591,73 @@ def test_propagate_basis_rejects_bad_stepping(bad, message, with_cd):
     with pytest.raises(DomainError, match=message):
         propagate_basis(linear_ramp(1.0, 2.0, 0.1), c0, n_levels=8, with_cd=with_cd,
                         **{"dt": 1e-3, **bad})
+
+
+_BAD_LEVELS = [
+    pytest.param({"track_level": -1}, r"track_level .* in \[0, 127\]", id="track-negative"),
+    pytest.param({"track_level": 500}, r"track_level .* in \[0, 127\]", id="track-past-grid"),
+    pytest.param({"track_level": 1.5}, "track_level must be an integer", id="track-float"),
+    pytest.param({"n_leading": 0}, r"n_leading .* in \[1, 128\]", id="leading-0"),
+]
+
+
+@pytest.mark.parametrize("bad, message", _BAD_LEVELS)
+def test_propagate_grid_rejects_bad_levels(bad, message):
+    g, es, sched = _driving_setup(SHO, 128)
+    psi0 = QuantumState("grid", es.states[:, 0].astype(complex), g)
+    with pytest.raises(DomainError, match=message):
+        propagate_grid(SHO, sched, psi0, dt=1e-2, **bad)
+
+
+def test_eigensystem_rejects_fractional_level_count():
+    g = well_grid(SHO, 1.0, 15.0, 128)
+    with pytest.raises(DomainError, match="n_levels must be an integer"):
+        eigensystem(discretize_h0(SHO, 1.0, g), g, 1.0, n_levels=2.5)
+
+
+def test_propagate_grid_checks_its_record_eigensolves(monkeypatch):
+    g, es, sched = _driving_setup(SHO, 128)
+    psi0 = QuantumState("grid", es.states[:, 0].astype(complex), g)
+    real = quantum.eigh_tridiagonal
+
+    def perturbed(*args, **kwargs):
+        energies, vecs = real(*args, **kwargs)
+        vecs[:, 0] += 1e-6 * vecs[:, -1]
+        return energies, vecs
+
+    monkeypatch.setattr(quantum, "eigh_tridiagonal", perturbed)
+    with pytest.raises(NumericalError):
+        propagate_grid(SHO, sched, psi0, dt=1e-2)
+
+
+def _dense_oracle_cases():
+    for n in (256, 512):
+        yield pytest.param(BOX, 1.0, box_grid(1.0, n), id=f"box-{n}")
+    for b in (2, 4, 6):
+        for lam in (0.8, 1.0, 1.7):
+            system = power_law(b)
+            yield pytest.param(system, lam, well_grid(system, lam, 40.0, 512),
+                               id=f"b{b}-lam{lam}")
+    well = generic_1d(lambda q, lam: (q / lam) ** 4 + 0.3 * q * q)
+    yield pytest.param(well, 1.0, GridSpec(-4.0, 4.0, 512), id="generic")
+
+
+@pytest.mark.parametrize("system, lam, g", _dense_oracle_cases())
+def test_band_eigensystem_matches_dense_oracle(system, lam, g):
+    # the bounds of test_eigensystem_subset_matches_full_decomposition; the
+    # full spectrum is compared where LAPACK finds it nondegenerate
+    energies, vecs = scipy.linalg.eigh(discretize_h0(system, lam, g).matrix.real)
+    floor = 64 * np.finfo(float).eps * np.max(np.abs(energies))
+    spread = energies[-1] - energies[0]
+    full = np.min(np.diff(energies)) > 1e-8 * spread
+    assert full or system.kind != "box"
+    diag, off = _h0_bands(system, lam, g)
+    for k in (1, 8, 40) + ((g.n_points,) if full else ()):
+        es = _band_eigensystem(diag, off, g, lam, k)
+        np.testing.assert_allclose(es.energies, energies[:k], rtol=1e-12, atol=floor)
+        np.testing.assert_allclose(
+            es.states, _fix_signs(vecs[:, :k]) / math.sqrt(g.h), rtol=0, atol=1e-10
+        )
 
 
 @given(

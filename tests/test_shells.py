@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -293,6 +295,24 @@ def test_turning_points_power_law():
     qm, qp = turning_points(QUARTIC, E=1.0, lam=2.0)
     assert qp == pytest.approx(2.0, rel=1e-12)
     assert qm == pytest.approx(-2.0, rel=1e-12)
+
+
+def test_generic_floor_cache_is_thread_safe():
+    # the floor cache is shared by the CLI's pool threads: more threads than
+    # cores, switching often, must see the turning points a lone caller sees
+    lams = [1.0 + 0.05 * k for k in range(8)]
+    expected = [turning_points(_scaled_quartic(), 0.7, lam) for lam in lams]
+    system = _scaled_quartic()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(lambda: [turning_points(system, 0.7, lam) for lam in lams])
+                       for _ in range(12)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == expected for r in results)
 
 
 def test_energy_shell_container():
