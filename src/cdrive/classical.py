@@ -560,6 +560,11 @@ def _box_bare_flight(schedule, m, qs, ps, times, h_target):
     return np.array(q_rows), np.array(p_rows), hits
 
 
+def _ensemble_step(system: SystemModel, T: float) -> float:
+    """evolve_ensemble's default dt: T/500 for the box, T/1000 for smooth wells."""
+    return T / (500.0 if system.kind == "box" else 1000.0)
+
+
 def evolve_ensemble(system: SystemModel, generator, schedule: Schedule, sampler,
                     n_particles: int, seed: int, snapshot_times,
                     dt: Optional[float] = None, tol: float = 1e-10) -> EnsembleRecord:
@@ -584,14 +589,13 @@ def evolve_ensemble(system: SystemModel, generator, schedule: Schedule, sampler,
         raise DomainError(f"snapshot times must be finite and lie within [0, {T}]")
     times = sorted(set(snaps) | {0.0, T})
     qs, ps = _draw_initial_conditions(system, sampler, schedule.value(0.0), n_particles, seed)
+    dt0 = dt if dt is not None else _ensemble_step(system, T)
 
     if system.kind == "box":
         move = _box_cd_flow if generator is not None else _box_bare_flight
-        q_rows, p_rows, _ = move(schedule, system.mass, qs, ps, times,
-                                 dt if dt is not None else T / 500.0)
+        q_rows, p_rows, _ = move(schedule, system.mass, qs, ps, times, dt0)
         snaps_q, snaps_p = list(q_rows), list(p_rows)
     else:
-        dt0 = dt if dt is not None else T / 1000.0
         snaps_q = [qs] + [np.empty(n_particles) for _ in times[1:]]
         snaps_p = [ps] + [np.empty(n_particles) for _ in times[1:]]
         for i in range(n_particles):

@@ -20,6 +20,7 @@ import numpy as np
 
 from .classical import (
     _draw_initial_conditions,
+    _ensemble_step,
     dissipation,
     evolve_bare,
     evolve_cd,
@@ -102,7 +103,7 @@ def _run_classical_trajectory(cfg, out):
         "final_h0": float(s["final_h0"]),
         "n_collisions": int(s["n_collisions"]),
     }
-    integrator = "box_exact_flow" if cfg.system.kind == "box" else "adaptive_rk4_events"
+    integrator = "box_exact_flow" if cfg.system.kind == "box" else "adaptive_rk4"
     return metrics, artifacts, {"dt": float(dt), "integrator": integrator}
 
 
@@ -140,12 +141,9 @@ def _run_classical_ensemble(cfg, out):
             for t, s in zip(rec.snapshot_times, rec.ks_stats)
         ]
         metrics["ks_max"] = float(np.max(rec.ks_stats))
-    # mirror the engine's internal step default so the report records it
-    is_box = cfg.system.kind == "box"
-    auto = sched.duration / (500.0 if is_box else 1000.0)
     return metrics, artifacts, {
-        "dt": float(dt if dt is not None else auto),
-        "integrator": "box_exact_flow" if is_box else "adaptive_rk4_events",
+        "dt": float(dt if dt is not None else _ensemble_step(cfg.system, sched.duration)),
+        "integrator": "box_exact_flow" if cfg.system.kind == "box" else "adaptive_rk4",
     }
 
 
@@ -221,27 +219,19 @@ def _run_generator_check(cfg, out):
     shells = [float(E) for E in cfg.shells]
     if cfg.generator == "numeric":
         # tables are shell-local, so verify one at a time and keep the worst
-        brackets, averages = [], []
-        for E in shells:
-            table = build_xi_numeric(cfg.system, E, lam)
-            chk = verify_generator(cfg.system, table, lam, [E], n_points=n_pts)
-            brackets.append(chk.bracket_residual)
-            averages.append(chk.average_residual)
-        residuals = {
-            "shells": shells,
-            "bracket_residual": float(max(brackets)),
-            "average_residual": float(max(averages)),
-        }
+        checks = [
+            verify_generator(cfg.system, build_xi_numeric(cfg.system, E, lam), lam, [E],
+                             n_points=n_pts)
+            for E in shells
+        ]
     else:
-        chk = verify_generator(
-            cfg.system, analytic_generator_for(cfg.system), lam, shells,
-            n_points=n_pts,
-        )
-        residuals = {
-            "shells": shells,
-            "bracket_residual": float(chk.bracket_residual),
-            "average_residual": float(chk.average_residual),
-        }
+        checks = [verify_generator(cfg.system, analytic_generator_for(cfg.system), lam,
+                                   shells, n_points=n_pts)]
+    residuals = {
+        "shells": shells,
+        "bracket_residual": float(max(c.bracket_residual for c in checks)),
+        "average_residual": float(max(c.average_residual for c in checks)),
+    }
     return {"generator_residuals": residuals}, [], {"integrator": "orbit_quadrature"}
 
 
@@ -334,17 +324,16 @@ def _commutator_residual(cfg: ExperimentConfig) -> dict:
     lam0 = cfg.schedule.initial
     n_points, n_levels = 256, 8
     if system.kind == "box":
-        grid, mu = box_grid(lam0, n_points), 1.0
+        grid = box_grid(lam0, n_points)
     else:
         grid = well_grid(system, lam0, num["e_max"], n_points)
-        mu = system.b / (system.b + 2.0)
     hbar = num["hbar"]
     xs, es, block = _xi_spectral_parts(system, lam0, grid, n_levels, hbar)
     h0 = np.diag(es.energies)
     comm = xs.matrix @ h0 - h0 @ xs.matrix
     target = 1j * hbar * (block - np.diag(np.diag(block)))
     scale = float(np.max(np.abs(block)))
-    dil = grid.h * (es.states.conj().T @ xi_dilation(lam0, mu, grid, hbar).matrix @ es.states)
+    dil = grid.h * (es.states.conj().T @ xi_dilation(lam0, system.mu, grid, hbar).matrix @ es.states)
     dil_scale = float(np.max(np.abs(dil)))
     return {
         "relative_residual": float(np.max(np.abs(comm - target)) / scale),

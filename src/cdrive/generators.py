@@ -25,21 +25,22 @@ normal n = grad H0 / |grad H0|, which are orthogonal:
 where beta is exact and d xi / dn is one central difference of xi along n.
 
 build_xi_numeric builds the same generator on one shell a second way, by
-integrating the orbit ODE, and stores it as a ShellGeneratorTable; it backs
-the generator_check experiment and is the independent oracle for the
-pointwise generator.
+integrating the orbit ODE, and stores it as a ShellGeneratorTable: the
+profile sampled at uniform orbit times, read back by time only (there is no
+lookup by phase point).  verify_generator checks a table at its own orbit
+times, which backs the generator_check experiment, and the sampled profile
+is the independent oracle for the pointwise generator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .errors import DomainError, NumericalError
 from .systems import SystemModel, as_qp
@@ -146,12 +147,8 @@ class ShellGeneratorTable:
     grad_lambda_avg: float
     closure_residual: float
 
-    tag = "numeric"
-
     def __post_init__(self):
         self._xi_spline = CubicSpline(self.times, self.xis, bc_type="periodic")
-        self._q_spline = CubicSpline(self.times, self.qs, bc_type="periodic")
-        self._p_spline = CubicSpline(self.times, self.ps, bc_type="periodic")
         # along-orbit derivative by fourth-order central differences on the
         # uniform samples, then re-interpolated periodically
         core = self.xis[:-1]
@@ -160,81 +157,12 @@ class ShellGeneratorTable:
             -np.roll(core, -2) + 8 * np.roll(core, -1) - 8 * np.roll(core, 1) + np.roll(core, 2)
         ) / (12.0 * h)
         self._dxi_spline = CubicSpline(self.times, np.append(d, d[0]), bc_type="periodic")
-        # chart boundaries for phase inversion: momentum extremes split each
-        # half-orbit into quarters where both q(t) and p(t) are monotone
-        self._mid = len(self.times) // 2
-        self._i_pmin = int(np.argmin(self.ps))
-        self._i_pmax = int(np.argmax(self.ps))
-        self._q_center = float(self.qs[self._i_pmin])
-        self._p_scale = float(np.max(np.abs(self.ps)))
-
-    @property
-    def q_minus(self) -> float:
-        return float(self.qs[self._mid])
-
-    @property
-    def q_plus(self) -> float:
-        return float(self.qs[0])
-
-    def _invert(self, spline, samples, i0, i1, target) -> float:
-        """Root of spline(t) = target on [times[i0], times[i1]], where the
-        samples run monotonically over that index range."""
-        seg = samples[i0 : i1 + 1]
-        ts = self.times[i0 : i1 + 1]
-        lo, hi = (seg[0], seg[-1]) if seg[0] <= seg[-1] else (seg[-1], seg[0])
-        v = min(max(target, lo), hi)
-        if seg[0] <= seg[-1]:
-            j = int(np.searchsorted(seg, v))
-        else:
-            j = int(np.searchsorted(-seg, -v))
-        j = min(max(j, 1), len(seg) - 1)
-        ta, tb = float(ts[j - 1]), float(ts[j])
-        fa, fb = float(spline(ta)) - v, float(spline(tb)) - v
-        if fa == 0.0:
-            return ta
-        if fb == 0.0:
-            return tb
-        if fa * fb > 0.0:
-            return ta if abs(fa) < abs(fb) else tb
-        return float(brentq(lambda t: float(spline(t)) - v, ta, tb, xtol=1e-13 * self.period))
-
-    def phase_time(self, z) -> float:
-        """Orbit time of the shell point at the same angle as z.
-
-        Away from the turning points the position fixes the phase (given the
-        momentum branch); near them the position inversion degenerates and
-        the momentum, which varies linearly through a turning point, is
-        inverted instead.  This keeps the lookup well conditioned for points
-        slightly off the table's shell.
-        """
-        q, p = as_qp(z)
-        n = len(self.times) - 1
-        if p == 0.0:
-            half = 0.5 * (self.q_minus + self.q_plus)
-            return 0.0 if q >= half else 0.5 * self.period
-        if abs(p) >= 0.4 * self._p_scale:
-            if p < 0.0:
-                return self._invert(self._q_spline, self.qs, 0, self._mid, q)
-            return self._invert(self._q_spline, self.qs, self._mid, n, q)
-        if p < 0.0:
-            if q >= self._q_center:
-                return self._invert(self._p_spline, self.ps, 0, self._i_pmin, p)
-            return self._invert(self._p_spline, self.ps, self._i_pmin, self._mid, p)
-        if q < self._q_center:
-            return self._invert(self._p_spline, self.ps, self._mid, self._i_pmax, p)
-        return self._invert(self._p_spline, self.ps, self._i_pmax, n, p)
 
     def value_at_time(self, t: float) -> float:
         return float(self._xi_spline(t % self.period))
 
     def derivative_at_time(self, t: float) -> float:
         return float(self._dxi_spline(t % self.period))
-
-    def evaluate(self, z, lam: Optional[float] = None) -> float:
-        """Generator value at a phase point on (or near) the table's shell."""
-        if lam is not None and abs(lam - self.lam) > 1e-9 * abs(self.lam):
-            raise DomainError(f"table built at lam={self.lam}, asked for lam={lam}")
-        return self.value_at_time(self.phase_time(z))
 
     def time_average(self) -> float:
         return float(self._xi_spline.integrate(0.0, self.period)) / self.period
@@ -405,6 +333,11 @@ class GeneratorCheck:
     average_residual: float
 
 
+def _orbit_fractions(n_points: int) -> np.ndarray:
+    """Orbit fractions (k + 1/2)/n of the sample points, counted from q+ like table times."""
+    return (np.arange(n_points) + 0.5) / n_points
+
+
 def _shell_sample_points(system, E, lam, n_points):
     """n_points phase points spread uniformly in orbit time over the shell."""
     if system.kind == "box":
@@ -413,7 +346,7 @@ def _shell_sample_points(system, E, lam, n_points):
         qs = (np.arange(half) + 0.5) / half * lam
         pts = [(q, absp) for q in qs] + [(q, -absp) for q in qs]
         return pts
-    qs, ps = orbit_states(system, E, lam, (np.arange(n_points) + 0.5) / n_points)
+    qs, ps = orbit_states(system, E, lam, _orbit_fractions(n_points))
     return list(zip(qs, ps))
 
 
@@ -425,13 +358,18 @@ def verify_generator(
     Reports, per shell, the worst normalized defect of
     {xi, omega} = d(omega)/dlam over sampled points, and the normalized
     orbit average |<xi>|.  Generators with analytic gradients evaluate the
-    bracket directly; tables use their along-orbit derivative (the bracket
-    against the invariant only sees the tangential part of the gradient).
+    bracket directly; tables, checked only on their own shell (E, lam), are
+    read at the sample points' orbit times and use their along-orbit
+    derivative (the bracket against the invariant only sees the tangential
+    part of the gradient).
     """
     if n_points < 100:
         raise DomainError(f"need at least 100 points per shell, got {n_points}")
     lam = system.check_param(lam)
     is_table = isinstance(generator, ShellGeneratorTable)
+    if is_table and not math.isclose(lam, generator.lam, rel_tol=1e-9):
+        raise DomainError(f"table was built at lam={generator.lam}; cannot verify lam={lam}")
+    times = _orbit_fractions(n_points) * generator.period if is_table else None
     shells = []
     for E in E_list:
         if is_table and not math.isclose(E, generator.E, rel_tol=1e-9):
@@ -444,11 +382,11 @@ def verify_generator(
         bracket_errs = []
         grad_scales = []
         xi_vals = []
-        for (q, p) in pts:
+        for k, (q, p) in enumerate(pts):
             grad_omega_lam = dOdlam + dOdE * system.grad_lambda((q, p), lam)
             if is_table:
-                bracket = dOdE * generator.derivative_at_time(generator.phase_time((q, p)))
-                xi_vals.append(generator.value_at_time(generator.phase_time((q, p))))
+                bracket = dOdE * generator.derivative_at_time(times[k])
+                xi_vals.append(generator.value_at_time(times[k]))
             else:
                 gq, gp = generator.evaluate_grad_z((q, p), lam)
                 hq, hp = system.grad_z((q, p), lam)

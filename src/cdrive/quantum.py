@@ -312,36 +312,25 @@ def eigensystem(
 
 
 def grad_h0_matrix(
-    system: SystemModel,
-    lam: float,
-    grid: GridSpec,
-    hbar: float = 1.0,
-    delta_rel: float = 1e-5,
+    system: SystemModel, lam: float, grid: GridSpec, hbar: float = 1.0
 ) -> np.ndarray:
     """Grid matrix of dH0/dlam.
 
     Smooth wells have a pointwise diagonal dV/dlam.  The box potential has
-    no classical gradient, so the derivative starts from the central finite
-    difference of H0 built on [0, L - d] and [0, L + d] grids with matched
-    point indices.  Index matching works in the frame that stretches with
-    the wall, where the eigenvectors do not move, so the difference alone
-    captures only the scalar -2H/L piece; undoing the frame change adds the
-    commutator -[(QD+DQ)/2, H]/L, which carries all the off-diagonal
-    structure the generator is built from.
+    no classical gradient; its derivative is closed-form.  In the frame that
+    stretches with the wall the grid points keep their indices and H0 scales
+    as L^-2, so that frame contributes exactly -2H0/L; undoing the frame
+    change adds the commutator -[(QD+DQ)/2, H0]/L, which carries all the
+    off-diagonal structure the generator is built from.
     """
     lam = system.check_param(lam)
     if system.kind != "box":
         return np.diag(
             np.array([system.grad_lambda((q, 0.0), lam) for q in grid.qs], dtype=float)
         )
-    _check_box_grid(lam, grid)
-    d = delta_rel * lam
-    plus = discretize_h0(system, lam + d, box_grid(lam + d, grid.n_points), hbar)
-    minus = discretize_h0(system, lam - d, box_grid(lam - d, grid.n_points), hbar)
-    fd = (plus.matrix.real - minus.matrix.real) / (2.0 * d)
     h0 = discretize_h0(system, lam, grid, hbar).matrix.real
     a = _stretch_half_bracket(grid)
-    return fd - (a @ h0 - h0 @ a) / lam
+    return -(2.0 * h0 + (a @ h0 - h0 @ a)) / lam
 
 
 def xi_spectral(
@@ -350,17 +339,16 @@ def xi_spectral(
     grid: GridSpec,
     n_levels: int,
     hbar: float = 1.0,
-    delta_rel: float = 1e-5,
 ) -> HermitianOperator:
     """Generator in the truncated eigenbasis from the eigenstate-rotation sum.
 
     Off-diagonal xi_mn = i hbar (dH0/dlam)_mn / (E_n - E_m), zero on the
     diagonal.  Demands a nondegenerate retained block.
     """
-    return _xi_spectral_parts(system, lam, grid, n_levels, hbar, delta_rel)[0]
+    return _xi_spectral_parts(system, lam, grid, n_levels, hbar)[0]
 
 
-def _xi_spectral_parts(system, lam, grid, n_levels, hbar, delta_rel=1e-5):
+def _xi_spectral_parts(system, lam, grid, n_levels, hbar):
     """xi_spectral's generator with the eigensystem and dH0/dlam block it used."""
     if n_levels < 2:
         raise DomainError(f"need at least 2 levels, got {n_levels}")
@@ -373,7 +361,7 @@ def _xi_spectral_parts(system, lam, grid, n_levels, hbar, delta_rel=1e-5):
     off = ~np.eye(n_levels, dtype=bool)
     if np.min(np.abs(gaps[off])) < 1e-8 * spread:
         raise NumericalError("level spacing too small for the spectral generator")
-    g = grad_h0_matrix(system, lam, grid, hbar, delta_rel)
+    g = grad_h0_matrix(system, lam, grid, hbar)
     block = grid.h * (vecs.T @ g @ vecs)
     xi = np.zeros((n_levels, n_levels), dtype=complex)
     xi[off] = 1j * hbar * block[off] / gaps[off]
@@ -408,8 +396,7 @@ def xi_dilation(lam: float, mu: float, grid: GridSpec, hbar: float = 1.0) -> Her
 
 def _stretch_half_bracket(grid: GridSpec) -> np.ndarray:
     # (QD + DQ) / 2 as a dense real antisymmetric matrix
-    qs = grid.qs
-    w = (qs[:-1] + qs[1:]) / (4.0 * grid.h)
+    w = _dilation_offdiag(1.0, 1.0, grid, 1.0)
     n = grid.n_points
     a = np.zeros((n, n))
     idx = np.arange(n - 1)

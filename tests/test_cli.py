@@ -300,7 +300,7 @@ _BASIS = {"kind": "quantum_basis", "system": {"kind": "box"},
 @pytest.mark.parametrize("cfg, cd_enabled, integrator", [
     (_GAS, True, "box_exact_flow"),
     (_GAS, False, "box_exact_flow"),
-    (_WELL_ENSEMBLE, True, "adaptive_rk4_events"),
+    (_WELL_ENSEMBLE, True, "adaptive_rk4"),
     (_BASIS, True, "exact_phase"),
     (_BASIS, False, "strang_split"),
     (box_expansion(), True, "box_exact_flow"),

@@ -4,6 +4,7 @@ Closed-form values here were checked against an independent orbit-average
 oracle before being frozen into assertions.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -125,16 +126,21 @@ def test_table_gauge_average_zero():
 
 
 def test_table_phase_lookup_off_sample():
-    table = build_xi_numeric(SHO, 1.0, 1.0, n_samples=256)
-    rng = np.random.default_rng(3)
-    qm, qp = turning_points(SHO, 1.0, 1.0)
-    for _ in range(50):
-        q = rng.uniform(qm * 0.99, qp * 0.99)
-        ke = 1.0 - SHO.potential_energy(q, 1.0)
-        if ke <= 0:
-            continue
-        p = math.copysign(math.sqrt(2 * ke), rng.standard_normal())
-        assert table.evaluate((q, p)) == pytest.approx(0.5 * q * p, abs=1e-6)
+    # off-sample orbit phases: the periodic splines read at fractions of the
+    # period against the dilation form mu q p / lam and its time derivative
+    # mu (p^2/m - q dU/dq) / lam, at the orbit states of the same fractions
+    fractions = np.random.default_rng(3).uniform(0.0, 1.0, 50)
+    for system, mu, E, lam in ((SHO, 0.5, 1.0, 1.0), (QUARTIC, 2.0 / 3.0, 2.0, 1.3)):
+        table = build_xi_numeric(system, E, lam, n_samples=256)
+        qs, ps = shells.orbit_states(system, E, lam, fractions)
+        slopes = np.array([system.grad_q(q, lam) for q in qs])
+        rate = mu * (ps**2 / system.mass - qs * slopes) / lam
+        for f, q, p in zip(fractions, qs, ps):
+            assert table.value_at_time(f * table.period) == pytest.approx(
+                mu * q * p / lam, abs=1e-6
+            )
+        read = [table.derivative_at_time(f * table.period) for f in fractions]
+        assert np.max(np.abs(read - rate)) < 1e-4 * np.max(np.abs(rate))
 
 
 def test_table_on_generic_system():
@@ -229,6 +235,21 @@ def test_verify_accepts_tables():
     assert report.average_residual < 1e-8
     with pytest.raises(DomainError):
         verify_generator(SHO, table, 1.0, [2.0])
+
+
+def test_verify_rejects_table_built_at_another_lam():
+    table = build_xi_numeric(SHO, 1.0, 1.0)
+    with pytest.raises(DomainError, match=r"lam=1\.0.*lam=1\.3"):
+        verify_generator(SHO, table, 1.3, [1.0])
+
+
+@pytest.mark.parametrize("factor", [1.01, -1.0])
+def test_corrupted_table_is_detected(factor):
+    # criterion 4's control for tables: a 1% rescaled or sign-flipped
+    # profile must fail the bracket condition at the table's own times
+    table = build_xi_numeric(SHO, 1.0, 1.0, n_samples=256)
+    bad = dataclasses.replace(table, xis=factor * table.xis)
+    assert verify_generator(SHO, bad, 1.0, [1.0]).bracket_residual > 1e-3
 
 
 def test_verify_requires_enough_points():

@@ -254,6 +254,27 @@ def test_grad_h0_smooth_is_potential_gradient():
     assert np.max(np.abs(m - np.diag(-2.0 * g.qs**2))) < 1e-12
 
 
+@pytest.mark.parametrize("lam", [1.0, 1.7])
+def test_grad_h0_box_matches_two_grid_difference(lam):
+    # central difference of H0 on [0, L +- d] grids with matched indices,
+    # plus the frame-change commutator, built here independently.  The
+    # scalar part is c/L^2, whose central difference carries the relative
+    # truncation 2(d/L)^2; rounding in H0 of relative size eps, divided by
+    # d, adds eps L/d.  Scale: the -2H0/L piece the difference measures.
+    n = 128
+    g = box_grid(lam, n)
+    d = 1e-5 * lam
+    plus = discretize_h0(BOX, lam + d, box_grid(lam + d, n)).matrix.real
+    minus = discretize_h0(BOX, lam - d, box_grid(lam - d, n)).matrix.real
+    h0 = discretize_h0(BOX, lam, g).matrix.real
+    w = (g.qs[:-1] + g.qs[1:]) / (4.0 * g.h)
+    a = np.diag(w, 1) - np.diag(w, -1)
+    fd = (plus - minus) / (2.0 * d) - (a @ h0 - h0 @ a) / lam
+    bound = 2.0 * (d / lam) ** 2 + np.finfo(float).eps * lam / d
+    err = np.max(np.abs(grad_h0_matrix(BOX, lam, g) - fd))
+    assert err < bound * np.max(np.abs(2.0 * h0 / lam))
+
+
 def test_xi_dilation_structure():
     g = box_grid(1.0, 128)
     op = xi_dilation(1.0, 1.0, g)

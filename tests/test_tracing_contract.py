@@ -1,0 +1,75 @@
+"""The benchmark tracer (cdbench/tracing.py) rebinds cdrive names in place.
+
+Deleting or renaming one of those names breaks every traced benchmark run,
+and the benchmark's own tests are not part of this suite, so this test loads
+the tracer by path, installs it and checks that uninstalling restores every
+module global, class method and shape registry entry it touched.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import cdrive.cli  # noqa: F401  (loads every layer)
+import cdrive.schedules as schedules
+import cdrive.systems as systems
+
+TRACING = Path(__file__).resolve().parents[1] / "cdbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("cdbench_tracing_contract", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _cdrive_modules():
+    return {name: mod for name, mod in sys.modules.items()
+            if name == "cdrive" or name.startswith("cdrive.")}
+
+
+def _wrapped_classes(tracing):
+    rows = [(layer, cls) for layer, cls, _ in tracing._SPANNED_METHODS]
+    rows += [(mod, cls) for mod, cls, _ in tracing._CSV_METHODS]
+    classes = [getattr(sys.modules[f"cdrive.{mod}"], cls) for mod, cls in rows]
+    return classes + [systems.SystemModel]
+
+
+def test_tracer_installs_and_uninstalls_cleanly():
+    tracing = _load_tracing()
+    modules = _cdrive_modules()
+    globals_before = {name: dict(vars(mod)) for name, mod in modules.items()}
+    classes = _wrapped_classes(tracing)
+    methods_before = [dict(vars(cls)) for cls in classes]
+    shapes_before = dict(schedules.BUILTIN_SHAPES)
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for mod, name in (("cli", "ThreadPoolExecutor"), ("quantum", "solve_banded"),
+                          ("classical", "np")):
+            assert vars(modules[f"cdrive.{mod}"])[name] is not globals_before[
+                f"cdrive.{mod}"][name], f"{mod}.{name} was not rebound"
+        for layer, names in tracing._SPANNED_FUNCTIONS.items():
+            current = vars(modules[f"cdrive.{layer}"])
+            for name in names:
+                assert current[name] is not globals_before[f"cdrive.{layer}"][name], (
+                    f"{layer}.{name} was not rebound")
+    finally:
+        tracer.uninstall()
+
+    assert _cdrive_modules().keys() == modules.keys()
+    for name, mod in modules.items():
+        after = vars(mod)
+        before = globals_before[name]
+        assert after.keys() == before.keys(), name
+        changed = [k for k in before if after[k] is not before[k]]
+        assert not changed, f"{name}: {changed} not restored"
+    for cls, before in zip(classes, methods_before):
+        after = vars(cls)
+        assert after.keys() == before.keys(), cls.__name__
+        changed = [k for k in before if after[k] is not before[k]]
+        assert not changed, f"{cls.__name__}: {changed} not restored"
+    assert schedules.BUILTIN_SHAPES.keys() == shapes_before.keys()
+    assert all(schedules.BUILTIN_SHAPES[k] is v for k, v in shapes_before.items())
