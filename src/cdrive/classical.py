@@ -5,7 +5,8 @@ flow is free flight of x = q/L on the clock tau = integral of L^-2
 (schedules.clock), closed-form at every record, and the bare flow is free
 flight whose substeps only bracket the wall hits.  Smooth wells use a
 classical fourth-order Runge-Kutta scheme with step-halving error control,
-particle by particle for ensembles.
+on a batch of particles that share one step sequence: one column for a
+trajectory, the whole ensemble for an ensemble.
 
 The hard-wall collision rules live in collide(): under the driven flow the
 generator carries the wall's motion, so the bounce is p -> -p at both
@@ -15,6 +16,7 @@ walls; under the bare flow the moving wall imparts the usual -p + 2 m Ldot.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Optional
@@ -145,7 +147,7 @@ def collide(p: float, wall: str, L: float, L_dot: float, mass: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# single trajectories: step-halving RK4 for smooth wells, exact engines for the box
+# smooth wells: batched step-halving RK4; single box trajectories: exact engines
 
 
 def _rk4(f, t, y, h):
@@ -157,15 +159,18 @@ def _rk4(f, t, y, h):
 
 
 def _make_rhs(system: SystemModel, generator, schedule: Schedule):
+    """The flow on a (2, n) batch of q and p rows: one system.grad_q and one
+    generator.evaluate_grad_z call per column."""
     m, value, rate, force = system.mass, schedule.value, schedule.rate, system.grad_q
-    if generator is None:
-        return lambda t, y: np.array([y[1] / m, -force(y[0], value(t))])
 
     def rhs(t, y):
         lam = value(t)
+        f = np.array([force(q, lam) for q in y[0]])
+        if generator is None:
+            return np.array([y[1] / m, -f])
         r = rate(t)
-        gq, gp = generator.evaluate_grad_z((y[0], y[1]), lam)
-        return np.array([y[1] / m + r * gp, -force(y[0], lam) - r * gq])
+        gq, gp = np.array([generator.evaluate_grad_z((q, p), lam) for q, p in zip(*y)]).T
+        return np.array([y[1] / m + r * gp, -f - r * gq])
 
     return rhs
 
@@ -175,57 +180,59 @@ def _check_positive(name: str, value) -> None:
         raise DomainError(f"{name} must be finite and positive, got {value}")
 
 
-def _integrate(system, generator, schedule, z0, dt, tol, fixed_step, record_every):
-    """Smooth-well driver: adaptive (or fixed-step) RK4."""
+def _integrate(system, generator, schedule, y0, stops, dt, tol, fixed_step, record_every):
+    """Smooth-well driver: adaptive (or fixed-step) RK4 from step dt on a
+    (2, n) batch of q and p rows that share one step sequence.
+
+    tol holds per particle: a step is accepted when the largest over columns
+    of err_i / (tol (1 + max|y_i|)) is at most 1, and that ratio sets the
+    next step.  Steps land exactly on the sorted stop times.  A row is
+    recorded at 0, at each stop and every record_every accepted steps;
+    returns the row times and the q and p rows, each (rows, n).
+    """
     _check_positive("dt", dt)
     _check_positive("tol", tol)
     T = schedule.duration
     rhs = _make_rhs(system, generator, schedule)
-
-    q0, p0 = as_qp(z0)
-    system.check_position(q0, schedule.value(0.0))
-
-    ts, qs, ps = [0.0], [q0], [p0]
-    y = np.array([q0, p0])
-    t = 0.0
+    t, y = 0.0, np.asarray(y0, dtype=float)
+    ts, ys = [t], [y]
     h = min(dt, T)
     steps_since_record = 0
 
-    while t < T:
-        if T - t <= 1e-14 * T:
-            break
-        h = min(h, T - t)
-        if h < 1e-15 * T:
-            raise NumericalError("step size underflow")
-        if fixed_step:
-            y_new, h_next = _rk4(rhs, t, y, h), h
-        else:
-            y_full = _rk4(rhs, t, y, h)
-            y_half = _rk4(rhs, t, y, 0.5 * h)
-            y_new = _rk4(rhs, t + 0.5 * h, y_half, 0.5 * h)
-            err = np.max(np.abs(y_new - y_full)) / 15.0
-            scale = tol * (1.0 + float(np.max(np.abs(y))))
-            ratio = err / scale
-            if not math.isfinite(ratio):
-                raise NumericalError(f"RK4 error estimate is {ratio} at t={t}")
-            factor = 0.9 * ratio ** -0.2 if ratio > 0 else 4.0
-            h_next = h * min(4.0, max(0.2, factor))
-            if ratio > 1.0:
-                h = h_next
-                continue
+    for stop in stops:
+        while stop - t > 1e-14 * T:
+            h = min(h, stop - t)
+            if h < 1e-15 * T:
+                raise NumericalError("step size underflow")
+            if fixed_step:
+                y_new, h_next = _rk4(rhs, t, y, h), h
+            else:
+                y_full = _rk4(rhs, t, y, h)
+                y_half = _rk4(rhs, t, y, 0.5 * h)
+                y_new = _rk4(rhs, t + 0.5 * h, y_half, 0.5 * h)
+                err = np.max(np.abs(y_new - y_full), axis=0) / 15.0
+                scale = tol * (1.0 + np.max(np.abs(y), axis=0))
+                ratio = np.max(err / scale)
+                if not math.isfinite(ratio):
+                    raise NumericalError(f"RK4 error estimate is {ratio} at t={t}")
+                factor = 0.9 * ratio ** -0.2 if ratio > 0 else 4.0
+                h_next = h * min(4.0, max(0.2, factor))
+                if ratio > 1.0:
+                    h = h_next
+                    continue
 
-        t, y = t + h, y_new
-        if T - t < 1e-14 * T:
-            t = T
-        h = h_next
-        steps_since_record += 1
-        if steps_since_record >= record_every or t >= T:
-            ts.append(t), qs.append(float(y[0])), ps.append(float(y[1]))
-            steps_since_record = 0
-
-    if ts[-1] < t:
-        ts.append(t), qs.append(float(y[0])), ps.append(float(y[1]))
-    return np.array(ts), np.array(qs), np.array(ps)
+            t, y = t + h, y_new
+            if stop - t < 1e-14 * T:
+                t = stop
+            h = h_next
+            steps_since_record += 1
+            if steps_since_record >= record_every or t >= stop:
+                ts.append(t), ys.append(y)
+                steps_since_record = 0
+        if ts[-1] < t:
+            ts.append(t), ys.append(y)
+    ys = np.array(ys)
+    return np.array(ts), ys[:, 0], ys[:, 1]
 
 
 def _box_trajectory(system, schedule, z0, dt, record_every, cd):
@@ -249,7 +256,10 @@ def _box_trajectory(system, schedule, z0, dt, record_every, cd):
 def _evolve(system, generator, schedule, z0, dt, tol, fixed_step, record_every):
     if system.kind == "box":
         return _box_trajectory(system, schedule, z0, dt, record_every, generator is not None)
-    ts, qs, ps = _integrate(system, generator, schedule, z0, dt, tol, fixed_step, record_every)
+    q0, p0 = as_qp(z0)
+    ts, q_rows, p_rows = _integrate(system, generator, schedule, [[q0], [p0]],
+                                    [schedule.duration], dt, tol, fixed_step, record_every)
+    qs, ps = q_rows[:, 0], p_rows[:, 0]
     lams = schedule.value(ts)
     h0s = np.array([system.energy((q, p), lam) for q, p, lam in zip(qs, ps, lams)])
     omegas = np.array(
@@ -577,10 +587,12 @@ def evolve_ensemble(system: SystemModel, generator, schedule: Schedule, sampler,
     T/500) only sets the substeps that bracket its wall hits.  For box
     systems each snapshot also gets the Kolmogorov-Smirnov statistic of q/L
     against the uniform law.  Smooth wells run the adaptive RK4 integrator
-    particle by particle from dt (default T/1000).
+    from dt (default T/1000) on all particles at once: the step sequence is
+    shared and lands on every snapshot, and tol holds for each particle.  A
+    particle's path therefore depends on its companions at tolerance level.
     """
-    if n_particles < 1:
-        raise DomainError("need at least one particle")
+    if not isinstance(n_particles, numbers.Integral) or n_particles < 1:
+        raise DomainError(f"n_particles must be an integer >= 1, got {n_particles!r}")
     if dt is not None:
         _check_positive("dt", dt)
     T = schedule.duration
@@ -594,27 +606,22 @@ def evolve_ensemble(system: SystemModel, generator, schedule: Schedule, sampler,
     if system.kind == "box":
         move = _box_cd_flow if generator is not None else _box_bare_flight
         q_rows, p_rows, _ = move(schedule, system.mass, qs, ps, times, dt0)
-        snaps_q, snaps_p = list(q_rows), list(p_rows)
     else:
-        snaps_q = [qs] + [np.empty(n_particles) for _ in times[1:]]
-        snaps_p = [ps] + [np.empty(n_particles) for _ in times[1:]]
-        for i in range(n_particles):
-            y = (qs[i], ps[i])
-            for k in range(1, len(times)):
-                seg = _clip_schedule_segment(schedule, times[k - 1], times[k])
-                _, qq, pp = _integrate(system, generator, seg, y, dt0, tol, False, 10**9)
-                y = (qq[-1], pp[-1])
-                snaps_q[k][i], snaps_p[k][i] = y
+        ts, q_rows, p_rows = _integrate(system, generator, schedule, (qs, ps), times[1:],
+                                        dt0, tol, False, 10**9)
+        # a snapshot within rounding of the one before it shares that row
+        rows = np.searchsorted(ts, times, side="right") - 1
+        q_rows, p_rows = q_rows[rows], p_rows[rows]
 
     times_arr = np.array(times)
     lams = schedule.value(times_arr)
     ks = None
     if system.kind == "box":
-        ks = np.array([kstest(q / lam) for q, lam in zip(snaps_q, lams)])
+        ks = np.array([kstest(q / lam) for q, lam in zip(q_rows, lams)])
     return EnsembleRecord(
         snapshot_times=times_arr,
-        positions=tuple(snaps_q),
-        momenta=tuple(snaps_p),
+        positions=tuple(q_rows),
+        momenta=tuple(p_rows),
         lams=lams,
         seed=int(seed),
         sampler=sampler.tag,
@@ -634,16 +641,6 @@ def kstest(sample) -> float:
     d_plus = np.max(np.arange(1.0, n + 1) / n - x)
     d_minus = np.max(x - np.arange(0.0, n) / n)
     return float(max(d_plus, d_minus))
-
-
-def _clip_schedule_segment(schedule: Schedule, t_a: float, t_b: float) -> Schedule:
-    """A schedule window [t_a, t_b] re-based to start at 0."""
-    return Schedule(
-        duration=t_b - t_a,
-        value=lambda t, s=schedule, o=t_a: s.value(np.asarray(t) + o),
-        rate=lambda t, s=schedule, o=t_a: s.rate(np.asarray(t) + o),
-        tag=schedule.tag,
-    )
 
 
 def dissipation(record: EnsembleRecord, system: SystemModel, schedule: Schedule) -> float:

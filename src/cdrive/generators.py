@@ -358,15 +358,17 @@ def verify_generator(
     Reports, per shell, the worst normalized defect of
     {xi, omega} = d(omega)/dlam over sampled points, and the normalized
     orbit average |<xi>|.  Generators with analytic gradients evaluate the
-    bracket directly; tables, checked only on their own shell (E, lam), are
-    read at the sample points' orbit times and use their along-orbit
-    derivative (the bracket against the invariant only sees the tangential
-    part of the gradient).
+    bracket directly; tables, checked only on their own system and shell
+    (E, lam), are read at the sample points' orbit times and use their
+    along-orbit derivative (the bracket against the invariant only sees the
+    tangential part of the gradient).
     """
     if n_points < 100:
         raise DomainError(f"need at least 100 points per shell, got {n_points}")
     lam = system.check_param(lam)
     is_table = isinstance(generator, ShellGeneratorTable)
+    if is_table and generator.system != system:
+        raise DomainError(f"table was built for {generator.system}; cannot verify {system}")
     if is_table and not math.isclose(lam, generator.lam, rel_tol=1e-9):
         raise DomainError(f"table was built at lam={generator.lam}; cannot verify lam={lam}")
     times = _orbit_fractions(n_points) * generator.period if is_table else None

@@ -669,14 +669,13 @@ def propagate_basis(
     is unitary, and the error is second order in dt.  Both arms record every
     record_every steps and at the end.
     """
+    n_levels = _check_index("n_levels", n_levels, 1, math.inf)
     c0 = np.asarray(c0, dtype=complex)
     if c0.ndim != 1 or c0.size != n_levels:
         raise DomainError(f"c0 must hold {n_levels} coefficients, got shape {c0.shape}")
     if not abs(float(np.sum(np.abs(c0) ** 2)) - 1.0) <= 1e-10:
         raise DomainError("initial coefficients are not normalized")
     n_steps, step = _uniform_steps(schedule.duration, dt, record_every)
-    if n_levels < 1:
-        raise DomainError("need at least one level")
 
     recorded = {i for i in range(1, n_steps + 1) if i % record_every == 0 or i == n_steps}
     rec_steps = np.array([0, *sorted(recorded)])

@@ -7,17 +7,20 @@ root finding alone, sharing no code with the engines.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+import cdrive.classical as classical
 from cdrive.classical import (
     UniformGasSampler,
     _draw_initial_conditions,
+    _integrate,
     collide,
     dissipation,
     evolve_bare,
@@ -701,14 +704,15 @@ def test_negative_seed_is_domain_error():
 @pytest.mark.parametrize("kw", [
     dict(dt=0.0), dict(dt=-1e-3), dict(dt=math.nan), dict(dt=math.inf),
     dict(snapshot_times=[0.0, math.nan]), dict(snapshot_times=[math.inf]),
-    dict(snapshot_times=[-0.01]), dict(snapshot_times=[0.06]),
-], ids=["dt0", "dt_neg", "dt_nan", "dt_inf", "snap_nan", "snap_inf", "snap_neg", "snap_late"])
+    dict(snapshot_times=[-0.01]), dict(snapshot_times=[0.06]), dict(n_particles=2.5),
+], ids=["dt0", "dt_neg", "dt_nan", "dt_inf", "snap_nan", "snap_inf", "snap_neg", "snap_late",
+        "n_fractional"])
 def test_ensemble_rejects_bad_step_and_snapshots(system, sampler, driven, kw):
     sched = linear_ramp(1.0, 2.0, 0.05)
     gen = (box_generator() if system is BOX else power_law_generator(2)) if driven else None
-    kw = {"snapshot_times": [0.0, 0.05], **kw}
+    kw = {"n_particles": 10, "snapshot_times": [0.0, 0.05], **kw}
     with pytest.raises(DomainError):
-        evolve_ensemble(system, gen, sched, sampler, 10, 1, **kw)
+        evolve_ensemble(system, gen, sched, sampler, seed=1, **kw)
 
 
 def test_uniform_gas_needs_box():
@@ -722,6 +726,185 @@ def test_sampler_validation():
         uniform_gas_sampler(1.0, law="levy")
     with pytest.raises(DomainError):
         uniform_gas_sampler(-1.0)
+
+
+# ---------------------------------------------------------------------------
+# smooth wells: the batched RK4 driver against the scalar driver and the
+# per-particle ensemble loop it replaced
+
+
+def _reference_integrate(system, generator, schedule, z0, dt, tol, fixed_step, record_every):
+    """The scalar step-halving RK4 driver: one particle, recorded every
+    record_every accepted steps and at T."""
+    m, value, rate, force = system.mass, schedule.value, schedule.rate, system.grad_q
+    if generator is None:
+        def rhs(t, y):
+            return np.array([y[1] / m, -force(y[0], value(t))])
+    else:
+        def rhs(t, y):
+            lam = value(t)
+            r = rate(t)
+            gq, gp = generator.evaluate_grad_z((y[0], y[1]), lam)
+            return np.array([y[1] / m + r * gp, -force(y[0], lam) - r * gq])
+
+    def rk4(t, y, h):
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    T = schedule.duration
+    q0, p0 = float(z0[0]), float(z0[1])
+    ts, qs, ps = [0.0], [q0], [p0]
+    y = np.array([q0, p0])
+    t = 0.0
+    h = min(dt, T)
+    steps_since_record = 0
+    while t < T:
+        if T - t <= 1e-14 * T:
+            break
+        h = min(h, T - t)
+        if fixed_step:
+            y_new, h_next = rk4(t, y, h), h
+        else:
+            y_full = rk4(t, y, h)
+            y_new = rk4(t + 0.5 * h, rk4(t, y, 0.5 * h), 0.5 * h)
+            err = np.max(np.abs(y_new - y_full)) / 15.0
+            ratio = err / (tol * (1.0 + float(np.max(np.abs(y)))))
+            factor = 0.9 * ratio ** -0.2 if ratio > 0 else 4.0
+            h_next = h * min(4.0, max(0.2, factor))
+            if ratio > 1.0:
+                h = h_next
+                continue
+        t, y = t + h, y_new
+        if T - t < 1e-14 * T:
+            t = T
+        h = h_next
+        steps_since_record += 1
+        if steps_since_record >= record_every or t >= T:
+            ts.append(t), qs.append(float(y[0])), ps.append(float(y[1]))
+            steps_since_record = 0
+    if ts[-1] < t:
+        ts.append(t), qs.append(float(y[0])), ps.append(float(y[1]))
+    return np.array(ts), np.array(qs), np.array(ps)
+
+
+def _reference_evolve_ensemble(system, generator, schedule, sampler, n_particles, seed,
+                               snapshot_times, tol=1e-10):
+    """The per-particle smooth-well ensemble loop: every particle restarts the
+    scalar driver from dt = T/1000 on each snapshot interval, through a
+    schedule re-based to start at 0.  Returns (snapshots, n) q and p arrays."""
+    T = schedule.duration
+    times = sorted({float(t) for t in snapshot_times} | {0.0, T})
+    qs, ps = _draw_initial_conditions(system, sampler, schedule.value(0.0), n_particles, seed)
+    q_rows, p_rows = [qs], [ps]
+    for t_a, t_b in zip(times[:-1], times[1:]):
+        seg = Schedule(t_b - t_a, lambda t, o=t_a: schedule.value(np.asarray(t) + o),
+                       lambda t, o=t_a: schedule.rate(np.asarray(t) + o))
+        ends = [_reference_integrate(system, generator, seg, (q, p), T / 1000, tol, False, 10**9)
+                for q, p in zip(q_rows[-1], p_rows[-1])]
+        q_rows.append(np.array([e[1][-1] for e in ends]))
+        p_rows.append(np.array([e[2][-1] for e in ends]))
+    return np.array(q_rows), np.array(p_rows)
+
+
+_WELL = generic_1d(
+    lambda q, lam: (q / lam) ** 4 + 0.5 * (q / lam) ** 2,
+    dV_dq=lambda q, lam: 4 * q**3 / lam**4 + q / lam**2,
+    dV_dlam=lambda q, lam: -4 * q**4 / lam**5 - q**2 / lam**3,
+)
+# name -> (system, generator or None for the bare arm, schedule)
+_SMOOTH_RUNS = {
+    **{f"b{b}-{arm}": (power_law(b), gen, smoothstep_ramp(1.0, 1.6, 0.4))
+       for b in (2, 4, 6)
+       for arm, gen in (("analytic", power_law_generator(b)),
+                        ("numeric", NumericShellGenerator(power_law(b))), ("bare", None))},
+    # generic gradients cost milliseconds each: a short compression
+    "generic-numeric": (_WELL, NumericShellGenerator(_WELL), smoothstep_ramp(1.2, 1.0, 0.15)),
+    "generic-bare": (_WELL, None, smoothstep_ramp(1.2, 1.0, 0.15)),
+}
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("fixed_step", [False, True], ids=["adaptive", "fixed"])
+@pytest.mark.parametrize("run", sorted(_SMOOTH_RUNS))
+def test_smooth_trajectory_equals_scalar_driver(run, fixed_step, record_every):
+    system, gen, sched = _SMOOTH_RUNS[run]
+    kw = dict(dt=sched.duration / 12, tol=1e-8, fixed_step=fixed_step, record_every=record_every)
+    z0 = (0.3, 0.8)
+    rec = (evolve_cd(system, gen, sched, z0, **kw) if gen is not None
+           else evolve_bare(system, sched, z0, **kw))
+    ts, qs, ps = _reference_integrate(system, gen, sched, z0, **kw)
+    for got, want in ((rec.times, ts), (rec.qs, qs), (rec.ps, ps)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("driven", [True, False])
+@pytest.mark.parametrize("b", [2, 4, 6])
+def test_one_particle_ensemble_ends_on_the_trajectory(b, driven):
+    system, sched = power_law(b), smoothstep_ramp(1.0, 1.5, 0.6)
+    gen = power_law_generator(b) if driven else None
+    rec = evolve_ensemble(system, gen, sched, shell_sampler(1.0), 1, 9, [0.0, sched.duration])
+    z0, dt = (rec.positions[0][0], rec.momenta[0][0]), sched.duration / 1000
+    traj = evolve_cd(system, gen, sched, z0, dt) if driven else evolve_bare(system, sched, z0, dt)
+    assert (rec.positions[-1][0], rec.momenta[-1][0]) == traj.final_state
+
+
+@pytest.mark.parametrize("lams", [(1.0, 2.0), (2.0, 1.0)], ids=["expand", "compress"])
+@pytest.mark.parametrize("driven", [True, False])
+@pytest.mark.parametrize("b", [2, 4, 6])
+def test_smooth_ensemble_as_accurate_as_per_particle_loop(b, driven, lams):
+    # the shared step is the smallest any particle asks for, so the batch is
+    # no farther from a tight run than the per-particle loop, up to the
+    # scatter of tolerance-level errors
+    system, sched = power_law(b), smoothstep_ramp(*lams, 1.0)
+    gen = power_law_generator(b) if driven else None
+    args = (system, gen, sched, shell_sampler(1.0), 12, 3, [0.0, 0.3, 0.7, 1.0])
+    tight = evolve_ensemble(*args, tol=1e-13)
+    batch = evolve_ensemble(*args)
+    ref_q, ref_p = _reference_evolve_ensemble(*args)
+
+    def distance(qs, ps):
+        return max(np.max(np.abs(np.array(qs) - np.array(tight.positions))),
+                   np.max(np.abs(np.array(ps) - np.array(tight.momenta))))
+
+    assert distance(batch.positions, batch.momenta) <= 2.0 * distance(ref_q, ref_p)
+
+
+@given(n=st.integers(1, 6), snaps=st.lists(st.floats(0.0, 0.2), max_size=5))
+@example(n=3, snaps=[5e-324, 0.1, math.nextafter(0.1, 1.0)])
+def test_smooth_ensemble_is_one_integrate_call(n, snaps):
+    sched = smoothstep_ramp(1.0, 1.5, 0.2)
+    with mock.patch.object(classical, "_integrate", wraps=_integrate) as spy:
+        rec = evolve_ensemble(QUARTIC, power_law_generator(4), sched, shell_sampler(1.0), n, 1,
+                              snaps, tol=1e-6)
+    assert spy.call_count == 1
+    assert list(rec.snapshot_times) == sorted(set(snaps) | {0.0, 0.2})
+    assert all(q.shape == p.shape == (n,) for q, p in zip(rec.positions, rec.momenta))
+    # a snapshot no step can reach from the one before it repeats that row
+    for k in np.flatnonzero(np.diff(rec.snapshot_times) <= 1e-14 * 0.2):
+        assert np.array_equal(rec.positions[k + 1], rec.positions[k])
+
+
+@given(b=st.sampled_from([2, 4, 6]), driven=st.booleans(), expand=st.booleans(),
+       E_far=st.floats(20.0, 300.0), phase=st.floats(0.0, 1.0))
+def test_far_particle_meets_tol_inside_a_batch(b, driven, expand, E_far, phase):
+    """A particle far above the common shell E = 1 keeps its own error
+    control: its final error stays inside the budget of tol (1 + max|y|)
+    per accepted step that the controller grants each particle."""
+    system, gen = power_law(b), power_law_generator(b) if driven else None
+    sched = smoothstep_ramp(*((1.0, 1.5) if expand else (1.5, 1.0)), 0.3)
+    T, tol = sched.duration, 1e-10
+    qs, ps = orbit_states(system, 1.0, sched.initial, [0.1, 0.35, 0.6, 0.85])
+    q_far, p_far = orbit_states(system, E_far, sched.initial, [phase])
+    ts, q_rows, p_rows = _integrate(system, gen, sched, (np.append(qs, q_far), np.append(ps, p_far)),
+                                    [T], T / 1000, tol, False, 1)
+    _, q_ref, p_ref = _reference_integrate(system, gen, sched, (q_far[0], p_far[0]), T / 1000,
+                                           1e-13, False, 10**9)
+    error = max(abs(q_rows[-1, -1] - q_ref[-1]), abs(p_rows[-1, -1] - p_ref[-1]))
+    y_max = max(np.max(np.abs(q_rows[:, -1])), np.max(np.abs(p_rows[:, -1])))
+    assert error <= (len(ts) - 1) * tol * (1.0 + y_max)
 
 
 # ---------------------------------------------------------------------------

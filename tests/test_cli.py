@@ -375,7 +375,7 @@ def test_compare_box_gas_ks_gap(tmp_path):
 
 
 def test_compare_csvs_identical_across_thread_counts(tmp_path, monkeypatch):
-    p = write_config(tmp_path, "c.json", {
+    box_gas = {
         "kind": "classical_ensemble",
         "system": {"kind": "box"},
         "schedule": {"shape": "linear", "lam_start": 1.0, "lam_end": 2.0,
@@ -384,16 +384,28 @@ def test_compare_csvs_identical_across_thread_counts(tmp_path, monkeypatch):
         "numerics": {"n_particles": 200},
         "snapshots": [0.0, 0.025, 0.05],
         "seed": 23,
-    })
-    csvs = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("CDRIVE_THREADS", threads)
-        out = tmp_path / f"out{threads}"
-        assert main(["compare", p, "--out", str(out)]) == 0
-        csvs[threads] = {f.relative_to(out): f.read_bytes()
-                         for f in sorted(out.glob("*/ensemble_*.csv"))}
-    assert len(csvs["1"]) == 6
-    assert csvs["1"] == csvs["2"]
+    }
+    well_shell = {
+        "kind": "classical_ensemble",
+        "system": {"kind": "power_law", "b": 4},
+        "schedule": {"shape": "smoothstep", "lam_start": 1.0, "lam_end": 2.0,
+                     "duration": 1.0},
+        "initial": {"energy": 1.0},
+        "numerics": {"n_particles": 30},
+        "snapshots": [0.0, 0.4, 1.0],
+        "seed": 23,
+    }
+    for name, cfg in (("box_gas", box_gas), ("well_shell", well_shell)):
+        p = write_config(tmp_path, f"{name}.json", cfg)
+        csvs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CDRIVE_THREADS", threads)
+            out = tmp_path / f"{name}{threads}"
+            assert main(["compare", p, "--out", str(out)]) == 0
+            csvs[threads] = {f.relative_to(out): f.read_bytes()
+                             for f in sorted(out.glob("*/ensemble_*.csv"))}
+        assert len(csvs["1"]) == 6, name
+        assert csvs["1"] == csvs["2"], name
 
 
 def test_generator_check_numeric(tmp_path):

@@ -243,6 +243,12 @@ def test_verify_rejects_table_built_at_another_lam():
         verify_generator(SHO, table, 1.3, [1.0])
 
 
+def test_verify_rejects_table_built_for_another_system():
+    table = build_xi_numeric(power_law(2), 1.0, 1.0)
+    with pytest.raises(DomainError, match=r"built for .*b=2.*cannot verify .*b=4"):
+        verify_generator(power_law(4), table, 1.0, [1.0])
+
+
 @pytest.mark.parametrize("factor", [1.01, -1.0])
 def test_corrupted_table_is_detected(factor):
     # criterion 4's control for tables: a 1% rescaled or sign-flipped

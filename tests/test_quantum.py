@@ -614,6 +614,17 @@ def test_propagate_basis_rejects_bad_stepping(bad, message, with_cd):
                         **{"dt": 1e-3, **bad})
 
 
+@pytest.mark.parametrize("with_cd", [True, False])
+@pytest.mark.parametrize("n_levels", [2.0, 0])
+def test_propagate_basis_rejects_bad_level_count(n_levels, with_cd):
+    # checked before c0: a vector of n_levels entries does not get past it
+    c0 = np.zeros(int(n_levels), dtype=complex)
+    c0[:1] = 1.0
+    with pytest.raises(DomainError, match=r"n_levels must be an integer in \[1, inf\]"):
+        propagate_basis(linear_ramp(1.0, 2.0, 0.1), c0, n_levels=n_levels, dt=1e-3,
+                        with_cd=with_cd)
+
+
 _BAD_LEVELS = [
     pytest.param({"track_level": -1}, r"track_level .* in \[0, 127\]", id="track-negative"),
     pytest.param({"track_level": 500}, r"track_level .* in \[0, 127\]", id="track-past-grid"),
