@@ -40,10 +40,14 @@ def _load_schema(name: str) -> dict:
 
 
 def _compiled(schema: dict):
-    """The schema's validator, checked against its metaschema once."""
+    """The schema's validator, checked against its metaschema once.  Its
+    "integer" is an int and not a bool, so an integral float such as 128.0,
+    which jsonschema would accept, cannot reach an engine as a count."""
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
-    return cls(schema)
+    integer = cls.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool))
+    return jsonschema.validators.extend(cls, type_checker=integer)(schema)
 
 
 def _validate(validator, instance) -> None:

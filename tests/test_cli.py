@@ -157,6 +157,27 @@ def test_config_error_message_is_unchanged():
         "('bogus' was unexpected)")
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("numerics", "n_points", 128.0),
+    ("numerics", "record_every", 5.0),
+    ("system", "b", 4.0),
+])
+def test_integral_float_count_is_config_error(tmp_path, capsys, section, key, value):
+    # jsonschema alone counts 128.0 as an integer; the config layer does not
+    cfg = {
+        "kind": "quantum_grid",
+        "system": {"kind": "power_law", "b": 4},
+        "schedule": {"shape": "smoothstep", "lam_start": 1.0, "lam_end": 2.0,
+                     "duration": 0.1},
+        "numerics": {"n_points": 128, "dt": 1e-2},
+    }
+    cfg[section][key] = value
+    p = write_config(tmp_path, "c.json", cfg)
+    assert main(["run", p, "--out", str(tmp_path / "out")]) == 2
+    assert (f"invalid config at {section}/{key}: {value} is not of type 'integer'"
+            in capsys.readouterr().err)
+
+
 def test_report_validation_matches_schema_validation(tmp_path):
     out = tmp_path / "out"
     assert main(["run", write_config(tmp_path, "c.json", box_expansion()),

@@ -570,6 +570,21 @@ def test_propagate_grid_matches_per_step_loop_at_block_edges(n_steps, record_eve
     _assert_matches_reference(well, sched, psi0, T / n_steps, False, record_every=record_every)
 
 
+@pytest.mark.parametrize("n", [2, 3, 64, 512])
+def test_solve_banded_matches_scipy(n):
+    rng = np.random.default_rng(n)
+    ab = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    ab[1] += 6.0  # diagonally dominant
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    want = scipy.linalg.solve_banded((1, 1), ab, b)
+    assert np.array_equal(quantum.solve_banded(ab.copy(), b.copy()), want)
+
+
+def test_solve_banded_singular_is_numerical_error():
+    with pytest.raises(NumericalError, match="LAPACK info 1"):
+        quantum.solve_banded(np.zeros((3, 8), dtype=complex), np.ones(8, dtype=complex))
+
+
 def test_propagate_grid_makes_one_banded_solve_per_step(monkeypatch):
     real = quantum.solve_banded
     calls = []

@@ -3,7 +3,8 @@
 Deleting or renaming one of those names breaks every traced benchmark run,
 and the benchmark's own tests are not part of this suite, so this test loads
 the tracer by path, installs it and checks that uninstalling restores every
-module global, class method and shape registry entry it touched.
+module global, class method and shape registry entry it touched, and that
+its count of Cayley solves still sees every grid step.
 """
 
 import importlib.util
@@ -11,6 +12,7 @@ import sys
 from pathlib import Path
 
 import cdrive.cli  # noqa: F401  (loads every layer)
+import cdrive.quantum as quantum
 import cdrive.schedules as schedules
 import cdrive.systems as systems
 
@@ -73,3 +75,19 @@ def test_tracer_installs_and_uninstalls_cleanly():
         assert not changed, f"{cls.__name__}: {changed} not restored"
     assert schedules.BUILTIN_SHAPES.keys() == shapes_before.keys()
     assert all(schedules.BUILTIN_SHAPES[k] is v for k, v in shapes_before.items())
+
+
+def test_tracer_counts_every_cayley_solve():
+    # a Cayley step that skips quantum.solve_banded would zero this counter
+    system = systems.power_law(4)
+    grid = quantum.well_grid(system, 1.0, 20.0, 64)
+    es = quantum.eigensystem(quantum.discretize_h0(system, 1.0, grid), grid, 1.0, n_levels=1)
+    psi0 = quantum.QuantumState("grid", es.states[:, 0].astype(complex), grid)
+    sched = schedules.smoothstep_ramp(1.0, 1.5, 0.65)
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        quantum.propagate_grid(system, sched, psi0, dt=0.01, record_every=64)
+        assert tracer.counts()["quantum.banded_solves"] == 65
+    finally:
+        tracer.uninstall()
