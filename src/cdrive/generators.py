@@ -15,8 +15,9 @@ point q+, where xi = 0, to the query point:
                                     / sqrt(2m(E - U(q'))) dq',   E = H0(q, p).
 
 This xi is odd in p, so its orbit average vanishes by itself.  The integral
-and the shell average <dU/dlam>_E share the sin^2 quadrature of
-shells._orbit_quadrature, so the full half-orbit integral cancels.  The
+and the shell average <dU/dlam>_E are fixed-node Gauss-Legendre sums on the
+sin^2 angle of shells._orbit_quadrature (the average and the half period as
+two rows on one node set), so the full half-orbit integral cancels.  The
 phase-space gradient splits along the flow X_H = (p/m, -dU/dq) and the unit
 normal n = grad H0 / |grad H0|, which are orthogonal:
 
@@ -43,12 +44,13 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, NumericalError
-from .systems import SystemModel, as_qp
+from .systems import SystemModel, _on_nodes, as_qp
 from .shells import (
+    _orbit_moments,
     _orbit_quadrature,
+    _potential_floor,
     d_volume_dE,
     d_volume_dlam,
-    microcanonical_average,
     orbit_period,
     orbit_states,
     shell_average_grad_lambda,
@@ -215,9 +217,8 @@ def build_xi_numeric(
         raise NumericalError(
             f"generator profile failed to close: residual {closure:.3e} of scale"
         )
-    if abs(qs[-1] - qp) > 1e-8 * max(abs(qp - qm), 1.0) or abs(ps[-1]) > 1e-8 * math.sqrt(
-        2 * m * E
-    ):
+    p_scale = math.sqrt(2 * m * (E - _potential_floor(system, lam)[1]))
+    if abs(qs[-1] - qp) > 1e-8 * max(abs(qp - qm), 1.0) or abs(ps[-1]) > 1e-8 * p_scale:
         raise NumericalError("orbit failed to return to the starting turning point")
 
     xis = xis - xi_int[-1] / tau
@@ -252,14 +253,9 @@ def _shell_source(system: SystemModel, E: float, lam: float):
     """(q-, q+, <dH0/dlam>_E, scale) of the shell H0 = E on the sin^2
     quadrature; scale bounds the half-orbit integral of the centered source
     dH0/dlam - <dH0/dlam>_E over the orbit time."""
-    if E <= 0:
-        raise DomainError(f"point energy {E} leaves no shell to build on")
-    m = system.mass
     qm, qp = turning_points(system, E, lam)
-    half_tau = _orbit_quadrature(system, E, lam, qm, qp, lambda x, absp: m / absp)
-    g = _orbit_quadrature(
-        system, E, lam, qm, qp, lambda x, absp: system.grad_lambda((x, absp), lam) * m / absp
-    ) / half_tau
+    half_tau, moment = _orbit_moments(system, E, lam, qm, qp)
+    g = moment / half_tau
     ends = (abs(system.grad_lambda((x, 0.0), lam) - g) for x in (qm, qp))
     return qm, qp, g, half_tau * max(abs(g), *ends)
 
@@ -279,7 +275,7 @@ class NumericShellGenerator:
         q, p = as_qp(z)
         system, m = self.system, self.system.mass
         E = system.energy((q, p), lam)
-        if p == 0.0 and E > 0:
+        if p == 0.0 and E > _potential_floor(system, lam)[1]:
             return 0.0
         qm, qp, g, scale = _shell_source(system, E, lam)
         # the half-orbit integral vanishes, so [q, q+] is minus [q-, q]: take
@@ -298,7 +294,7 @@ class NumericShellGenerator:
         right = theta <= 0.25 * math.pi
         part = _orbit_quadrature(
             system, E, lam, qm, qp,
-            lambda x, absp: (system.grad_lambda((x, absp), lam) - g) * m / absp,
+            lambda x, absp: (_on_nodes(system, x, lam, d_lam=True) - g) * m / absp,
             theta=(theta, 0.5 * math.pi) if right else (0.0, theta), epsabs=1e-12 * scale,
         )
         return (part if right else -part) * (1.0 if p < 0.0 else -1.0)
@@ -356,12 +352,13 @@ def verify_generator(
     """Check the two shell conditions on each listed shell.
 
     Reports, per shell, the worst normalized defect of
-    {xi, omega} = d(omega)/dlam over sampled points, and the normalized
-    orbit average |<xi>|.  Generators with analytic gradients evaluate the
-    bracket directly; tables, checked only on their own system and shell
-    (E, lam), are read at the sample points' orbit times and use their
-    along-orbit derivative (the bracket against the invariant only sees the
-    tangential part of the gradient).
+    {xi, omega} = d(omega)/dlam over points at orbit times (k + 1/2)/n of
+    the period, and the normalized orbit average |<xi>|.  Pointwise
+    generators give the bracket from their gradients and the average as the
+    mean of xi over the points (the midpoint rule on a periodic function).
+    Tables, checked only on their own system and shell (E, lam), are read at
+    the points' orbit times and use their along-orbit derivative (the bracket
+    against the invariant only sees the tangential part of the gradient).
     """
     if n_points < 100:
         raise DomainError(f"need at least 100 points per shell, got {n_points}")
@@ -398,12 +395,7 @@ def verify_generator(
             grad_scales.append(abs(grad_omega_lam))
         scale = max(max(grad_scales), 1e-300)
         bracket_residual = max(bracket_errs) / scale
-        if is_table:
-            avg = generator.time_average()
-        else:
-            avg = microcanonical_average(
-                system, lambda z: generator.evaluate(z, lam), E, lam
-            )
+        avg = generator.time_average() if is_table else float(np.mean(xi_vals))
         xi_scale = max(max(abs(v) for v in xi_vals), 1e-300)
         shells.append(
             {

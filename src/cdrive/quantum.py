@@ -24,7 +24,7 @@ from scipy.linalg.lapack import zgtsv
 
 from .errors import DomainError, NumericalError
 from .schedules import Schedule, clock
-from .systems import SystemModel
+from .systems import SystemModel, _on_nodes
 
 __all__ = [
     "GridSpec",
@@ -198,12 +198,7 @@ class EigenSystem:
 
 
 def _potential_diagonal(system: SystemModel, lam: float, grid: GridSpec) -> np.ndarray:
-    if system.kind == "box":
-        return np.zeros(grid.n_points)
-    if system.kind == "power_law":
-        vs = system.epsilon * (grid.qs / lam) ** system.b
-    else:  # user callables may take scalars only
-        vs = np.array([system.potential_energy(q, lam) for q in grid.qs], dtype=float)
+    vs = _on_nodes(system, grid.qs, lam)
     if not np.all(np.isfinite(vs)):
         raise DomainError("potential is not finite on the grid")
     return vs
@@ -326,9 +321,7 @@ def grad_h0_matrix(
     """
     lam = system.check_param(lam)
     if system.kind != "box":
-        return np.diag(
-            np.array([system.grad_lambda((q, 0.0), lam) for q in grid.qs], dtype=float)
-        )
+        return np.diag(_on_nodes(system, grid.qs, lam, d_lam=True))
     h0 = discretize_h0(system, lam, grid, hbar).matrix.real
     a = _stretch_half_bracket(grid)
     return -(2.0 * h0 + (a @ h0 - h0 @ a)) / lam

@@ -32,10 +32,16 @@ from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq, minimize_scalar
 
 from .errors import DomainError, NumericalError
-from .systems import SystemModel, as_qp
+from .systems import SystemModel, _on_nodes, as_qp
 
 _QUAD_RTOL = 1e-12
 _QUAD_LIMIT = 200
+# 24- and 48-node Gauss-Legendre rules on [-1, 1], stacked so one pass gives both sums
+_GL_X24, _GL_W24 = np.polynomial.legendre.leggauss(24)
+_GL_X48, _GL_W48 = np.polynomial.legendre.leggauss(48)
+_GL_NODES = np.concatenate([_GL_X24, _GL_X48])
+_GL_RTOL = 1e-8
+_BISECT_DEPTH = 8  # 2^8 pieces at most, about quad's subinterval limit
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +89,7 @@ def _potential_floor(system: SystemModel, lam: float) -> tuple[float, float]:
     half = max(lam, 1.0)
     for _ in range(40):
         qs = np.linspace(-half, half, 129)
-        vs = np.array([system.potential_energy(q, lam) for q in qs])
+        vs = _on_nodes(system, qs, lam)
         k = int(np.argmin(vs))
         if 0 < k < len(qs) - 1:
             res = minimize_scalar(
@@ -146,14 +152,14 @@ def _check_unimodal(system, E, lam, q0, qm, qp):
     requested shell fits inside one sub-well.
     """
     qs = np.linspace(qm, qp, 257)
-    vs = np.array([system.potential_energy(q, lam) for q in qs])
+    vs = _on_nodes(system, qs, lam)
     if np.max(vs[1:-1]) > E + 1e-9 * (abs(E) + 1.0):
         raise DomainError("potential exceeds the shell energy between turning points")
 
     width = qp - qm
     lo, hi = qm - width, qp + width
     qs = np.linspace(lo, hi, 513)
-    vs = np.array([system.potential_energy(q, lam) for q in qs], dtype=float)
+    vs = _on_nodes(system, qs, lam)
     vs = np.where(np.isnan(vs), np.inf, vs)
     k = int(np.argmin(vs))
     tol = 1e-12 * (np.nanmax(vs[np.isfinite(vs)]) - vs[k] + 1e-300)
@@ -163,26 +169,51 @@ def _check_unimodal(system, E, lam, q0, qm, qp):
 
 
 def _orbit_quadrature(
-    system, E, lam, qm, qp, integrand_of_q_absp, theta=(0.0, 0.5 * math.pi), epsabs=1e-300
+    system, E, lam, qm, qp, integrand, theta=(0.0, 0.5 * math.pi), epsabs=1e-300
 ):
-    """integral over [q-, q+] of f(q, |p(q)|) dq with the sin^2 substitution;
-    a narrower theta range integrates over part of the orbit."""
-    m = system.mass
-    width = qp - qm
+    """Integral over [q-, q+] of f(q, |p(q)|) dq with the sin^2 substitution
+    q = q- + (q+ - q-) sin^2(theta); a narrower theta range integrates over
+    part of the orbit.  integrand maps the node arrays (q, |p|) to one row of
+    values per integral, so integrals can share nodes.
 
-    def g(theta):
-        s = math.sin(theta)
+    The substitution makes smooth-well integrands analytic in theta, so fixed
+    Gauss-Legendre nodes converge exponentially.  The 48-node sum is returned
+    if it is within max(epsabs, 1e-8 int |f|) of the 24-node sum (int |f|, as
+    a centered integrand cancels), plus the eps (|E| + |V|) / (E - V) rounding
+    of each node.  Else each half of the theta interval is retried, up to
+    _BISECT_DEPTH times before NumericalError."""
+    m, width = system.mass, qp - qm
+
+    def piece(a, b, tol, depth):
+        half = 0.5 * (b - a)
+        th = a + half * (_GL_NODES + 1.0)
+        s = np.sin(th)
         q = qm + width * s * s
-        ke = E - system.potential_energy(q, lam)
-        if ke <= 0.0:
-            return 0.0
-        absp = math.sqrt(2.0 * m * ke)
-        return integrand_of_q_absp(q, absp) * width * math.sin(2.0 * theta)
+        vs = _on_nodes(system, q, lam)
+        ke = E - vs
+        inside = ~(ke <= 0.0)  # NaN stays in, to fail the finiteness check
+        absp = np.sqrt(2.0 * m * np.where(inside, ke, 1.0))
+        f = np.where(inside, integrand(q, absp), 0.0) * (width * half * np.sin(2.0 * th))
+        low, high = f[..., :24] @ _GL_W24, f[..., 24:] @ _GL_W48
+        if not np.all(np.isfinite(high)):
+            raise NumericalError(f"orbit quadrature failed (value {high})")
+        size = np.abs(f[..., 24:])
+        blur = np.finfo(float).eps * (abs(E) + np.abs(vs)) / np.where(inside, ke, np.inf)
+        bound = np.maximum(tol, _GL_RTOL * (size @ _GL_W48)) + (size * blur[24:]) @ _GL_W48
+        if np.all(np.abs(high - low) <= bound):
+            return high
+        if depth == _BISECT_DEPTH:
+            raise NumericalError(f"orbit quadrature did not converge on theta in [{a}, {b}]")
+        return piece(a, a + half, 0.5 * tol, depth + 1) + piece(a + half, b, 0.5 * tol, depth + 1)
 
-    val, err = quad(g, *theta, epsabs=epsabs, epsrel=_QUAD_RTOL, limit=_QUAD_LIMIT)
-    if not math.isfinite(val):
-        raise NumericalError(f"orbit quadrature failed (value {val}, error {err})")
-    return val
+    return piece(*theta, epsabs, 0)
+
+
+def _orbit_moments(system, E, lam, qm, qp):
+    """(tau/2, int dU/dlam m/|p| dq) over [q-, q+], two rows on shared nodes."""
+    m = system.mass
+    return _orbit_quadrature(system, E, lam, qm, qp, lambda x, absp: m / absp * np.stack(
+        [np.ones_like(x), _on_nodes(system, x, lam, d_lam=True)]))
 
 
 def _volume_quadrature(system: SystemModel, E: float, lam: float) -> float:
@@ -358,10 +389,8 @@ def microcanonical_average(
     tau = orbit_period(system, E, lam)
     qm, qp = turning_points(system, E, lam)
     if method == "quadrature":
-        total = _orbit_quadrature(
-            system, E, lam, qm, qp,
-            lambda q, absp: (observable((q, absp)) + observable((q, -absp))) * m / absp,
-        )
+        total = _orbit_quadrature(system, E, lam, qm, qp, lambda xs, ps: m / ps * np.array(
+            [observable((x, p)) + observable((x, -p)) for x, p in zip(xs, ps)]))
         return total / tau
     if method != "orbit":
         raise DomainError(f"unknown method {method!r}")
@@ -377,8 +406,8 @@ def microcanonical_average(
     if not sol.success:
         raise NumericalError(f"orbit integration failed: {sol.message}")
     qf, pf, acc = sol.y[:, -1]
-    scale = abs(qp - qm)
-    if abs(qf - qp) > 1e-6 * scale or abs(pf) > 1e-6 * math.sqrt(2 * m * max(E, 1e-300)):
+    p_scale = math.sqrt(2 * m * (E - _potential_floor(system, lam)[1]))
+    if abs(qf - qp) > 1e-6 * abs(qp - qm) or abs(pf) > 1e-6 * p_scale:
         raise NumericalError(
             f"orbit failed to close after one period: ({qf}, {pf}) vs ({qp}, 0)"
         )
@@ -388,18 +417,19 @@ def microcanonical_average(
 def shell_average_grad_lambda(system: SystemModel, E: float, lam: float) -> float:
     """Shell (single-orbit) average of dH0/dlam.
 
-    Smooth systems take the time average of the pointwise gradient.  For the
-    box the gradient is a wall term invisible to interior sampling; the
-    momentum transfer argument gives the closed form -2E/lam (force on the
-    moving wall times unit displacement), which is what the volume identity
-    reproduces.
+    Smooth systems take the time average of the pointwise gradient, as the
+    ratio of its orbit quadrature to the half period's.  For the box the
+    gradient is a wall term invisible to interior sampling; the momentum
+    transfer argument gives the closed form -2E/lam (force on the moving wall
+    times unit displacement), which is what the volume identity reproduces.
     """
     lam = system.check_param(lam)
     if system.kind == "box":
         if E <= 0:
             raise DomainError(f"shell energy must be positive, got {E}")
         return -2.0 * E / lam
-    return microcanonical_average(system, lambda z: system.grad_lambda(z, lam), E, lam)
+    half_tau, moment = _orbit_moments(system, E, lam, *turning_points(system, E, lam))
+    return moment / half_tau
 
 
 def d_volume_dlam(system: SystemModel, E: float, lam: float, method: str = "auto") -> float:

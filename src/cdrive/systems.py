@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .errors import DomainError
 
 _FD_STEP = 1e-6
@@ -147,6 +149,19 @@ class SystemModel:
             return float(self.dV_dlam(q, lam))
         h = _FD_STEP * max(1.0, abs(lam))
         return (self.potential(q, lam + h) - self.potential(q, lam - h)) / (2 * h)
+
+
+def _on_nodes(system: SystemModel, qs: np.ndarray, lam: float, d_lam: bool = False) -> np.ndarray:
+    """V, or dV/dlam with d_lam, on the array qs: one array expression for the power law, one
+    scalar call per node for generic wells (user callables may take scalars only), 0 in the box."""
+    if system.kind == "box":
+        return np.zeros(len(qs))
+    if system.kind == "power_law":
+        scale = -system.b / lam * system.epsilon if d_lam else system.epsilon
+        return scale * (qs / lam) ** system.b
+    if d_lam:
+        return np.array([system.grad_lambda((q, 0.0), lam) for q in qs], dtype=float)
+    return np.array([system.potential_energy(q, lam) for q in qs], dtype=float)
 
 
 def box(mass: float = 1.0) -> SystemModel:

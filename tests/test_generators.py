@@ -15,6 +15,8 @@ from cdrive.errors import DomainError
 from cdrive.generators import (
     AnalyticGenerator,
     NumericShellGenerator,
+    _shell_sample_points,
+    _shell_source,
     analytic_generator_for,
     box_generator,
     build_xi_numeric,
@@ -263,6 +265,42 @@ def test_verify_requires_enough_points():
         verify_generator(BOX, box_generator(), 1.0, [1.0], n_points=50)
 
 
+def _shifted(base, extra):
+    """base generator with extra(z) added to its value; gradient unchanged."""
+    return AnalyticGenerator(lambda z, lam: base.evaluate(z, lam) + extra(z), base.grad_fn,
+                             name="shifted")
+
+
+@pytest.mark.parametrize("system", [BOX, QUARTIC], ids=["box", "power_law4"])
+def test_verify_average_catches_a_constant_gauge_error(system):
+    # the orbit average is the mean over the uniform-time samples, so a
+    # constant c reads back as |c| over the largest sampled |xi + c|
+    c = 0.25
+    gen = _shifted(analytic_generator_for(system), lambda z: c)
+    for E in (0.5, 2.0):
+        report = verify_generator(system, gen, 1.0, [E])
+        pts = _shell_sample_points(system, E, 1.0, 128)
+        xi_max = max(abs(gen.evaluate(z, 1.0)) for z in pts)
+        assert report.average_residual == pytest.approx(c / xi_max, abs=1e-12), f"E={E}"
+
+
+@pytest.mark.parametrize("b", [2, 4, 6])
+def test_verify_sample_mean_matches_the_orbit_average(b):
+    # midpoint rule in orbit time on a smooth periodic xi(t) against the
+    # integrated orbit average; both routes run DOP853 at rtol 1e-12, which
+    # bounds the agreement for a varying term like q^2 near 1e-11
+    system = power_law(b)
+    base = power_law_generator(b)
+    for extra, rel in ((lambda z: 0.25, 1e-12), (lambda z: z[0] ** 2, 1e-11)):
+        gen = _shifted(base, extra)
+        for E in (0.5, 1.0, 2.0):
+            report = verify_generator(system, gen, 1.0, [E])
+            pts = _shell_sample_points(system, E, 1.0, 128)
+            mean = report.average_residual * max(abs(gen.evaluate(z, 1.0)) for z in pts)
+            avg = microcanonical_average(system, lambda z: gen.evaluate(z, 1.0), E, 1.0)
+            assert mean == pytest.approx(avg, rel=rel), f"b={b} E={E}"
+
+
 # ---------------------------------------------------------------------------
 # parametric map
 
@@ -386,6 +424,27 @@ def test_numeric_generator_at_turning_point_to_the_last_bit():
                 assert abs(gen.evaluate((q, p), lam) - ref) < 1e-9, f"b={b} at ({q}, {p})"
 
 
+def test_numeric_generator_error_on_the_shell_scale():
+    # fixed-node sums keep the quad-level accuracy: within 2e-12 of the
+    # shell's source scale (the bound on its half-orbit integral) everywhere
+    # on the orbit, at the turning points and 1e-10 of the width inside them
+    gen = NumericShellGenerator(QUARTIC)
+    worst = 0.0
+    for lam in (1.0, 1.3, 2.0):
+        for E in (0.3, 1.0, 3.0):
+            qm, qp = turning_points(QUARTIC, E, lam)
+            scale = _shell_source(QUARTIC, E, lam)[3]
+            pts = [(qm, 1.5e-8), (qp, -1.5e-8), (qm, 0.0), (qp, 0.0)]
+            for f in (1e-10, 1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9):
+                for q in (qm + f * (qp - qm), qp - f * (qp - qm)):
+                    absp = math.sqrt(2.0 * (E - QUARTIC.potential_energy(q, lam)))
+                    pts += [(q, absp), (q, -absp)]
+            for q, p in pts:
+                ref = xi_power_law((q, p), lam, 4)
+                worst = max(worst, abs(gen.evaluate((q, p), lam) - ref) / scale)
+    assert worst < 2e-12
+
+
 def test_numeric_generator_gradients():
     for b in (2, 4, 6):
         system = power_law(b)
@@ -414,3 +473,57 @@ def test_numeric_generator_matches_orbit_table_on_generic_well():
 def test_numeric_generator_rejects_box():
     with pytest.raises(DomainError):
         NumericShellGenerator(BOX)
+
+
+def _quartic_plus_quadratic():
+    return generic_1d(
+        lambda q, lam: (q / lam) ** 4 + 0.3 * q * q,
+        dV_dq=lambda q, lam: 4 * q**3 / lam**4 + 0.6 * q,
+        dV_dlam=lambda q, lam: -4 * q**4 / lam**5,
+    )
+
+
+def test_numeric_generator_runs_without_quad(monkeypatch):
+    # the smooth-well orbit integrals are fixed-node sums: quad is never called
+    def refuse(*args, **kwargs):
+        raise AssertionError("quad called on the smooth-well orbit path")
+
+    monkeypatch.setattr(shells, "quad", refuse)
+    for system in (QUARTIC, _quartic_plus_quadratic()):
+        gen = NumericShellGenerator(system)
+        for q, p in ((0.3, 0.8), (-0.5, 0.2), (0.1, -1.1)):
+            assert all(map(math.isfinite, gen.evaluate_grad_z((q, p), 1.2)))
+
+
+def _sunken_quartic(depth):
+    # q^4 / lam^4 - depth: the floor sits at -depth, below zero for depth > 0
+    return generic_1d(
+        lambda q, lam: (q / lam) ** 4 - depth,
+        dV_dq=lambda q, lam: 4 * q**3 / lam**4,
+        dV_dlam=lambda q, lam: -4 * q**4 / lam**5,
+    )
+
+
+def test_well_with_floor_below_zero_matches_the_raised_well():
+    # V = q^4 - 1 at energy E is V = q^4 at E + 1: every shell quantity built
+    # from the kinetic energy E - V must agree
+    low, high = _sunken_quartic(1.0), _sunken_quartic(0.0)
+    gen_low, gen_high = NumericShellGenerator(low), NumericShellGenerator(high)
+    for q, p in ((0.3, 0.5), (-0.7, 0.1), (0.9, -0.4), (0.0, 1e-3)):
+        for lam in (1.0, 1.3):
+            assert low.energy((q, p), lam) < 0.0
+            assert gen_low.evaluate((q, p), lam) == pytest.approx(
+                gen_high.evaluate((q, p), lam), abs=1e-12)
+            if q == 0.0:
+                # a shell 5e-7 above a floor at -1 keeps 9 digits of E - V,
+                # too few for the central difference across it
+                continue
+            diff = np.subtract(gen_low.evaluate_grad_z((q, p), lam),
+                               gen_high.evaluate_grad_z((q, p), lam))
+            assert np.max(np.abs(diff)) < 1e-8, f"lam={lam} at ({q}, {p})"
+    for E in (-0.5, 0.5):
+        assert shells.shell_average_grad_lambda(low, E, 1.2) == pytest.approx(
+            shells.shell_average_grad_lambda(high, E + 1.0, 1.2), rel=1e-12)
+        table_low = build_xi_numeric(low, E, 1.2, n_samples=128)
+        table_high = build_xi_numeric(high, E + 1.0, 1.2, n_samples=128)
+        assert np.max(np.abs(table_low.xis - table_high.xis)) < 1e-10

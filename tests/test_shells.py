@@ -6,9 +6,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+import cdrive.shells as shells
 from cdrive import (
     DomainError,
+    NumericalError,
     adiabatic_invariant,
     box,
     energy_shell,
@@ -329,3 +332,54 @@ def test_soft_wall_limit_approaches_box():
     steep = power_law(b=30)
     om = phase_volume(steep, E=1.0, lam=0.5)
     assert om == pytest.approx(2.0 * math.sqrt(2.0) * 1.0, rel=0.1)
+
+
+# ---------------------------------------------------------------------------
+# fixed-node orbit quadrature
+
+
+@pytest.mark.parametrize("b", [2, 4, 6])
+def test_orbit_quadrature_matches_power_law_closed_forms(b):
+    system = power_law(b)
+    mu = b / (b + 2.0)
+    for E in (0.1, 1.0, 10.0):
+        for lam in (0.5, 1.0, 2.0):
+            where = f"b={b} E={E} lam={lam}"
+            volume = phase_volume(system, E, lam, method="quadrature")
+            assert volume == pytest.approx(phase_volume(system, E, lam), rel=1e-12), where
+            period = orbit_period(system, E, lam, method="quadrature")
+            assert period == pytest.approx(orbit_period(system, E, lam), rel=1e-12), where
+            average = shell_average_grad_lambda(system, E, lam)
+            assert average == pytest.approx(-2.0 * mu * E / lam, rel=1e-12), where
+
+
+def _ramp_well(delta):
+    # q^2/2 plus a unit-slope ramp switched on over a width delta around
+    # q = 1/2: convex, so unimodal, and nearly kinked for small delta
+    return generic_1d(
+        lambda q, lam: 0.5 * (q / lam) ** 2 + 0.5 * (math.hypot(q - 0.5, delta) + q - 0.5),
+        dV_dlam=lambda q, lam: -q * q / lam**3,
+    )
+
+
+def _volume_oracle(system, E, lam, corner):
+    # adaptive quadrature in q with the ramp's corner as a breakpoint
+    qm, qp = turning_points(system, E, lam)
+    width = quad(lambda q: math.sqrt(2.0 * max(E - system.potential_energy(q, lam), 0.0)),
+                 qm, qp, points=[corner], limit=500, epsabs=0.0, epsrel=1e-13)[0]
+    return 2.0 * width
+
+
+def test_orbit_quadrature_bisects_a_feature_the_fixed_rule_misses(monkeypatch):
+    well = _ramp_well(0.02)
+    with monkeypatch.context() as patch:
+        patch.setattr(shells, "_BISECT_DEPTH", 0)
+        with pytest.raises(NumericalError):
+            phase_volume(well, 2.0, 1.0)
+    assert phase_volume(well, 2.0, 1.0) == pytest.approx(
+        _volume_oracle(well, 2.0, 1.0, 0.5), rel=1e-12)
+
+
+def test_orbit_quadrature_raises_past_the_bisection_depth():
+    with pytest.raises(NumericalError, match="did not converge"):
+        phase_volume(_ramp_well(1e-7), 2.0, 1.0)

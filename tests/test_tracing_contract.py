@@ -4,7 +4,8 @@ Deleting or renaming one of those names breaks every traced benchmark run,
 and the benchmark's own tests are not part of this suite, so this test loads
 the tracer by path, installs it and checks that uninstalling restores every
 module global, class method and shape registry entry it touched, and that
-its count of Cayley solves still sees every grid step.
+its counts of Cayley solves and numeric-generator gradients still see every
+grid step and every gradient.
 """
 
 import importlib.util
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 import cdrive.cli  # noqa: F401  (loads every layer)
+import cdrive.generators as generators
 import cdrive.quantum as quantum
 import cdrive.schedules as schedules
 import cdrive.systems as systems
@@ -89,5 +91,19 @@ def test_tracer_counts_every_cayley_solve():
     try:
         quantum.propagate_grid(system, sched, psi0, dt=0.01, record_every=64)
         assert tracer.counts()["quantum.banded_solves"] == 65
+    finally:
+        tracer.uninstall()
+
+
+def test_tracer_counts_every_numeric_gradient():
+    # the benchmark's generators.grad_evals counts spans on this method; a
+    # refactor that bypasses NumericShellGenerator.evaluate_grad_z zeros it
+    gen = generators.NumericShellGenerator(systems.power_law(4))
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        for k in range(10):
+            gen.evaluate_grad_z((0.1 * k - 0.4, 0.7), 1.2)
+        assert tracer.counts()["generators.grad_evals"] == 10
     finally:
         tracer.uninstall()
