@@ -33,7 +33,6 @@ from .errors import ConfigError, DomainError, NumericalError
 from .generators import (
     NumericShellGenerator,
     analytic_generator_for,
-    build_xi_numeric,
     verify_generator,
 )
 from .quantum import (
@@ -71,9 +70,8 @@ def _worker_count(n_jobs: int) -> int:
 # the resolved numerics name the integrator that ran
 
 
-def _classical_generator(cfg: ExperimentConfig):
-    if not cfg.cd_enabled:
-        return None
+def _generator(cfg: ExperimentConfig):
+    """The generator the config's `generator` choice names, in every kind."""
     if cfg.generator == "numeric":
         return NumericShellGenerator(cfg.system)
     return analytic_generator_for(cfg.system)
@@ -88,11 +86,10 @@ def _run_classical_trajectory(cfg, out):
     z0 = (float(qs[0]), float(ps[0]))
     dt = cfg.numerics["dt"] or sched.duration / 2000.0
     tol = cfg.numerics["tol"]
-    gen = _classical_generator(cfg)
-    if gen is None:
-        rec = evolve_bare(cfg.system, sched, z0, dt, tol=tol)
+    if cfg.cd_enabled:
+        rec = evolve_cd(cfg.system, _generator(cfg), sched, z0, dt, tol=tol)
     else:
-        rec = evolve_cd(cfg.system, gen, sched, z0, dt, tol=tol)
+        rec = evolve_bare(cfg.system, sched, z0, dt, tol=tol)
     artifacts = []
     if out is not None:
         rec.to_csv(out / "trajectory.csv")
@@ -118,7 +115,7 @@ def _run_classical_ensemble(cfg, out):
     snaps = list(cfg.snapshots) if cfg.snapshots is not None else [0.0, sched.duration]
     dt = cfg.numerics["dt"]
     rec = evolve_ensemble(
-        cfg.system, _classical_generator(cfg), sched, sampler,
+        cfg.system, _generator(cfg) if cfg.cd_enabled else None, sched, sampler,
         cfg.numerics["n_particles"], cfg.seed, snaps,
         dt=dt, tol=cfg.numerics["tol"],
     )
@@ -214,23 +211,13 @@ def _run_quantum_basis(cfg, out):
 
 
 def _run_generator_check(cfg, out):
-    lam = cfg.schedule.initial
-    n_pts = cfg.numerics["shell_points"]
     shells = [float(E) for E in cfg.shells]
-    if cfg.generator == "numeric":
-        # tables are shell-local, so verify one at a time and keep the worst
-        checks = [
-            verify_generator(cfg.system, build_xi_numeric(cfg.system, E, lam), lam, [E],
-                             n_points=n_pts)
-            for E in shells
-        ]
-    else:
-        checks = [verify_generator(cfg.system, analytic_generator_for(cfg.system), lam,
-                                   shells, n_points=n_pts)]
+    chk = verify_generator(cfg.system, _generator(cfg), cfg.schedule.initial, shells,
+                           n_points=cfg.numerics["shell_points"])
     residuals = {
         "shells": shells,
-        "bracket_residual": float(max(c.bracket_residual for c in checks)),
-        "average_residual": float(max(c.average_residual for c in checks)),
+        "bracket_residual": float(chk.bracket_residual),
+        "average_residual": float(chk.average_residual),
     }
     return {"generator_residuals": residuals}, [], {"integrator": "orbit_quadrature"}
 
@@ -248,6 +235,15 @@ def _execute(cfg: ExperimentConfig, out):
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     return _RUNNERS[cfg.kind](cfg, out)
+
+
+def _execute_all(jobs: dict) -> tuple[dict, int]:
+    """_execute every (cfg, out) job on one thread pool; returns the results
+    under the jobs' keys and the pool's worker count."""
+    threads = _worker_count(len(jobs))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = {key: pool.submit(_execute, *job) for key, job in jobs.items()}
+        return {key: fut.result() for key, fut in futures.items()}, threads
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +276,13 @@ _SWEEP_RULES = {
     "monotone_fidelity_deficit_off": ("flag", lambda s: s["flags"].get("fidelity_deficit_off_strictly_decreasing")),
     "omega_drift_on": ("<", lambda s: s["flags"].get("max_omega_drift_on")),
     "dissipation_on_max": ("<", lambda s: s["flags"].get("max_dissipation_on")),
+}
+
+# --verify rows, read from the report's verify block
+_VERIFY_RULES = {
+    "verify_bracket_residual": ("<", lambda v: v["generator"]["bracket_residual"]),
+    "verify_average_residual": ("<", lambda v: v["generator"]["average_residual"]),
+    "verify_commutator": ("<", lambda v: v["commutator"]["relative_residual"]),
 }
 
 
@@ -362,24 +365,11 @@ def _verify_block(cfg: ExperimentConfig) -> tuple[dict, list, bool]:
         },
         "commutator": None,
     }
-    fixed = {
-        "verify_bracket_residual": (chk.bracket_residual, 1e-8),
-        "verify_average_residual": (chk.average_residual, 1e-8),
-    }
+    bounds = {"verify_bracket_residual": 1e-8, "verify_average_residual": 1e-8}
     if cfg.kind in ("quantum_grid", "quantum_basis"):
-        comm = _commutator_residual(cfg)
-        block["commutator"] = comm
-        fixed["verify_commutator"] = (comm["relative_residual"], 1e-8)
-    rows, ok = [], True
-    for name in sorted(fixed):
-        value, threshold = fixed[name]
-        passed = value < threshold
-        rows.append({
-            "name": name, "threshold": threshold,
-            "value": float(value), "passed": bool(passed),
-        })
-        ok = ok and passed
-    return block, rows, ok
+        block["commutator"] = _commutator_residual(cfg)
+        bounds["verify_commutator"] = 1e-8
+    return (block, *_evaluate(bounds, _VERIFY_RULES, block))
 
 
 # ---------------------------------------------------------------------------
@@ -423,20 +413,13 @@ def _write_report(report: dict, out: Path) -> None:
     (out / "report.json").write_text(text + "\n")
 
 
-# ---------------------------------------------------------------------------
-# modes
-
-
-def do_run(cfg: ExperimentConfig, out: Path, verify: bool) -> int:
-    t0 = time.perf_counter()
-    metrics, artifacts, resolved = _execute(cfg, out)
-    rows, ok = _evaluate(cfg.assertions, _RUN_RULES, metrics)
-    report = _base_report(cfg, "run", 1, resolved)
-    report["cd_enabled"] = bool(cfg.cd_enabled)
-    report["metrics"] = metrics
+def _finish(cfg, out, t0, report, rules, source, artifacts, verify) -> int:
+    """The tail every mode shares: assertion rows from rules over source (plus
+    the --verify rows), artifacts, runtime and report.json.  Returns the exit
+    code: 0 when every row passed, else 1."""
+    rows, ok = _evaluate(cfg.assertions, rules, source)
     if verify:
-        block, vrows, vok = _verify_block(cfg)
-        report["verify"] = block
+        report["verify"], vrows, vok = _verify_block(cfg)
         rows, ok = rows + vrows, ok and vok
     report["assertions"] = rows
     report["passed"] = bool(ok)
@@ -444,6 +427,19 @@ def do_run(cfg: ExperimentConfig, out: Path, verify: bool) -> int:
     report["runtime_seconds"] = time.perf_counter() - t0
     _write_report(report, out)
     return 0 if ok else 1
+
+
+# ---------------------------------------------------------------------------
+# modes
+
+
+def do_run(cfg: ExperimentConfig, out: Path, verify: bool) -> int:
+    t0 = time.perf_counter()
+    metrics, artifacts, resolved = _execute(cfg, out)
+    report = _base_report(cfg, "run", 1, resolved)
+    report["cd_enabled"] = bool(cfg.cd_enabled)
+    report["metrics"] = metrics
+    return _finish(cfg, out, t0, report, _RUN_RULES, metrics, artifacts, verify)
 
 
 def _gaps(on: dict, off: dict) -> dict:
@@ -468,38 +464,17 @@ def _gaps(on: dict, off: dict) -> dict:
 
 def do_compare(cfg: ExperimentConfig, out: Path, verify: bool) -> int:
     t0 = time.perf_counter()
-    arms = {
-        "on": cfg.with_updates(cd_enabled=True),
-        "off": cfg.with_updates(cd_enabled=False),
-    }
-    threads = _worker_count(2)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {
-            name: pool.submit(_execute, arm, out / name)
-            for name, arm in arms.items()
-        }
-        results = {name: fut.result() for name, fut in futures.items()}
+    results, threads = _execute_all({
+        arm: (cfg.with_updates(cd_enabled=arm == "on"), out / arm) for arm in ("on", "off")
+    })
     on, off = results["on"][0], results["off"][0]
     compare = {"on": on, "off": off, "gaps": _gaps(on, off)}
-    rows, ok = _evaluate(cfg.assertions, _COMPARE_RULES, compare)
     report = _base_report(cfg, "compare", threads, results["on"][2])
     report["cd_enabled"] = None
     report["metrics"] = on
     report["compare"] = compare
-    if verify:
-        block, vrows, vok = _verify_block(cfg)
-        report["verify"] = block
-        rows, ok = rows + vrows, ok and vok
-    report["assertions"] = rows
-    report["passed"] = bool(ok)
-    report["artifacts"] = (
-        [f"on/{a}" for a in results["on"][1]]
-        + [f"off/{a}" for a in results["off"][1]]
-        + ["report.json"]
-    )
-    report["runtime_seconds"] = time.perf_counter() - t0
-    _write_report(report, out)
-    return 0 if ok else 1
+    artifacts = [f"{arm}/{a}" for arm in ("on", "off") for a in results[arm][1]]
+    return _finish(cfg, out, t0, report, _COMPARE_RULES, compare, artifacts, verify)
 
 
 def _strictly_decreasing(values) -> bool:
@@ -520,12 +495,9 @@ def do_sweep(cfg: ExperimentConfig, out: Path, axis: str, values, verify: bool) 
     jobs = {}
     for T in ts:
         base = cfg.with_duration(T)
-        jobs[(T, "on")] = base.with_updates(cd_enabled=True)
-        jobs[(T, "off")] = base.with_updates(cd_enabled=False)
-    threads = _worker_count(len(jobs))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {key: pool.submit(_execute, job, None) for key, job in jobs.items()}
-        results = {key: fut.result() for key, fut in futures.items()}
+        jobs[(T, "on")] = (base.with_updates(cd_enabled=True), None)
+        jobs[(T, "off")] = (base.with_updates(cd_enabled=False), None)
+    results, threads = _execute_all(jobs)
 
     def deficit(metrics):
         f = metrics.get("final_fidelity")
@@ -561,7 +533,6 @@ def do_sweep(cfg: ExperimentConfig, out: Path, axis: str, values, verify: bool) 
         "max_dissipation_on": None if diss_on is None else float(max(diss_on)),
     }
     sweep_block = {"axis": "T", "values": ts, "rows": rows, "flags": flags}
-    rows_a, ok = _evaluate(cfg.assertions, _SWEEP_RULES, sweep_block)
 
     out.mkdir(parents=True, exist_ok=True)
     names = ("omega_drift_on", "omega_drift_off", "dissipation_on",
@@ -578,16 +549,7 @@ def do_sweep(cfg: ExperimentConfig, out: Path, axis: str, values, verify: bool) 
     report["cd_enabled"] = None
     report["metrics"] = {}
     report["sweep"] = sweep_block
-    if verify:
-        block, vrows, vok = _verify_block(cfg)
-        report["verify"] = block
-        rows_a, ok = rows_a + vrows, ok and vok
-    report["assertions"] = rows_a
-    report["passed"] = bool(ok)
-    report["artifacts"] = ["sweep.csv", "report.json"]
-    report["runtime_seconds"] = time.perf_counter() - t0
-    _write_report(report, out)
-    return 0 if ok else 1
+    return _finish(cfg, out, t0, report, _SWEEP_RULES, sweep_block, ["sweep.csv"], verify)
 
 
 # ---------------------------------------------------------------------------

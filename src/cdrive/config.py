@@ -185,7 +185,7 @@ def _check_kind_inputs(data: dict, system: SystemModel, schedule: Schedule) -> N
     if kind == "generator_check" and not data.get("shells"):
         raise ConfigError("generator_check needs a nonempty shells list")
     if data["generator"] == "numeric" and system.kind == "box":
-        raise ConfigError("numeric generator tables are for smooth wells; "
+        raise ConfigError("numeric generators are for smooth wells; "
                           "the box generator is analytic")
     snapshots = data.get("snapshots")
     if snapshots is not None:

@@ -25,12 +25,13 @@ normal n = grad H0 / |grad H0|, which are orthogonal:
 
 where beta is exact and d xi / dn is one central difference of xi along n.
 
-build_xi_numeric builds the same generator on one shell a second way, by
-integrating the orbit ODE, and stores it as a ShellGeneratorTable: the
-profile sampled at uniform orbit times, read back by time only (there is no
-lookup by phase point).  verify_generator checks a table at its own orbit
-times, which backs the generator_check experiment, and the sampled profile
-is the independent oracle for the pointwise generator.
+NumericShellGenerator is what "generator": "numeric" names in every config
+kind, generator_check included.  build_xi_numeric builds the same generator
+on one shell a second way, by integrating the orbit ODE, and stores it as a
+ShellGeneratorTable: the profile sampled at uniform orbit times, read back by
+time only (there is no lookup by phase point).  verify_generator checks a
+table at its own orbit times, and the sampled profile is the independent
+oracle for the pointwise generator in the tests.
 """
 
 from __future__ import annotations

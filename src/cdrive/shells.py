@@ -217,15 +217,8 @@ def _orbit_moments(system, E, lam, qm, qp):
 
 
 def _volume_quadrature(system: SystemModel, E: float, lam: float) -> float:
-    if system.kind == "box":
-        # flat interior: integrate the momentum width across the box
-        m = system.mass
-
-        def width(q):
-            return 2.0 * math.sqrt(2.0 * m * E)
-
-        val, _ = quad(width, 0.0, lam, epsabs=1e-300, epsrel=_QUAD_RTOL)
-        return val
+    if system.kind == "box":  # flat interior: the momentum width times the length
+        return _volume_closed(system, E, lam)
     qm, qp = turning_points(system, E, lam)
     return 2.0 * _orbit_quadrature(system, E, lam, qm, qp, lambda q, absp: absp)
 
@@ -238,7 +231,9 @@ def phase_volume(system: SystemModel, E: float, lam: float, method: str = "auto"
     """Phase-space volume enclosed by the shell H0 = E.
 
     method: "auto" uses closed forms for box/power_law and quadrature for
-    generic potentials; "quadrature" forces the numeric route (cross-checks).
+    generic potentials; "quadrature" forces the orbit quadrature on smooth
+    wells (cross-checks).  The box's flat interior gives the closed form for
+    every method.
     """
     lam = system.check_param(lam)
     if not math.isfinite(E):
@@ -268,14 +263,10 @@ def orbit_period(system: SystemModel, E: float, lam: float, method: str = "auto"
     """Period of the closed orbit on the shell (equals dOmega/dE)."""
     lam = system.check_param(lam)
     m = system.mass
-    if system.kind == "box" and method != "quadrature":
+    if system.kind == "box":  # flat interior: the same constant for every method
         return 2.0 * m * lam / math.sqrt(2.0 * m * E)
     if system.kind == "power_law" and method != "quadrature":
         return _d_volume_dE_closed(system, E, lam)
-    if system.kind == "box":
-        val, _ = quad(lambda q: 2.0 * m / math.sqrt(2.0 * m * E), 0.0, lam,
-                      epsabs=1e-300, epsrel=_QUAD_RTOL)
-        return val
     qm, qp = turning_points(system, E, lam)
     return 2.0 * _orbit_quadrature(system, E, lam, qm, qp, lambda q, absp: m / absp)
 

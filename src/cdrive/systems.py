@@ -191,23 +191,3 @@ def generic_1d(
         dV_dq=dV_dq,
         dV_dlam=dV_dlam,
     )
-
-
-def validate_gradients(system: SystemModel, lam: float, points, rtol: float = 1e-6) -> None:
-    """Check grad_z against finite differences of the energy at the given
-    phase points; raises DomainError on mismatch.  Meant for user-supplied
-    generic_1d derivatives; box points sit strictly inside the walls."""
-    lam = system.check_param(lam)
-    for z in points:
-        q, p = as_qp(z)
-        gq, gp = system.grad_z((q, p), lam)
-        hq = _FD_STEP * max(1.0, abs(q))
-        hp = _FD_STEP * max(1.0, abs(p))
-        fq = (system.energy((q + hq, p), lam) - system.energy((q - hq, p), lam)) / (2 * hq)
-        fp = (system.energy((q, p + hp), lam) - system.energy((q, p - hp), lam)) / (2 * hp)
-        scale = max(abs(gq), abs(gp), 1e-9)
-        if abs(gq - fq) > rtol * max(abs(gq), scale) or abs(gp - fp) > rtol * max(abs(gp), scale):
-            raise DomainError(
-                f"analytic gradient ({gq:.3e}, {gp:.3e}) disagrees with finite "
-                f"differences ({fq:.3e}, {fp:.3e}) at q={q}, p={p}"
-            )

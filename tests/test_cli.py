@@ -443,6 +443,8 @@ def test_generator_check_numeric(tmp_path):
     res = load_report(out)["metrics"]["generator_residuals"]
     assert res["shells"] == [1.0, 2.0]
     assert res["bracket_residual"] < 1e-3
+    # the generator classical runs use, held to the --verify bound
+    assert res["bracket_residual"] < 1e-8
 
 
 def test_numeric_generator_drift_matches_analytic(tmp_path):
@@ -466,22 +468,32 @@ def test_numeric_generator_drift_matches_analytic(tmp_path):
     assert drifts["numeric"] < 2.0 * drifts["analytic"]
 
 
-def test_verify_flag_appends_residual_suite(tmp_path):
+@pytest.mark.parametrize("mode, assertions, extra", [
+    ("run", {"phase_error": 1e-8, "population_drift": 1e-12}, []),
+    ("compare", {"fidelity_on": 0.999}, []),
+    ("sweep", {}, ["--values", "0.5,1"]),
+], ids=["run", "compare", "sweep"])
+def test_verify_flag_appends_residual_suite(tmp_path, mode, assertions, extra):
     p = write_config(tmp_path, "c.json", {
         "kind": "quantum_basis",
         "system": {"kind": "box"},
         "schedule": {"shape": "linear", "lam_start": 1.0, "lam_end": 2.0,
                      "duration": 1.0},
         "numerics": {"n_levels": 16, "dt": 1e-3},
-        "assertions": {"phase_error": 1e-8, "population_drift": 1e-12},
+        "assertions": assertions,
     })
     out = tmp_path / "out"
-    assert main(["run", p, "--out", str(out), "--verify"]) == 0
+    assert main([mode, p, "--out", str(out), "--verify", *extra]) == 0
     rep = load_report(out)
     assert rep["verify"]["generator"]["bracket_residual"] < 1e-8
     assert rep["verify"]["commutator"]["relative_residual"] < 1e-8
-    names = {row["name"] for row in rep["assertions"]}
-    assert {"verify_bracket_residual", "verify_commutator"} <= names
+    # every mode appends the same verify rows after its own
+    rows = [(row["name"], row["threshold"]) for row in rep["assertions"]]
+    assert rows == [(name, float(assertions[name])) for name in sorted(assertions)] + [
+        ("verify_average_residual", 1e-8),
+        ("verify_bracket_residual", 1e-8),
+        ("verify_commutator", 1e-8),
+    ]
 
 
 def test_sweep_dissipation_trend(tmp_path):

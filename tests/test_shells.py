@@ -334,6 +334,32 @@ def test_soft_wall_limit_approaches_box():
     assert om == pytest.approx(2.0 * math.sqrt(2.0) * 1.0, rel=0.1)
 
 
+_STEEP_B = (400, 800, 1600)
+
+
+def _steep_wells_converge_to(box_volume) -> bool:
+    # half the volume of a power-law well of width 2 lam has relative gap
+    # ~ [ln(E / eps) + psi(1) - psi(3/2)] / b from the box volume: below 2/b,
+    # and halving within 5% per doubling of b
+    for E, lam in ((2.0, 1.0), (0.7, 2.5)):
+        gaps = [phase_volume(power_law(b), E, lam, method="quadrature") / 2.0
+                / box_volume(E, lam) - 1.0 for b in _STEEP_B]
+        if not all(abs(g) < 2.0 / b for g, b in zip(gaps, _STEEP_B)):
+            return False
+        if not all(abs(g1 / g0 - 0.5) < 0.025 for g0, g1 in zip(gaps, gaps[1:])):
+            return False
+    return True
+
+
+def test_box_volume_is_the_steep_power_law_limit():
+    # checks the box constant independently of its own closed form
+    def box_volume(E, lam):
+        return phase_volume(BOX, E, lam, method="quadrature")
+
+    assert _steep_wells_converge_to(box_volume)
+    assert not _steep_wells_converge_to(lambda E, lam: 1.01 * box_volume(E, lam))
+
+
 # ---------------------------------------------------------------------------
 # fixed-node orbit quadrature
 

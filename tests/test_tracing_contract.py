@@ -3,14 +3,17 @@
 Deleting or renaming one of those names breaks every traced benchmark run,
 and the benchmark's own tests are not part of this suite, so this test loads
 the tracer by path, installs it and checks that uninstalling restores every
-module global, class method and shape registry entry it touched, and that
-its counts of Cayley solves and numeric-generator gradients still see every
-grid step and every gradient.
+module global, class method and shape registry entry it touched.  It also
+checks that the tracer still sees every Cayley solve, every numeric-generator
+gradient and every compare and sweep job the CLI's thread pool runs.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
+
+import pytest
 
 import cdrive.cli  # noqa: F401  (loads every layer)
 import cdrive.generators as generators
@@ -107,3 +110,30 @@ def test_tracer_counts_every_numeric_gradient():
         assert tracer.counts()["generators.grad_evals"] == 10
     finally:
         tracer.uninstall()
+
+
+@pytest.mark.parametrize("mode, extra, n_jobs", [
+    ("compare", [], 2),
+    ("sweep", ["--values", "0.05,0.5"], 4),
+], ids=["compare", "sweep"])
+def test_tracer_sees_the_cli_thread_pool(tmp_path, mode, extra, n_jobs):
+    # the benchmark's cli.workers and cli.queue_wait_s come from the pool
+    # class the tracer rebinds; a fan-out that captured the class at import
+    # time would leave both empty
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "kind": "classical_trajectory",
+        "system": {"kind": "box"},
+        "schedule": {"shape": "linear", "lam_start": 1.0, "lam_end": 2.0,
+                     "duration": 0.05},
+        "initial": {"energy": 2.0},
+    }))
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        code = cdrive.cli.main([mode, str(cfg), "--out", str(tmp_path / "out"), *extra])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.workers >= 1
+    assert len(tracer.queue_waits) == n_jobs
