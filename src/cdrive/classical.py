@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, NumericalError
 from .schedules import Schedule, clock
@@ -486,6 +485,8 @@ def _box_cd_flow(schedule, m, qs, ps, times, h_target):
 
 
 def _cd_hits(schedule, m, x0, P0, times, y, h):
+    from scipy.optimize import brentq
+
     T = schedule.duration
     for x, P, y_k in zip(x0, P0, y.T):
         # z counts the walls ahead as 1, 2, ...: z = y moving right, 1 - y

@@ -286,17 +286,22 @@ _VERIFY_RULES = {
 }
 
 
-def _evaluate(assertions: dict, rules: dict, source) -> tuple[list, bool]:
-    """Each configured assertion becomes a report row; a missing value (the
-    experiment did not produce that metric) fails the row rather than
-    erroring, so exit 1 still means 'run completed'."""
-    rows, all_ok = [], True
+def _check_names(assertions: dict, rules: dict) -> None:
+    """Reject an assertion the mode does not know, before any job runs."""
     for name in sorted(assertions):
         if name not in rules:
             raise ConfigError(
                 f"unknown assertion {name!r}; this mode knows: "
                 + ", ".join(sorted(rules))
             )
+
+
+def _evaluate(assertions: dict, rules: dict, source) -> tuple[list, bool]:
+    """Each configured assertion becomes a report row; a missing value (the
+    experiment did not produce that metric) fails the row rather than
+    erroring, so exit 1 still means 'run completed'."""
+    rows, all_ok = [], True
+    for name in sorted(assertions):
         threshold = float(assertions[name])
         direction, get = rules[name]
         value = get(source)
@@ -435,6 +440,7 @@ def _finish(cfg, out, t0, report, rules, source, artifacts, verify) -> int:
 
 def do_run(cfg: ExperimentConfig, out: Path, verify: bool) -> int:
     t0 = time.perf_counter()
+    _check_names(cfg.assertions, _RUN_RULES)
     metrics, artifacts, resolved = _execute(cfg, out)
     report = _base_report(cfg, "run", 1, resolved)
     report["cd_enabled"] = bool(cfg.cd_enabled)
@@ -464,6 +470,7 @@ def _gaps(on: dict, off: dict) -> dict:
 
 def do_compare(cfg: ExperimentConfig, out: Path, verify: bool) -> int:
     t0 = time.perf_counter()
+    _check_names(cfg.assertions, _COMPARE_RULES)
     results, threads = _execute_all({
         arm: (cfg.with_updates(cd_enabled=arm == "on"), out / arm) for arm in ("on", "off")
     })
@@ -491,6 +498,7 @@ def do_sweep(cfg: ExperimentConfig, out: Path, axis: str, values, verify: bool) 
     ts = [float(v) for v in values]
     if any(v <= 0 for v in ts) or any(a >= b for a, b in zip(ts[:-1], ts[1:])):
         raise ConfigError("sweep values must be positive and strictly ascending")
+    _check_names(cfg.assertions, _SWEEP_RULES)
 
     jobs = {}
     for T in ts:

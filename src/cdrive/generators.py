@@ -41,8 +41,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, NumericalError
 from .systems import SystemModel, _on_nodes, as_qp
@@ -151,6 +149,8 @@ class ShellGeneratorTable:
     closure_residual: float
 
     def __post_init__(self):
+        from scipy.interpolate import CubicSpline
+
         self._xi_spline = CubicSpline(self.times, self.xis, bc_type="periodic")
         # along-orbit derivative by fourth-order central differences on the
         # uniform samples, then re-interpolated periodically
@@ -187,6 +187,8 @@ def build_xi_numeric(
     source term averages to zero), and subtracts the orbit-time mean so the
     gauge <xi> = 0 holds.
     """
+    from scipy.integrate import solve_ivp
+
     if system.kind == "box":
         raise DomainError("the box generator is analytic; build_xi_numeric needs a smooth well")
     if n_samples < 64 or n_samples % 2 != 0:

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import DomainError, NumericalError
 from .systems import SystemModel, _on_nodes, as_qp
@@ -85,6 +83,8 @@ def _potential_floor(system: SystemModel, lam: float) -> tuple[float, float]:
         return 0.5 * lam, 0.0
     if system.kind == "power_law":
         return 0.0, 0.0
+    from scipy.optimize import minimize_scalar
+
     # expand a sampling window until the minimum is interior
     half = max(lam, 1.0)
     for _ in range(40):
@@ -117,6 +117,8 @@ def turning_points(system: SystemModel, E: float, lam: float) -> tuple[float, fl
             raise DomainError(f"shell energy must exceed the potential floor 0, got {E}")
         half = lam * (E / system.epsilon) ** (1.0 / system.b)
         return -half, half
+
+    from scipy.optimize import brentq
 
     q0, vmin = _potential_floor(system, lam)
     if E <= vmin + 1e-14 * (abs(vmin) + 1.0):
@@ -274,6 +276,8 @@ def orbit_period(system: SystemModel, E: float, lam: float, method: str = "auto"
 def orbit_states(system: SystemModel, E: float, lam: float, fractions) -> tuple:
     """Phase points (qs, ps) on a smooth-well orbit at the given fractions of
     the period, counted from the right turning point (any order)."""
+    from scipy.integrate import solve_ivp
+
     m = system.mass
     tau = orbit_period(system, E, lam)
     _, q_plus = turning_points(system, E, lam)
@@ -322,6 +326,8 @@ def shell_energy_from_volume(
         c = power_law_coefficient(system)
         return (omega / (c * lam)) ** (2.0 * system.mu)
 
+    from scipy.optimize import brentq
+
     _, vmin = _potential_floor(system, lam)
 
     def f(E):
@@ -364,6 +370,8 @@ def microcanonical_average(
     Observables taking distributional wall contributions (the box dH0/dlam)
     are not representable pointwise; use shell_average_grad_lambda.
     """
+    from scipy.integrate import quad, solve_ivp
+
     lam = system.check_param(lam)
     m = system.mass
     if system.kind == "box":

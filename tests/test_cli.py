@@ -193,14 +193,39 @@ def test_report_validation_matches_schema_validation(tmp_path):
         assert str(got.value) == str(want.value)
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, cdrive.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True,
-    )
+_BOX_RUNS = """
+import json, sys
+from pathlib import Path
+import cdrive.cli as cli
+out = Path(sys.argv[1])
+sched = {"shape": "linear", "lam_start": 1.0, "lam_end": 2.0, "duration": 0.05}
+gas = {"kind": "classical_ensemble", "system": {"kind": "box"}, "schedule": sched,
+       "initial": {"gas_momentum": 25.0}, "numerics": {"n_particles": 50},
+       "snapshots": [0.0, 0.025, 0.05]}
+basis = {"kind": "quantum_basis", "system": {"kind": "box"}, "schedule": sched,
+         "numerics": {"n_levels": 8, "dt": 1e-3}}
+for name, cfg, argv in (("gas", gas, ["compare"]), ("basis", basis, ["compare"]),
+                        ("sweep", gas, ["sweep", "--values", "0.05,0.5"])):
+    path = out / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.main([argv[0], str(path), "--out", str(out / name), *argv[1:]])
+    assert code in (0, 1), (name, code)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+"""
+
+
+def test_box_runs_leave_out_unused_scipy_subpackages(tmp_path):
+    # the box engines are closed-form: a gas compare, a basis compare and a
+    # gas sweep need scipy.linalg only, not the solvers smooth wells use
+    proc = subprocess.run([sys.executable, "-c", _BOX_RUNS, str(tmp_path)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    loaded = set(json.loads(proc.stdout))
+    assert "scipy.linalg" in loaded
+    for sub in ("integrate", "optimize", "interpolate", "stats"):
+        assert f"scipy.{sub}" not in loaded
+    for name in ("gas/on", "gas/off", "basis/on", "basis/off", "sweep"):
+        assert (tmp_path / name).is_dir()
 
 
 def test_numerical_failure_writes_diagnostic(tmp_path, monkeypatch):
@@ -547,6 +572,27 @@ def test_sweep_rejects_bad_inputs(tmp_path):
     }
     p2 = write_config(tmp_path, "t.json", tab)
     assert main(["sweep", p2, "--out", out, "--values", "0.05,0.5"]) == 2
+
+
+@pytest.mark.parametrize("mode, name, extra", [
+    ("run", "fidelity_on", []),
+    ("compare", "omega_drift", []),
+    ("sweep", "ks_gap", ["--values", "0.05,0.5"]),
+], ids=["run", "compare", "sweep"])
+def test_unknown_assertion_is_rejected_before_any_job(
+        tmp_path, monkeypatch, capsys, mode, name, extra):
+    ran, real = [], cli._RUNNERS["classical_ensemble"]
+    monkeypatch.setitem(cli._RUNNERS, "classical_ensemble",
+                        lambda cfg, out: ran.append(cfg) or real(cfg, out))
+    p = write_config(tmp_path, "c.json", {
+        **_GAS, "schedule": {"shape": "linear", "lam_start": 1.0, "lam_end": 2.0,
+                             "duration": 0.05},
+        "assertions": {name: 1e-3}})
+    out = tmp_path / "out"
+    assert main([mode, p, "--out", str(out), *extra]) == 2
+    assert f"unknown assertion {name!r}" in capsys.readouterr().err
+    assert ran == []
+    assert not out.exists()
 
 
 def test_console_entry_point(tmp_path):

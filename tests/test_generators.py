@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.optimize
 
 import cdrive.shells as shells
 from cdrive.errors import DomainError
@@ -386,14 +388,14 @@ def test_generic_quartic_generator_matches_power_law():
 
 
 def test_generic_floor_search_runs_once_per_lambda(monkeypatch):
-    real = shells.minimize_scalar
+    real = scipy.optimize.minimize_scalar
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(shells, "minimize_scalar", counted)
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar", counted)
     gen = NumericShellGenerator(_generic_quartic())
     for lam in (1.0, 1.3, 1.0):
         for q, p in ((0.3, 0.8), (-0.5, 0.2), (0.1, -1.1)):
@@ -488,7 +490,7 @@ def test_numeric_generator_runs_without_quad(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("quad called on the smooth-well orbit path")
 
-    monkeypatch.setattr(shells, "quad", refuse)
+    monkeypatch.setattr(scipy.integrate, "quad", refuse)
     for system in (QUARTIC, _quartic_plus_quadratic()):
         gen = NumericShellGenerator(system)
         for q, p in ((0.3, 0.8), (-0.5, 0.2), (0.1, -1.1)):

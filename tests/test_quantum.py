@@ -46,6 +46,7 @@ from cdrive.quantum import (
     _sine_coupling,
 )
 from cdrive.schedules import (
+    Schedule,
     clock,
     constant_hold,
     cosine_ramp,
@@ -764,6 +765,34 @@ def test_exact_box_state_values():
     assert box_phase(1, hold, 1.0) == pytest.approx(-math.pi**2 / 2, abs=1e-10)
     ramp = linear_ramp(1.0, 2.0, 1.0)
     assert box_phase(1, ramp, 1.0) == pytest.approx(-math.pi**2 / 4, abs=1e-10)
+
+
+def test_box_phase_oracles():
+    # closed forms: integral_0^t L^-2 is t / (L0 L(t)) on a linear ramp and
+    # t / L^2 on a hold
+    c = -math.pi**2 / 2
+    ramp, hold = linear_ramp(1.0, 2.5, 2.0), constant_hold(1.3, 2.0)
+    for t in (0.0, 0.37, 1.1, 2.0):
+        lam = 1.0 + 1.5 * t / 2.0
+        assert box_phase(1, ramp, t) == pytest.approx(c * t / lam, rel=1e-13, abs=0)
+        assert box_phase(2, hold, t, mass=0.5, hbar=0.7) == pytest.approx(
+            -4 * math.pi**2 * 0.7 / (2 * 0.5) * t / 1.3**2, rel=1e-13, abs=0)
+    # against quad where no closed form is at hand
+    from scipy.integrate import quad
+
+    knots = np.linspace(0.0, 1.5, 41)
+    for sched in (smoothstep_ramp(1.0, 0.6, 0.02), cosine_ramp(1.0, 2.5, 3.0),
+                  tabulated([0.0, 0.3, 0.7, 1.0], [1.0, 1.1, 1.6, 2.0]),
+                  tabulated(knots, 1.0 + 0.7 * np.sin(0.5 * math.pi * knots / 1.5) ** 2)):
+        for t in (0.37 * sched.duration, sched.duration):
+            ref, _ = quad(lambda s: float(sched.value(s)) ** -2.0, 0.0, t,
+                          epsabs=0.0, epsrel=1e-13, limit=400)
+            assert box_phase(3, sched, t) == pytest.approx(9 * c * ref, rel=1e-12, abs=0)
+    # a jump in L never converges: the bisection gives up at its depth bound
+    jump = Schedule(1.0, lambda t: np.where(np.asarray(t) < 0.4, 1.0, 2.0),
+                    lambda t: np.zeros_like(np.asarray(t, dtype=float)), "jump")
+    with pytest.raises(NumericalError, match="did not converge"):
+        box_phase(1, jump, 1.0)
 
 
 def test_basis_cd_phases_match_exact_solution():
