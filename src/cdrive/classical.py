@@ -8,9 +8,10 @@ classical fourth-order Runge-Kutta scheme with step-halving error control,
 on a batch of particles that share one step sequence: one column for a
 trajectory, the whole ensemble for an ensemble.
 
-The hard-wall collision rules live in collide(): under the driven flow the
-generator carries the wall's motion, so the bounce is p -> -p at both
-walls; under the bare flow the moving wall imparts the usual -p + 2 m Ldot.
+Hard-wall collision rules: under the driven flow the generator carries the
+wall's motion, so the bounce is p -> -p at both walls; under the bare flow
+the moving wall imparts the usual -p + 2 m Ldot.  The box engines apply
+them inline on whole particle arrays; collide() is the scalar reference.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._csv import write_csv
 from .errors import DomainError, NumericalError
 from .schedules import Schedule, clock
 from .shells import adiabatic_invariant, orbit_states, shell_energy_from_volume
@@ -74,10 +76,8 @@ class TrajectoryRecord:
         }
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,q,p,H0,omega\n")
-            for row in zip(self.times, self.qs, self.ps, self.h0s, self.omegas):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_csv(path, ("t", "q", "p", "H0", "omega"),
+                  (self.times, self.qs, self.ps, self.h0s, self.omegas))
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,7 @@ class EnsembleRecord:
         )
 
     def snapshot_csv(self, k: int, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("q,p\n")
-            for q, p in zip(self.positions[k], self.momenta[k]):
-                fh.write(f"{float(q)!r},{float(p)!r}\n")
+        write_csv(path, ("q", "p"), (self.positions[k], self.momenta[k]))
 
 
 # ---------------------------------------------------------------------------

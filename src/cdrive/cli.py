@@ -9,6 +9,7 @@ left in the output directory.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -18,6 +19,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
+from ._csv import write_csv
 from .classical import (
     _draw_initial_conditions,
     _ensemble_step,
@@ -51,20 +53,6 @@ from .quantum import (
 SCHEMA_VERSION = "cdrive-report-v1"
 
 
-def _worker_count(n_jobs: int) -> int:
-    env = os.environ.get("CDRIVE_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigError(f"CDRIVE_THREADS must be an integer, got {env!r}")
-        if cap < 1:
-            raise ConfigError(f"CDRIVE_THREADS must be >= 1, got {cap}")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
-
-
 # ---------------------------------------------------------------------------
 # experiment runners: each returns (metrics, artifact names, resolved numerics);
 # the resolved numerics name the integrator that ran
@@ -84,7 +72,7 @@ def _run_classical_trajectory(cfg, out):
         cfg.system, shell_sampler(energy), sched.initial, 1, cfg.seed
     )
     z0 = (float(qs[0]), float(ps[0]))
-    dt = cfg.numerics["dt"] or sched.duration / 2000.0
+    dt = sched.duration / 2000.0 if cfg.numerics["dt"] is None else cfg.numerics["dt"]
     tol = cfg.numerics["tol"]
     if cfg.cd_enabled:
         rec = evolve_cd(cfg.system, _generator(cfg), sched, z0, dt, tol=tol)
@@ -157,7 +145,7 @@ def _run_quantum_grid(cfg, out):
 
     es0 = spectrum(sched.initial)
     psi0 = QuantumState("grid", es0.states[:, level].astype(complex), grid)
-    dt = num["dt"] or 2e-4
+    dt = 2e-4 if num["dt"] is None else num["dt"]
     rec = propagate_grid(
         system, sched, psi0, dt, with_cd=cfg.cd_enabled, track_level=level,
         n_leading=max(4, level + 1), record_every=num["record_every"],
@@ -168,10 +156,8 @@ def _run_quantum_grid(cfg, out):
         rec.to_csv(out / "trajectory.csv")
         artifacts.append("trajectory.csv")
         es_end = spectrum(sched.final)
-        with open(out / "spectrum.csv", "w") as fh:
-            fh.write("level,energy_start,energy_end\n")
-            for k in range(n_keep):
-                fh.write(f"{k},{float(es0.energies[k])!r},{float(es_end.energies[k])!r}\n")
+        write_csv(out / "spectrum.csv", ("level", "energy_start", "energy_end"),
+                  (np.arange(n_keep), es0.energies, es_end.energies))
         artifacts.append("spectrum.csv")
     metrics = {
         "min_fidelity": float(rec.min_fidelity),
@@ -186,7 +172,7 @@ def _run_quantum_basis(cfg, out):
     level = int(cfg.initial.get("level", 0))
     c0 = np.zeros(num["n_levels"], dtype=complex)
     c0[level] = 1.0
-    dt = num["dt"] or 1e-4
+    dt = 1e-4 if num["dt"] is None else num["dt"]
     rec = propagate_basis(
         sched, c0, n_levels=num["n_levels"], dt=dt, with_cd=cfg.cd_enabled,
         mass=cfg.system.mass, hbar=num["hbar"], record_every=num["record_every"],
@@ -240,7 +226,7 @@ def _execute(cfg: ExperimentConfig, out):
 def _execute_all(jobs: dict) -> tuple[dict, int]:
     """_execute every (cfg, out) job on one thread pool; returns the results
     under the jobs' keys and the pool's worker count."""
-    threads = _worker_count(len(jobs))
+    threads = max(1, min(os.cpu_count() or 1, len(jobs)))
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = {key: pool.submit(_execute, *job) for key, job in jobs.items()}
         return {key: fut.result() for key, fut in futures.items()}, threads
@@ -263,10 +249,20 @@ _RUN_RULES = {
     "average_residual": ("<", lambda m: (m.get("generator_residuals") or {}).get("average_residual")),
 }
 
+
+def _drift_ratio(compare: dict):
+    """The gaps' drift ratio, or inf when it is null because the on arm is
+    exact (zero drift) and the off arm drifts: any threshold then passes."""
+    gaps = compare["gaps"]
+    if "drift_ratio" in gaps and gaps["drift_ratio"] is None:
+        return math.inf
+    return gaps.get("drift_ratio")
+
+
 _COMPARE_RULES = {
     "fidelity_on": (">", lambda c: c["on"].get("min_fidelity")),
     "fidelity_off": ("<", lambda c: c["off"].get("final_fidelity")),
-    "drift_ratio": (">", lambda c: c["gaps"].get("drift_ratio")),
+    "drift_ratio": (">", _drift_ratio),
     "ks_gap": (">", lambda c: c["gaps"].get("ks_gap")),
     "dissipation_gap": (">", lambda c: c["gaps"].get("dissipation_gap")),
 }
@@ -316,7 +312,7 @@ def _evaluate(assertions: dict, rules: dict, source) -> tuple[list, bool]:
         rows.append({
             "name": name,
             "threshold": threshold,
-            "value": None if value is None else float(value),
+            "value": None if value is None or math.isinf(value) else float(value),
             "passed": bool(passed),
         })
         all_ok = all_ok and passed
@@ -511,46 +507,30 @@ def do_sweep(cfg: ExperimentConfig, out: Path, axis: str, values, verify: bool) 
         f = metrics.get("final_fidelity")
         return None if f is None else 1.0 - f
 
-    rows = []
-    for T in ts:
-        on, off = results[(T, "on")][0], results[(T, "off")][0]
-        rows.append({
-            "T": T,
-            "omega_drift_on": on.get("omega_drift"),
-            "omega_drift_off": off.get("omega_drift"),
-            "dissipation_on": on.get("dissipation"),
-            "dissipation_off": off.get("dissipation"),
-            "fidelity_deficit_on": deficit(on),
-            "fidelity_deficit_off": deficit(off),
-        })
+    # one column per metric and arm, one entry per T: the report rows, the
+    # flags and sweep.csv all read this table
+    table = {"T": ts}
+    for name, get in (("omega_drift", lambda m: m.get("omega_drift")),
+                      ("dissipation", lambda m: m.get("dissipation")),
+                      ("fidelity_deficit", deficit)):
+        for arm in ("on", "off"):
+            table[f"{name}_{arm}"] = [get(results[(T, arm)][0]) for T in ts]
 
-    def column(name):
-        vals = [r[name] for r in rows]
-        return vals if all(v is not None for v in vals) else None
+    def over(name, reduce):  # None unless every T produced the metric
+        col = table[name]
+        return None if None in col else reduce(col)
 
-    diss_off = column("dissipation_off")
-    defc_off = column("fidelity_deficit_off")
-    drift_on = column("omega_drift_on")
-    diss_on = column("dissipation_on")
     flags = {
-        "dissipation_off_strictly_decreasing":
-            None if diss_off is None else _strictly_decreasing(diss_off),
+        "dissipation_off_strictly_decreasing": over("dissipation_off", _strictly_decreasing),
         "fidelity_deficit_off_strictly_decreasing":
-            None if defc_off is None else _strictly_decreasing(defc_off),
-        "max_omega_drift_on": None if drift_on is None else float(max(drift_on)),
-        "max_dissipation_on": None if diss_on is None else float(max(diss_on)),
+            over("fidelity_deficit_off", _strictly_decreasing),
+        "max_omega_drift_on": over("omega_drift_on", max),
+        "max_dissipation_on": over("dissipation_on", max),
     }
+    rows = [dict(zip(table, row)) for row in zip(*table.values())]
     sweep_block = {"axis": "T", "values": ts, "rows": rows, "flags": flags}
-
     out.mkdir(parents=True, exist_ok=True)
-    names = ("omega_drift_on", "omega_drift_off", "dissipation_on",
-             "dissipation_off", "fidelity_deficit_on", "fidelity_deficit_off")
-    with open(out / "sweep.csv", "w") as fh:
-        fh.write("T," + ",".join(names) + "\n")
-        for r in rows:
-            cells = [repr(float(r["T"]))]
-            cells += ["" if r[n] is None else repr(float(r[n])) for n in names]
-            fh.write(",".join(cells) + "\n")
+    write_csv(out / "sweep.csv", list(table), list(table.values()))
 
     integrator = results[(ts[0], "on")][2]["integrator"]
     report = _base_report(cfg, "sweep", threads, {"integrator": integrator})

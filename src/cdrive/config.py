@@ -8,12 +8,11 @@ the CLI maps to exit code 2.
 
 import copy
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional
 
 import jsonschema
-import numpy as np
 
 from .errors import ConfigError, DomainError
 from .schedules import (
@@ -137,25 +136,17 @@ def _build_schedule(spec: dict) -> Schedule:
     if shape == "hold":
         _require(spec, ("value", "duration"), shape)
         return constant_hold(spec["value"], spec["duration"])
-    # tabulated; an explicit rates column is honored but must differentiate
-    # the values column, which check_rate_consistency enforces
+    # tabulated: the spline is the schedule; a rates column is only checked
+    # against the spline's slope, never used
     _require(spec, ("times", "values"), shape)
-    if "rates" not in spec:
-        return tabulated(spec["times"], spec["values"])
-    times = np.asarray(spec["times"], dtype=float)
-    values = np.asarray(spec["values"], dtype=float)
-    rates = np.asarray(spec["rates"], dtype=float)
-    if not (times.shape == values.shape == rates.shape):
-        raise ConfigError("times, values, and rates must have matching lengths")
-    if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-        raise ConfigError("tabulated times must start at 0 and increase strictly")
-    sched = Schedule(
-        duration=float(times[-1]),
-        value=lambda t: np.interp(np.asarray(t, dtype=float), times, values),
-        rate=lambda t: np.interp(np.asarray(t, dtype=float), times, rates),
-        tag="tabulated",
-    )
-    check_rate_consistency(sched, rtol=1e-2)
+    sched = tabulated(spec["times"], spec["values"])
+    if "rates" in spec:
+        from scipy.interpolate import make_interp_spline
+
+        if len(spec["rates"]) != len(spec["times"]):
+            raise ConfigError("times, values, and rates must have matching lengths")
+        column = make_interp_spline(spec["times"], spec["rates"], k=1)
+        check_rate_consistency(replace(sched, rate=column), rtol=1e-2)
     return sched
 
 

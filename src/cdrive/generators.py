@@ -42,6 +42,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._csv import write_csv
 from .errors import DomainError, NumericalError
 from .systems import SystemModel, _on_nodes, as_qp
 from .shells import (
@@ -171,10 +172,7 @@ class ShellGeneratorTable:
         return float(self._xi_spline.integrate(0.0, self.period)) / self.period
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,q,p,xi\n")
-            for t, q, p, x in zip(self.times, self.qs, self.ps, self.xis):
-                fh.write(f"{float(t)!r},{float(q)!r},{float(p)!r},{float(x)!r}\n")
+        write_csv(path, ("t", "q", "p", "xi"), (self.times, self.qs, self.ps, self.xis))
 
 
 def build_xi_numeric(

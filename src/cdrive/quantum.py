@@ -21,6 +21,7 @@ import numpy as np
 from scipy.linalg import bandwidth, eigh, eigh_tridiagonal, expm
 from scipy.linalg.lapack import zgtsv
 
+from ._csv import write_csv
 from .errors import DomainError, NumericalError
 from .schedules import Schedule, clock
 from .shells import _GL_NODES, _GL_W24, _GL_W48
@@ -464,14 +465,8 @@ class GridTrajectory:
 
 def _trajectory_csv(path, times, fidelities, norms, phases, pops) -> None:
     """One row per record: t, fidelity, norm, phase, then the pops columns."""
-    header = "t,fidelity,norm,phase," + ",".join(f"pop{m}" for m in range(pops.shape[1]))
-    rows = [header]
-    for i, t in enumerate(times):
-        cols = ",".join(f"{float(v)!r}" for v in pops[i])
-        rows.append(f"{float(t)!r},{float(fidelities[i])!r},"
-                    f"{float(norms[i])!r},{float(phases[i])!r},{cols}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    header = ["t", "fidelity", "norm", "phase"] + [f"pop{m}" for m in range(pops.shape[1])]
+    write_csv(path, header, [times, fidelities, norms, phases, *pops.T])
 
 
 def _uniform_steps(duration: float, dt: float, record_every: int):

@@ -16,6 +16,7 @@ import pytest
 
 import cdrive.cli as cli
 import cdrive.config as config
+from cdrive._csv import write_csv
 from cdrive.cli import main
 from cdrive.errors import ConfigError, NumericalError
 
@@ -106,6 +107,28 @@ def test_consistent_rates_accepted(tmp_path):
                        "values": list(1.0 + 2.0 * ts), "rates": [2.0] * 41}
     p = write_config(tmp_path, "c.json", cfg)
     assert main(["run", p, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_rates_column_is_checked_not_used(tmp_path):
+    # lam = 1 + t^2 on 81 knots with exact rates 2t: the schedule is the
+    # spline through the values, with or without the column
+    ts = np.linspace(0.0, 1.0, 81)
+    spec = {"shape": "tabulated", "times": ts.tolist(), "values": (1.0 + ts**2).tolist()}
+    plain = config.config_from_dict(box_expansion(schedule=spec)).schedule
+    ruled = config.config_from_dict(
+        box_expansion(schedule={**spec, "rates": (2.0 * ts).tolist()})).schedule
+    probe = np.linspace(0.0, 1.0, 1001)
+    np.testing.assert_array_equal(ruled.value(probe), plain.value(probe))
+    np.testing.assert_array_equal(ruled.rate(probe), plain.rate(probe))
+    # the rate is the derivative of the value (a piecewise-linear value
+    # with the column as its rate misses by 0.0125)
+    t, h = probe[1:-1], 1e-6
+    fd = (ruled.value(t + h) - ruled.value(t - h)) / (2.0 * h)
+    assert np.max(np.abs(ruled.rate(t) - fd)) < 1e-8
+
+    for i, rates in enumerate([(2.04 * ts).tolist(), (2.0 * ts[:-1]).tolist()]):
+        p = write_config(tmp_path, f"c{i}.json", box_expansion(schedule={**spec, "rates": rates}))
+        assert main(["run", p, "--out", str(tmp_path / f"o{i}")]) == 2
 
 
 def test_config_rejections(tmp_path):
@@ -329,12 +352,6 @@ def test_grid_levels_past_the_grid_are_config_error(tmp_path):
     assert main(["run", p, "--out", str(tmp_path / "out")]) == 2
 
 
-def test_bad_thread_cap_is_config_error(tmp_path, monkeypatch):
-    monkeypatch.setenv("CDRIVE_THREADS", "zero")
-    p = write_config(tmp_path, "c.json", box_expansion())
-    assert main(["compare", p, "--out", str(tmp_path / "out")]) == 2
-
-
 _GAS = {"kind": "classical_ensemble", "system": {"kind": "box"},
         "initial": {"gas_momentum": 2.0}, "numerics": {"n_particles": 50}}
 _WELL_ENSEMBLE = {"kind": "classical_ensemble", "system": {"kind": "power_law", "b": 2},
@@ -444,14 +461,15 @@ def test_compare_csvs_identical_across_thread_counts(tmp_path, monkeypatch):
     for name, cfg in (("box_gas", box_gas), ("well_shell", well_shell)):
         p = write_config(tmp_path, f"{name}.json", cfg)
         csvs = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("CDRIVE_THREADS", threads)
+        for threads in (1, 2):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: threads)
             out = tmp_path / f"{name}{threads}"
             assert main(["compare", p, "--out", str(out)]) == 0
+            assert load_report(out)["numerics"]["threads"] == threads
             csvs[threads] = {f.relative_to(out): f.read_bytes()
                              for f in sorted(out.glob("*/ensemble_*.csv"))}
-        assert len(csvs["1"]) == 6, name
-        assert csvs["1"] == csvs["2"], name
+        assert len(csvs[1]) == 6, name
+        assert csvs[1] == csvs[2], name
 
 
 def test_generator_check_numeric(tmp_path):
@@ -593,6 +611,73 @@ def test_unknown_assertion_is_rejected_before_any_job(
     assert f"unknown assertion {name!r}" in capsys.readouterr().err
     assert ran == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    box_expansion(), _GAS,
+    {"kind": "quantum_grid", "system": {"kind": "power_law", "b": 2},
+     "numerics": {"n_points": 64, "n_levels": 8}},
+    _BASIS,
+], ids=["classical_trajectory", "classical_ensemble", "quantum_grid", "quantum_basis"])
+def test_zero_dt_is_config_error(tmp_path, cfg):
+    cfg = {**cfg, "schedule": {"shape": "linear", "lam_start": 1.0, "lam_end": 2.0,
+                               "duration": 0.05},
+           "numerics": {**cfg.get("numerics", {}), "dt": 0}}
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
+    assert not (out / "report.json").exists()
+
+
+def test_drift_ratio_passes_over_an_exact_driven_arm(tmp_path):
+    p = write_config(tmp_path, "c.json", {
+        "kind": "classical_ensemble", "system": {"kind": "box"},
+        "schedule": {"shape": "linear", "lam_start": 1.0, "lam_end": 2.0, "duration": 0.05},
+        "initial": {"energy": 2.0}, "numerics": {"n_particles": 20},
+        "assertions": {"drift_ratio": 10},
+    })
+    out = tmp_path / "out"
+    assert main(["compare", p, "--out", str(out)]) == 0
+    rep = load_report(out)
+    assert rep["compare"]["on"]["omega_drift"] == 0.0
+    assert rep["compare"]["off"]["omega_drift"] > 0.01
+    assert rep["compare"]["gaps"]["drift_ratio"] is None  # JSON has no inf
+    assert rep["assertions"] == [
+        {"name": "drift_ratio", "threshold": 10.0, "value": None, "passed": True}]
+
+
+def test_write_csv_pins_the_cell_format(tmp_path):
+    rng = np.random.default_rng(5)
+    floats = np.concatenate((
+        [-0.0, 5e-324, 1e16, 1e-5, 0.1, -1.5e300],
+        rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, 200),
+    ))
+    n = floats.size
+    path = tmp_path / "x.csv"
+    write_csv(path, ("x", "k", "gap"), (floats, np.arange(n), [None] + [2.5] * (n - 1)))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x,k,gap"
+    cells = [line.split(",") for line in lines[1:]]
+    assert len(cells) == n
+    back = np.array([float(c[0]) for c in cells])
+    np.testing.assert_array_equal(back.view(np.int64), floats.view(np.int64))  # bit for bit
+    assert [c[0] for c in cells] == [repr(float(v)) for v in floats]
+    assert [c[1] for c in cells] == [str(k) for k in range(n)]
+    assert [c[2] for c in cells] == [""] + ["2.5"] * (n - 1)
+
+
+@pytest.mark.parametrize("cfg", [_GAS, _BASIS], ids=["classical", "quantum"])
+def test_sweep_csv_cells_equal_report_rows(tmp_path, cfg):
+    p = write_config(tmp_path, "c.json", {
+        **cfg, "schedule": {"shape": "linear", "lam_start": 1.0, "lam_end": 2.0,
+                            "duration": 0.05}})
+    out = tmp_path / "out"
+    assert main(["sweep", p, "--out", str(out), "--values", "0.05,0.1"]) == 0
+    rows = load_report(out)["sweep"]["rows"]
+    header, *lines = (out / "sweep.csv").read_text().splitlines()
+    assert len(lines) == len(rows) == 2
+    for line, row in zip(lines, rows):
+        cells = dict(zip(header.split(","), line.split(",")))
+        assert cells == {k: "" if v is None else repr(v) for k, v in row.items()}
 
 
 def test_console_entry_point(tmp_path):
