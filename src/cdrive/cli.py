@@ -217,18 +217,13 @@ _RUNNERS = {
 }
 
 
-def _execute(cfg: ExperimentConfig, out):
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[cfg.kind](cfg, out)
-
-
 def _execute_all(jobs: dict) -> tuple[dict, int]:
-    """_execute every (cfg, out) job on one thread pool; returns the results
+    """Run every (cfg, out) job on one thread pool; returns the results
     under the jobs' keys and the pool's worker count."""
     threads = max(1, min(os.cpu_count() or 1, len(jobs)))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {key: pool.submit(_execute, *job) for key, job in jobs.items()}
+        futures = {key: pool.submit(_RUNNERS[cfg.kind], cfg, out)
+                   for key, (cfg, out) in jobs.items()}
         return {key: fut.result() for key, fut in futures.items()}, threads
 
 
@@ -411,6 +406,7 @@ def _base_report(cfg: ExperimentConfig, mode: str, threads: int, resolved: dict)
 def _write_report(report: dict, out: Path) -> None:
     validate_report(report)
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(text + "\n")
 
 
@@ -437,7 +433,7 @@ def _finish(cfg, out, t0, report, rules, source, artifacts, verify) -> int:
 def do_run(cfg: ExperimentConfig, out: Path, verify: bool) -> int:
     t0 = time.perf_counter()
     _check_names(cfg.assertions, _RUN_RULES)
-    metrics, artifacts, resolved = _execute(cfg, out)
+    metrics, artifacts, resolved = _RUNNERS[cfg.kind](cfg, out)
     report = _base_report(cfg, "run", 1, resolved)
     report["cd_enabled"] = bool(cfg.cd_enabled)
     report["metrics"] = metrics
@@ -529,7 +525,6 @@ def do_sweep(cfg: ExperimentConfig, out: Path, axis: str, values, verify: bool) 
     }
     rows = [dict(zip(table, row)) for row in zip(*table.values())]
     sweep_block = {"axis": "T", "values": ts, "rows": rows, "flags": flags}
-    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "sweep.csv", list(table), list(table.values()))
 
     integrator = results[(ts[0], "on")][2]["integrator"]

@@ -625,7 +625,7 @@ def test_zero_dt_is_config_error(tmp_path, cfg):
            "numerics": {**cfg.get("numerics", {}), "dt": 0}}
     out = tmp_path / "out"
     assert main(["run", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 def test_drift_ratio_passes_over_an_exact_driven_arm(tmp_path):
@@ -649,20 +649,34 @@ def test_write_csv_pins_the_cell_format(tmp_path):
     rng = np.random.default_rng(5)
     floats = np.concatenate((
         [-0.0, 5e-324, 1e16, 1e-5, 0.1, -1.5e300],
+        # the edges of the range where orjson's notation is repr's
+        [np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e16, 0), 1e16, -1e16, np.nan,
+         np.inf, -np.inf, 2.0**53, np.finfo(float).max, np.finfo(float).tiny],
         rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, 200),
     ))
     n = floats.size
+    gap = [None, 1e-5, -np.inf, 2.5, 1e300, np.nan, 7] * (n // 7) + [None] * (n % 7)
     path = tmp_path / "x.csv"
-    write_csv(path, ("x", "k", "gap"), (floats, np.arange(n), [None] + [2.5] * (n - 1)))
+    write_csv(path, ("x", "k", "gap"), (floats, np.arange(n), gap))
     lines = path.read_text().splitlines()
     assert lines[0] == "x,k,gap"
     cells = [line.split(",") for line in lines[1:]]
     assert len(cells) == n
+    finite = np.isfinite(floats)
     back = np.array([float(c[0]) for c in cells])
-    np.testing.assert_array_equal(back.view(np.int64), floats.view(np.int64))  # bit for bit
+    np.testing.assert_array_equal(back[finite].view(np.int64),
+                                  floats[finite].view(np.int64))  # bit for bit
     assert [c[0] for c in cells] == [repr(float(v)) for v in floats]
     assert [c[1] for c in cells] == [str(k) for k in range(n)]
-    assert [c[2] for c in cells] == [""] + ["2.5"] * (n - 1)
+    assert [c[2] for c in cells] == ["" if v is None else repr(v) for v in gap]
+
+    bits = rng.integers(-2**63, 2**63 - 1, 10**5, dtype=np.int64).view(np.float64)
+    assert not np.isfinite(bits).all()
+    write_csv(path, ("x",), (bits,))
+    assert path.read_text() == "x\n" + "".join(map("{!r}\n".format, bits.tolist()))
+
+    write_csv(path, ("x", "k"), (floats[:0], np.arange(0)))
+    assert path.read_text() == "x,k\n"
 
 
 @pytest.mark.parametrize("cfg", [_GAS, _BASIS], ids=["classical", "quantum"])

@@ -423,6 +423,53 @@ def test_grid_fidelity_deficit_second_order_in_dt():
     assert 3.0 < ratio < 5.5
 
 
+_GL64 = np.polynomial.legendre.leggauss(64)
+
+
+def _grid_cd_oracle_check(b, duration, lam0, lam1):
+    """Run the CD grid arm on level 1 of power_law(b) at 512 and 1024 points
+    and hold it to the exact scale-invariant state: fidelity 1 and phase
+    -E_1(lam=1) tau_mu / hbar, tau_mu = int lam^(-2 mu) dt, with E_1 from
+    the same grid at lam = 1.  Both errors are grid errors, falling 4x
+    (phase) and 16x (fidelity deficit) per doubling, so the 1024-point
+    error is bounded by 1.5 times its Richardson estimate from the pair.
+    """
+    system, level = power_law(b), 1
+    sched = smoothstep_ramp(lam0, lam1, duration)
+    nodes, weights = _GL64
+    t = 0.5 * duration * (nodes + 1.0)
+    tau = 0.5 * duration * float(weights @ sched.value(t) ** (-2.0 * system.mu))
+    dt = 2.5e-4 if duration < 1.0 else 2e-3  # time error well under the grid error
+    phase_err, deficit = [], []
+    for n in (512, 1024):
+        g = well_grid(system, 2.0, 40.0, n)
+        e1 = _band_eigensystem(*_h0_bands(system, 1.0, g), g, 1.0, level + 1).energies[level]
+        es0 = _band_eigensystem(*_h0_bands(system, lam0, g), g, lam0, level + 1)
+        psi0 = QuantumState("grid", es0.states[:, level].astype(complex), g)
+        rec = propagate_grid(system, sched, psi0, dt, track_level=level,
+                             record_every=round(duration / dt / 40))
+        phase_err.append(abs(rec.phases[-1] + e1 * tau))
+        deficit.append(1.0 - rec.final_fidelity)
+    phase_bound = 1.5 * abs(phase_err[0] - phase_err[1]) / 3.0
+    deficit_bound = 1.5 * (deficit[0] - deficit[1]) / 15.0
+    assert phase_err[1] <= phase_bound, f"phase error {phase_err[1]:.3e} > {phase_bound:.3e}"
+    assert deficit[1] <= deficit_bound, f"fidelity deficit {deficit[1]:.3e} > {deficit_bound:.3e}"
+
+
+@pytest.mark.parametrize("lam0, lam1", [(1.0, 2.0), (2.0, 1.0)], ids=["expand", "compress"])
+@pytest.mark.parametrize("duration", [0.2, 5.0])
+@pytest.mark.parametrize("b", [2, 4, 6])
+def test_grid_cd_arm_matches_the_exact_scale_invariant_state(b, duration, lam0, lam1):
+    _grid_cd_oracle_check(b, duration, lam0, lam1)
+
+
+def test_grid_cd_oracle_rejects_a_mis_scaled_cd_band(monkeypatch):
+    real = quantum._dilation_offdiag
+    monkeypatch.setattr(quantum, "_dilation_offdiag", lambda *args: 1.01 * real(*args))
+    with pytest.raises(AssertionError, match="fidelity deficit"):
+        _grid_cd_oracle_check(4, 0.2, 1.0, 2.0)
+
+
 def test_propagate_grid_rejects_box():
     g = box_grid(1.0, 128)
     psi = QuantumState("grid", np.sqrt(2) * np.sin(math.pi * g.qs), g)
