@@ -41,13 +41,13 @@ from .quantum import (
     QuantumState,
     _band_eigensystem,
     _h0_bands,
+    _stretch_times,
     _xi_spectral_parts,
     box_grid,
     box_phase,
     propagate_basis,
     propagate_grid,
     well_grid,
-    xi_dilation,
 )
 
 SCHEMA_VERSION = "cdrive-report-v1"
@@ -332,7 +332,8 @@ def _commutator_residual(cfg: ExperimentConfig) -> dict:
     comm = xs.matrix @ h0 - h0 @ xs.matrix
     target = 1j * hbar * (block - np.diag(np.diag(block)))
     scale = float(np.max(np.abs(block)))
-    dil = grid.h * (es.states.conj().T @ xi_dilation(lam0, system.mu, grid, hbar).matrix @ es.states)
+    # xi_dilation = -i mu hbar / L (QD + DQ) / 2, applied by bands
+    dil = -1j * system.mu * hbar / lam0 * grid.h * (es.states.T @ _stretch_times(grid, es.states))
     dil_scale = float(np.max(np.abs(dil)))
     return {
         "relative_residual": float(np.max(np.abs(comm - target)) / scale),

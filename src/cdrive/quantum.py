@@ -230,10 +230,7 @@ def discretize_h0(
     Dirichlet zeros, so the matrix covers interior points only.
     """
     diag, off = _h0_bands(system, lam, grid, hbar)
-    m = np.diag(diag)
-    idx = np.arange(off.size)
-    m[idx, idx + 1] = m[idx + 1, idx] = off
-    return HermitianOperator(m)
+    return HermitianOperator(_tridiag_apply(np.eye(grid.n_points), off, off, diag))
 
 
 def _check_index(name: str, value, lo: int, hi: int) -> int:
@@ -244,14 +241,11 @@ def _check_index(name: str, value, lo: int, hi: int) -> int:
 
 
 def _fix_signs(states: np.ndarray) -> np.ndarray:
-    # first component exceeding 1e-8 in magnitude is made real positive
-    out = states.copy()
-    for col in range(out.shape[1]):
-        v = out[:, col]
-        big = np.flatnonzero(np.abs(v) > 1e-8)
-        lead = v[big[0]] if big.size else v[np.argmax(np.abs(v))]
-        out[:, col] = v * (abs(lead) / lead if lead != 0 else 1.0)
-    return out
+    # first component above 1e-8 in magnitude (else the largest) made real positive
+    big = np.abs(states) > 1e-8
+    lead = states[np.where(big.any(axis=0), big.argmax(axis=0), np.abs(states).argmax(axis=0)),
+                  np.arange(states.shape[1])]
+    return states * (np.abs(lead) / lead)
 
 
 def _checked_eigensystem(energies, vecs, residual, grid, lam) -> EigenSystem:
@@ -276,10 +270,16 @@ def _band_eigensystem(diag, off, grid: GridSpec, lam: float, n_levels: int) -> E
     """Lowest n_levels of a real symmetric tridiagonal matrix, from its bands."""
     n_levels = _check_index("n_levels", n_levels, 1, diag.size)
     energies, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1))
-    r = diag[:, None] * vecs - vecs * energies
-    r[:-1] += off[:, None] * vecs[1:]
-    r[1:] += off[:, None] * vecs[:-1]
+    r = _tridiag_apply(vecs, off, off, diag) - vecs * energies
     return _checked_eigensystem(energies, vecs, float(np.max(np.abs(r))), grid, lam)
+
+
+def _tridiag_apply(x, up, low, diag=0.0):
+    """Tridiagonal matrix (diag, superdiagonal up, subdiagonal low) times x's columns."""
+    y = np.reshape(diag, (-1, 1)) * x
+    y[:-1] += up[:, None] * x[1:]
+    y[1:] += low[:, None] * x[:-1]
+    return y
 
 
 def eigensystem(
@@ -320,12 +320,18 @@ def grad_h0_matrix(
     change adds the commutator -[(QD+DQ)/2, H0]/L, which carries all the
     off-diagonal structure the generator is built from.
     """
+    return _grad_h0_times(system, lam, grid, hbar, np.eye(grid.n_points))
+
+
+def _grad_h0_times(system, lam, grid, hbar, x):
+    """grad_h0_matrix times the columns of x, by tridiagonal applies."""
     lam = system.check_param(lam)
     if system.kind != "box":
-        return np.diag(_on_nodes(system, grid.qs, lam, d_lam=True))
-    h0 = discretize_h0(system, lam, grid, hbar).matrix.real
-    a = _stretch_half_bracket(grid)
-    return -(2.0 * h0 + (a @ h0 - h0 @ a)) / lam
+        return _on_nodes(system, grid.qs, lam, d_lam=True)[:, None] * x
+    diag, off = _h0_bands(system, lam, grid, hbar)
+    hx = _tridiag_apply(x, off, off, diag)
+    bracket = _stretch_times(grid, hx) - _tridiag_apply(_stretch_times(grid, x), off, off, diag)
+    return -(2.0 * hx + bracket) / lam
 
 
 def xi_spectral(
@@ -349,15 +355,11 @@ def _xi_spectral_parts(system, lam, grid, n_levels, hbar):
         raise DomainError(f"need at least 2 levels, got {n_levels}")
     if n_levels > grid.n_points:
         raise DomainError(f"{n_levels} levels on a {grid.n_points}-point grid")
-    es = eigensystem(discretize_h0(system, lam, grid, hbar), grid, lam, n_levels)
+    es = _band_eigensystem(*_h0_bands(system, lam, grid, hbar), grid, lam, n_levels)
     energies, vecs = es.energies, es.states
-    spread = float(energies[-1] - energies[0])
     gaps = energies[None, :] - energies[:, None]
     off = ~np.eye(n_levels, dtype=bool)
-    if np.min(np.abs(gaps[off])) < 1e-8 * spread:
-        raise NumericalError("level spacing too small for the spectral generator")
-    g = grad_h0_matrix(system, lam, grid, hbar)
-    block = grid.h * (vecs.T @ g @ vecs)
+    block = grid.h * (vecs.T @ _grad_h0_times(system, lam, grid, hbar, vecs))
     xi = np.zeros((n_levels, n_levels), dtype=complex)
     xi[off] = 1j * hbar * block[off] / gaps[off]
     return HermitianOperator(xi), es, block
@@ -381,23 +383,13 @@ def xi_dilation(lam: float, mu: float, grid: GridSpec, hbar: float = 1.0) -> Her
     if not (math.isfinite(lam) and lam > 0):
         raise DomainError(f"lam must be positive, got {lam}")
     w = _dilation_offdiag(lam, mu, grid, hbar)
-    n = grid.n_points
-    m = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n - 1)
-    m[idx, idx + 1] = -1j * w
-    m[idx + 1, idx] = 1j * w
-    return HermitianOperator(m)
+    return HermitianOperator(-1j * _tridiag_apply(np.eye(grid.n_points), w, -w))
 
 
-def _stretch_half_bracket(grid: GridSpec) -> np.ndarray:
-    # (QD + DQ) / 2 as a dense real antisymmetric matrix
+def _stretch_times(grid: GridSpec, x: np.ndarray) -> np.ndarray:
+    # (QD + DQ) / 2, real antisymmetric tridiagonal, times the columns of x
     w = _dilation_offdiag(1.0, 1.0, grid, 1.0)
-    n = grid.n_points
-    a = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    a[idx, idx + 1] = w
-    a[idx + 1, idx] = -w
-    return a
+    return _tridiag_apply(x, w, -w)
 
 
 def infinitesimal_stretch(state: QuantumState, lam: float, d_lam: float, mu: float = 1.0) -> QuantumState:
@@ -408,8 +400,8 @@ def infinitesimal_stretch(state: QuantumState, lam: float, d_lam: float, mu: flo
     """
     if state.representation != "grid":
         raise DomainError("stretch maps act on grid states")
-    a = _stretch_half_bracket(state.grid)
-    amps = state.amplitudes - (mu * d_lam / lam) * (a @ state.amplitudes)
+    stretched = _stretch_times(state.grid, state.amplitudes[:, None])[:, 0]
+    amps = state.amplitudes - (mu * d_lam / lam) * stretched
     return QuantumState("grid", amps, state.grid)
 
 
@@ -423,7 +415,7 @@ def finite_stretch(state: QuantumState, s: float, mu: float = 1.0) -> QuantumSta
         raise DomainError("stretch maps act on grid states")
     if s <= 0:
         raise DomainError(f"stretch factor must be positive, got {s}")
-    a = _stretch_half_bracket(state.grid)
+    a = _stretch_times(state.grid, np.eye(state.grid.n_points))
     amps = expm(-mu * math.log(s) * a) @ state.amplitudes
     return QuantumState("grid", amps, state.grid)
 
@@ -616,6 +608,25 @@ def _sine_coupling(n_levels: int) -> np.ndarray:
     return d1
 
 
+def _kick_basis(n_levels: int):
+    """(q, w) with q^T D1 q block-diagonal in [[0, -w], [w, 0]], D1 = _sine_coupling:
+    column pairs (x, y) from i D1's w > 0 eigenvectors (x + iy)/sqrt2, one QR pass
+    (signs from diag R), and for odd n_levels the null vector beside a zero column."""
+    w, v = eigh(1j * _sine_coupling(n_levels), driver="ev")
+    k, odd = n_levels - n_levels // 2, n_levels % 2
+    # a C-ordered copy viewed as floats holds Re u, Im u of each eigenvector u side by side
+    q, r = np.linalg.qr(math.sqrt(2.0) * v[:, k:].copy().view(float), mode="complete")
+    q[:, :r.shape[1]] *= np.sign(np.diag(r))
+    return np.pad(q, ((0, 0), (0, odd))), np.append(w[k:], np.zeros(odd))
+
+
+def _kick(c, q, turn):
+    """exp(-kappa D1) c for turn = exp(-i kappa w): c's (Re, Im) columns into q, each row
+    pair turned as one complex number, and back, by real products too narrow to thread."""
+    z = (c[:, None].view(float).T @ q).view(complex) * turn
+    return (q @ z.view(float).T).view(complex).ravel()
+
+
 @dataclass(frozen=True)
 class BasisTrajectory:
     """Eigenbasis coefficient history for the driven box.
@@ -666,8 +677,9 @@ def propagate_basis(
     adds xi = i hbar D, which cancels it identically, so a = c(0) and no step
     is taken.  The bare arm takes Strang split steps of dt: half the free
     phase, the exact coupling exp(-ln(L1/L0) D1), the other half; each factor
-    is unitary, and the error is second order in dt.  Both arms record every
-    record_every steps and at the end.
+    is unitary, and the error is second order in dt.  D1 is real antisymmetric,
+    so _kick applies a kick as a real rotation in D1's 2x2 block basis.  Both
+    arms record every record_every steps and at the end.
     """
     n_levels = _check_index("n_levels", n_levels, 1, math.inf)
     c0 = np.asarray(c0, dtype=complex)
@@ -694,22 +706,20 @@ def propagate_basis(
         coeffs = lab_frame(c0, taus[2 * rec_steps, None])
         norms = np.full(rec_steps.size, norm0)
     else:
-        # i D1 = V diag(w) V^H ("ev" keeps V unitary closest to rounding), so a
-        # kick is V diag(exp(i w dlnL)) V^H.  c is the lab state at clock tau_c up
-        # to the free phase: phases between kicks merge; zero kicks are skipped.
-        w, v = eigh(1j * _sine_coupling(n_levels), driver="ev")
-        vh = v.conj().T
+        # c is the lab state at clock tau_c up to the free phase: phases between
+        # kicks merge; zero kicks are skipped.
+        q, w = _kick_basis(n_levels)
         kicks = np.diff(np.log(np.asarray(schedule.value(half[::2]), dtype=float)))
         c, tau_c, coeff_rows, norm_rows = c0, 0.0, [c0], [norm0]
         for lo in range(0, n_steps, _KICK_BLOCK):
             kicked = lo + np.flatnonzero(kicks[lo:lo + _KICK_BLOCK])
             tau_k = taus[2 * kicked + 1]
             free = lab_frame(1.0, np.diff(tau_k, prepend=tau_c)[:, None])
-            turn = np.exp(1j * kicks[kicked, None] * w)
+            turn = np.exp(-1j * kicks[kicked, None] * w)
             post, j = np.empty((kicked.size, n_levels), dtype=complex), 0
             for i in range(lo, min(lo + _KICK_BLOCK, n_steps)):
                 if kicks[i]:
-                    c = v @ (turn[j] * (vh @ (free[j] * c)))
+                    c = _kick(free[j] * c, q, turn[j])
                     post[j], tau_c, j = c, tau_k[j], j + 1
                 if i + 1 in recorded:
                     coeff_rows.append(lab_frame(c, taus[2 * i + 2] - tau_c))
@@ -736,16 +746,17 @@ def box_phase(
 ) -> float:
     """Accumulated phase -(1/hbar) * integral_0^t of n^2 pi^2 hbar^2 / (2 m L^2).
 
-    The integral of L^-2 is a 48-node Gauss-Legendre sum, kept where the
-    24-node sum on the same interval agrees to 1e-12 relative; else each half
-    is retried, at most 12 halvings deep (enough for splines with a few
-    hundred knots) before NumericalError.  It does not go through
-    schedules.clock, so it checks the clock the box engines run on.
+    The integral of L^-2 is split at the schedule's breaks (a tabulated
+    spline's interior knots), so each piece is smooth.  A piece is a 48-node
+    Gauss-Legendre sum, kept where the 24-node sum on the same interval
+    agrees to 1e-12 relative; else each half is retried, at most 12 halvings
+    deep, before NumericalError.  It does not go through schedules.clock, so
+    it checks the clock the box engines run on.
     """
     if n < 1:
         raise DomainError(f"sine quantum number must be >= 1, got {n}")
 
-    def piece(a, b, depth):
+    def piece(a, b, depth=0):
         half = 0.5 * (b - a)
         f = np.asarray(schedule.value(a + half * (_GL_NODES + 1.0)), dtype=float) ** -2.0
         low, high = half * (f[:24] @ _GL_W24), half * (f[24:] @ _GL_W48)
@@ -755,7 +766,9 @@ def box_phase(
             raise NumericalError(f"phase quadrature did not converge on [{a}, {b}]")
         return piece(a, a + half, depth + 1) + piece(a + half, b, depth + 1)
 
-    return -n * n * math.pi * math.pi * hbar / (2.0 * mass) * piece(0.0, float(t), 0)
+    edges = [0.0, *(x for x in schedule.breaks if x < t), float(t)]
+    total = sum(map(piece, edges[:-1], edges[1:]))
+    return -n * n * math.pi * math.pi * hbar / (2.0 * mass) * total
 
 
 def exact_box_state(

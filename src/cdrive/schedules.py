@@ -26,6 +26,7 @@ class Schedule:
     value: Callable
     rate: Callable
     tag: str = "custom"
+    breaks: tuple = ()  # times where value() is only piecewise smooth, e.g. spline knots
 
     def __post_init__(self):
         if not (np.isfinite(self.duration) and self.duration > 0):
@@ -120,7 +121,7 @@ def tabulated(times, values) -> Schedule:
     def rate(t):
         return deriv(np.clip(t, 0.0, duration))
 
-    return Schedule(duration, value, rate, "tabulated")
+    return Schedule(duration, value, rate, "tabulated", tuple(times[1:-1].tolist()))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)

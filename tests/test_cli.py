@@ -6,6 +6,7 @@ run, 2 config error, 3 numerical failure with an error.json diagnostic.
 
 import copy
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -375,6 +376,43 @@ def test_report_names_the_integrator_that_ran(tmp_path, cfg, cd_enabled, integra
     out = tmp_path / "out"
     assert main(["run", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
     assert load_report(out)["numerics"]["integrator"] == integrator
+
+
+def test_basis_run_on_a_rough_tabulated_schedule(tmp_path):
+    # 301 noisy knots: the exact phase target is integrated knot to knot
+    rng = np.random.default_rng(5)
+    times = np.linspace(0.0, 0.05, 301)
+    noise = 1.0 + rng.uniform(-0.01, 0.01, times.size)
+    values = (1.5 + 0.3 * np.sin(140.0 * times)) * noise
+    p = write_config(tmp_path, "c.json", {
+        **_BASIS, "numerics": {"n_levels": 8, "dt": 1e-4},
+        "schedule": {"shape": "tabulated", "times": times.tolist(), "values": values.tolist()},
+    })
+    out = tmp_path / "out"
+    assert main(["run", p, "--out", str(out)]) == 0
+    assert load_report(out)["metrics"]["phase_error"] < 1e-8
+
+
+_PIN_BARE = {"kind": "quantum_basis", "system": {"kind": "box"}, "cd_enabled": False,
+             "schedule": {"shape": "linear", "lam_start": 1.0, "lam_end": 2.0,
+                          "duration": 0.05},
+             "numerics": {"n_levels": 64, "dt": 2e-5}}
+
+
+def test_bare_basis_arm_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # 64 levels is where a 64x64 complex matrix-vector product would go
+    # multithreaded; the kick's real products are two columns wide and stay
+    # on one thread, so both runs write the same bytes
+    p = write_config(tmp_path, "pin.json", _PIN_BARE)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    csvs = []
+    for name, extra in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+        out = tmp_path / name
+        proc = subprocess.run([sys.executable, "-m", "cdrive", "run", p, "--out", str(out)],
+                              env={**env, **extra}, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        csvs.append((out / "trajectory.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_compare_quantum_grid(tmp_path):

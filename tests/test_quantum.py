@@ -43,6 +43,8 @@ from cdrive.quantum import (
     _band_eigensystem,
     _fix_signs,
     _h0_bands,
+    _kick,
+    _kick_basis,
     _potential_diagonal,
     _sine_coupling,
 )
@@ -843,6 +845,29 @@ def test_box_phase_oracles():
         box_phase(1, jump, 1.0)
 
 
+def _rough_spline(n_knots=301, duration=0.05, seed=5):
+    """Cubic spline through 1.5 + 0.3 sin(140 t) with 1% uniform noise."""
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(0.0, duration, n_knots)
+    noise = 1.0 + rng.uniform(-0.01, 0.01, ts.size)
+    return tabulated(ts, (1.5 + 0.3 * np.sin(140.0 * ts)) * noise)
+
+
+def test_box_phase_splits_at_the_knots_of_a_rough_spline():
+    # the spline's third derivative jumps at each of its 299 interior knots,
+    # which no single smooth quadrature rule resolves to 1e-12; between two
+    # knots L is a cubic, so the reference is quad over each knot interval
+    from scipy.integrate import quad
+
+    sched = _rough_spline()
+    knots = np.array([0.0, *sched.breaks, sched.duration])
+    for t in (0.37 * sched.duration, sched.duration):
+        edges = [*knots[knots < t], t]
+        ref = sum(quad(lambda s: float(sched.value(s)) ** -2.0, a, b, epsabs=0.0,
+                       epsrel=1e-13)[0] for a, b in zip(edges[:-1], edges[1:]))
+        assert box_phase(2, sched, t) == pytest.approx(-2 * math.pi**2 * ref, rel=1e-12, abs=0)
+
+
 def test_basis_cd_phases_match_exact_solution():
     c0 = np.zeros(16, dtype=complex)
     c0[0] = 1.0
@@ -986,7 +1011,7 @@ _RAMPS = {"linear": linear_ramp, "smoothstep": smoothstep_ramp, "cosine": cosine
     lam1=st.floats(0.5, 2.0),
     T=st.floats(0.01, 0.3),
     n_steps=st.integers(1, 400),
-    n_levels=st.integers(1, 48),
+    n_levels=st.integers(1, 65),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_basis_bare_arm_is_unitary(shape, lam0, lam1, T, n_steps, n_levels, seed):
@@ -1001,7 +1026,7 @@ def test_basis_bare_arm_is_unitary(shape, lam0, lam1, T, n_steps, n_levels, seed
     lam1=st.floats(0.6, 1.8),
     T=st.floats(0.01, 0.2),
     n_steps=st.integers(1, 300),
-    n_levels=st.integers(2, 32),
+    n_levels=st.integers(2, 65),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_basis_bare_arm_is_time_reversible(lam0, lam1, T, n_steps, n_levels, seed):
@@ -1040,6 +1065,20 @@ def test_sine_coupling_closed_form():
     for lam in (1.0, 1.7, 3.0):
         err = np.max(np.abs(d1 / lam - _fd_box_coupling(32, lam)))
         assert err < 1e-8 * np.max(np.abs(d1)) / lam, lam
+
+
+@pytest.mark.parametrize("n_levels", [1, 2, 3, 63, 64, 65])
+def test_kick_is_the_matrix_exponential_of_the_coupling(n_levels):
+    # q^T D1 q is 2x2 blocks [[0, -w], [w, 0]], so Q rot(kappa) Q^T, which
+    # _kick applies, is exp(-kappa D1); each column is checked against expm
+    q, w = _kick_basis(n_levels)
+    d1 = _sine_coupling(n_levels)
+    blocks = np.kron(np.diag(w), [[0.0, -1.0], [1.0, 0.0]])
+    assert np.max(np.abs(q.T @ d1 @ q - blocks)) < 1e-12 * max(1.0, np.max(w))
+    for kappa in (3e-4, -3e-4, 0.3, -0.3):
+        turn = np.exp(-1j * kappa * w)
+        kick = np.array([_kick(e, q, turn) for e in np.eye(n_levels, dtype=complex)]).T
+        assert np.max(np.abs(kick - scipy.linalg.expm(-kappa * d1))) < 1e-13, kappa
 
 
 def test_basis_superposition_interference():

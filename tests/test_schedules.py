@@ -104,3 +104,10 @@ def test_clock_rejects_unsorted_times():
         clock(sched, [0.0, 0.5, 0.2])
     with pytest.raises(DomainError):
         clock(sched, [-0.1, 0.5])
+
+
+def test_tabulated_schedule_breaks_at_its_interior_knots():
+    # box_phase splits its quadrature there; smooth shapes have no breaks
+    assert tabulated([0.0, 0.3, 0.7, 1.0], [1.0, 1.1, 1.6, 2.0]).breaks == (0.3, 0.7)
+    assert tabulated([0.0, 1.0], [1.0, 2.0]).breaks == ()
+    assert linear_ramp(1.0, 2.0, 1.0).breaks == ()
