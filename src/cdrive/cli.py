@@ -5,6 +5,11 @@ schema) plus the data CSVs for the experiment kind.  Exit codes: 0 all
 configured assertions pass; 1 an assertion failed but the run completed;
 2 invalid configuration; 3 numerical failure, with a diagnostic error.json
 left in the output directory.
+
+compare and sweep run a CD-on and a CD-off arm.  A quantum_grid config's
+arms share their spectra and Cayley solves, so they run as one lockstep job;
+every other kind runs one job per arm.  A lone job runs on the calling
+thread, several on one thread pool.
 """
 
 import argparse
@@ -41,12 +46,12 @@ from .quantum import (
     QuantumState,
     _band_eigensystem,
     _h0_bands,
+    _propagate_arms,
     _stretch_times,
     _xi_spectral_parts,
     box_grid,
     box_phase,
     propagate_basis,
-    propagate_grid,
     well_grid,
 )
 
@@ -54,8 +59,8 @@ SCHEMA_VERSION = "cdrive-report-v1"
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: each returns (metrics, artifact names, resolved numerics);
-# the resolved numerics name the integrator that ran
+# experiment runners map (cfg, arms {cd_enabled: output directory or None}) to
+# per-arm (metrics, artifact names, resolved numerics naming the integrator)
 
 
 def _generator(cfg: ExperimentConfig):
@@ -65,7 +70,7 @@ def _generator(cfg: ExperimentConfig):
     return analytic_generator_for(cfg.system)
 
 
-def _run_classical_trajectory(cfg, out):
+def _run_classical_trajectory(cfg, cd, out):
     sched = cfg.schedule
     energy = float(cfg.initial["energy"])
     qs, ps = _draw_initial_conditions(
@@ -74,7 +79,7 @@ def _run_classical_trajectory(cfg, out):
     z0 = (float(qs[0]), float(ps[0]))
     dt = sched.duration / 2000.0 if cfg.numerics["dt"] is None else cfg.numerics["dt"]
     tol = cfg.numerics["tol"]
-    if cfg.cd_enabled:
+    if cd:
         rec = evolve_cd(cfg.system, _generator(cfg), sched, z0, dt, tol=tol)
     else:
         rec = evolve_bare(cfg.system, sched, z0, dt, tol=tol)
@@ -92,7 +97,7 @@ def _run_classical_trajectory(cfg, out):
     return metrics, artifacts, {"dt": float(dt), "integrator": integrator}
 
 
-def _run_classical_ensemble(cfg, out):
+def _run_classical_ensemble(cfg, cd, out):
     sched = cfg.schedule
     if "gas_momentum" in cfg.initial:
         sampler = uniform_gas_sampler(
@@ -103,7 +108,7 @@ def _run_classical_ensemble(cfg, out):
     snaps = list(cfg.snapshots) if cfg.snapshots is not None else [0.0, sched.duration]
     dt = cfg.numerics["dt"]
     rec = evolve_ensemble(
-        cfg.system, _generator(cfg) if cfg.cd_enabled else None, sched, sampler,
+        cfg.system, _generator(cfg) if cd else None, sched, sampler,
         cfg.numerics["n_particles"], cfg.seed, snaps,
         dt=dt, tol=cfg.numerics["tol"],
     )
@@ -132,7 +137,7 @@ def _run_classical_ensemble(cfg, out):
     }
 
 
-def _run_quantum_grid(cfg, out):
+def _run_quantum_grid(cfg, arms):
     sched, system, num = cfg.schedule, cfg.system, cfg.numerics
     level = int(cfg.initial.get("level", 0))
     # size the grid for the widest well the schedule visits
@@ -146,35 +151,38 @@ def _run_quantum_grid(cfg, out):
     es0 = spectrum(sched.initial)
     psi0 = QuantumState("grid", es0.states[:, level].astype(complex), grid)
     dt = 2e-4 if num["dt"] is None else num["dt"]
-    rec = propagate_grid(
-        system, sched, psi0, dt, with_cd=cfg.cd_enabled, track_level=level,
+    recs = _propagate_arms(
+        system, sched, psi0, dt, tuple(arms), track_level=level,
         n_leading=max(4, level + 1), record_every=num["record_every"],
         hbar=num["hbar"],
     )
-    artifacts = []
-    if out is not None:
-        rec.to_csv(out / "trajectory.csv")
-        artifacts.append("trajectory.csv")
-        es_end = spectrum(sched.final)
-        write_csv(out / "spectrum.csv", ("level", "energy_start", "energy_end"),
-                  (np.arange(n_keep), es0.energies, es_end.energies))
-        artifacts.append("spectrum.csv")
-    metrics = {
-        "min_fidelity": float(rec.min_fidelity),
-        "final_fidelity": float(rec.final_fidelity),
-        "norm_drift": float(np.max(np.abs(rec.norms - 1.0))),
-    }
-    return metrics, artifacts, {"dt": float(dt), "integrator": "cayley_midpoint"}
+    # every arm's files are written after every arm has run
+    es_end = spectrum(sched.final) if any(arms.values()) else None
+    results = {}
+    for (cd, out), rec in zip(arms.items(), recs):
+        artifacts = []
+        if out is not None:
+            rec.to_csv(out / "trajectory.csv")
+            write_csv(out / "spectrum.csv", ("level", "energy_start", "energy_end"),
+                      (np.arange(n_keep), es0.energies, es_end.energies))
+            artifacts = ["trajectory.csv", "spectrum.csv"]
+        metrics = {
+            "min_fidelity": float(rec.min_fidelity),
+            "final_fidelity": float(rec.final_fidelity),
+            "norm_drift": float(np.max(np.abs(rec.norms - 1.0))),
+        }
+        results[cd] = (metrics, artifacts, {"dt": float(dt), "integrator": "cayley_midpoint"})
+    return results
 
 
-def _run_quantum_basis(cfg, out):
+def _run_quantum_basis(cfg, cd, out):
     sched, num = cfg.schedule, cfg.numerics
     level = int(cfg.initial.get("level", 0))
     c0 = np.zeros(num["n_levels"], dtype=complex)
     c0[level] = 1.0
     dt = 1e-4 if num["dt"] is None else num["dt"]
     rec = propagate_basis(
-        sched, c0, n_levels=num["n_levels"], dt=dt, with_cd=cfg.cd_enabled,
+        sched, c0, n_levels=num["n_levels"], dt=dt, with_cd=cd,
         mass=cfg.system.mass, hbar=num["hbar"], record_every=num["record_every"],
     )
     artifacts = []
@@ -192,11 +200,11 @@ def _run_quantum_basis(cfg, out):
         "norm_drift": float(np.max(np.abs(rec.norms - 1.0))),
         "leakage_warning": bool(rec.leakage_warning),
     }
-    integrator = "exact_phase" if cfg.cd_enabled else "strang_split"
+    integrator = "exact_phase" if cd else "strang_split"
     return metrics, artifacts, {"dt": float(dt), "integrator": integrator}
 
 
-def _run_generator_check(cfg, out):
+def _run_generator_check(cfg, cd, out):
     shells = [float(E) for E in cfg.shells]
     chk = verify_generator(cfg.system, _generator(cfg), cfg.schedule.initial, shells,
                            n_points=cfg.numerics["shell_points"])
@@ -208,23 +216,34 @@ def _run_generator_check(cfg, out):
     return {"generator_residuals": residuals}, [], {"integrator": "orbit_quadrature"}
 
 
+def _each_arm(run_arm):  # a runner from a one-arm body run_arm(cfg, cd, out)
+    return lambda cfg, arms: {cd: run_arm(cfg, cd, out) for cd, out in arms.items()}
+
+
 _RUNNERS = {
-    "classical_trajectory": _run_classical_trajectory,
-    "classical_ensemble": _run_classical_ensemble,
+    "classical_trajectory": _each_arm(_run_classical_trajectory),
+    "classical_ensemble": _each_arm(_run_classical_ensemble),
     "quantum_grid": _run_quantum_grid,
-    "quantum_basis": _run_quantum_basis,
-    "generator_check": _run_generator_check,
+    "quantum_basis": _each_arm(_run_quantum_basis),
+    "generator_check": _each_arm(_run_generator_check),
 }
 
 
-def _execute_all(jobs: dict) -> tuple[dict, int]:
-    """Run every (cfg, out) job on one thread pool; returns the results
-    under the jobs' keys and the pool's worker count."""
+def _execute_all(groups: list) -> tuple[dict, int]:
+    """Run the arms of every (key, cfg, arms) group in jobs grouped as the
+    module docstring says; returns each arm's result under (key, cd_enabled)
+    and the thread count."""
+    jobs = [(key, cfg, part) for key, cfg, arms in groups for part in (
+        [arms] if cfg.kind == "quantum_grid" else [{cd: out} for cd, out in arms.items()])]
     threads = max(1, min(os.cpu_count() or 1, len(jobs)))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {key: pool.submit(_RUNNERS[cfg.kind], cfg, out)
-                   for key, (cfg, out) in jobs.items()}
-        return {key: fut.result() for key, fut in futures.items()}, threads
+    if len(jobs) == 1:
+        done = [_RUNNERS[cfg.kind](cfg, arms) for _, cfg, arms in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(_RUNNERS[cfg.kind], cfg, arms) for _, cfg, arms in jobs]
+            done = [fut.result() for fut in futures]
+    return {(key, cd): result for (key, _, _), results in zip(jobs, done)
+            for cd, result in results.items()}, threads
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +453,8 @@ def _finish(cfg, out, t0, report, rules, source, artifacts, verify) -> int:
 def do_run(cfg: ExperimentConfig, out: Path, verify: bool) -> int:
     t0 = time.perf_counter()
     _check_names(cfg.assertions, _RUN_RULES)
-    metrics, artifacts, resolved = _RUNNERS[cfg.kind](cfg, out)
+    results, _ = _execute_all([(None, cfg, {cfg.cd_enabled: out})])
+    [(metrics, artifacts, resolved)] = results.values()
     report = _base_report(cfg, "run", 1, resolved)
     report["cd_enabled"] = bool(cfg.cd_enabled)
     report["metrics"] = metrics
@@ -464,16 +484,14 @@ def _gaps(on: dict, off: dict) -> dict:
 def do_compare(cfg: ExperimentConfig, out: Path, verify: bool) -> int:
     t0 = time.perf_counter()
     _check_names(cfg.assertions, _COMPARE_RULES)
-    results, threads = _execute_all({
-        arm: (cfg.with_updates(cd_enabled=arm == "on"), out / arm) for arm in ("on", "off")
-    })
-    on, off = results["on"][0], results["off"][0]
-    compare = {"on": on, "off": off, "gaps": _gaps(on, off)}
-    report = _base_report(cfg, "compare", threads, results["on"][2])
+    results, threads = _execute_all([(None, cfg, {True: out / "on", False: out / "off"})])
+    on, off = results[(None, True)], results[(None, False)]
+    compare = {"on": on[0], "off": off[0], "gaps": _gaps(on[0], off[0])}
+    report = _base_report(cfg, "compare", threads, on[2])
     report["cd_enabled"] = None
-    report["metrics"] = on
+    report["metrics"] = on[0]
     report["compare"] = compare
-    artifacts = [f"{arm}/{a}" for arm in ("on", "off") for a in results[arm][1]]
+    artifacts = [f"{arm}/{a}" for arm, res in (("on", on), ("off", off)) for a in res[1]]
     return _finish(cfg, out, t0, report, _COMPARE_RULES, compare, artifacts, verify)
 
 
@@ -493,12 +511,8 @@ def do_sweep(cfg: ExperimentConfig, out: Path, axis: str, values, verify: bool) 
         raise ConfigError("sweep values must be positive and strictly ascending")
     _check_names(cfg.assertions, _SWEEP_RULES)
 
-    jobs = {}
-    for T in ts:
-        base = cfg.with_duration(T)
-        jobs[(T, "on")] = (base.with_updates(cd_enabled=True), None)
-        jobs[(T, "off")] = (base.with_updates(cd_enabled=False), None)
-    results, threads = _execute_all(jobs)
+    results, threads = _execute_all(
+        [(T, cfg.with_duration(T), {True: None, False: None}) for T in ts])
 
     def deficit(metrics):
         f = metrics.get("final_fidelity")
@@ -510,8 +524,8 @@ def do_sweep(cfg: ExperimentConfig, out: Path, axis: str, values, verify: bool) 
     for name, get in (("omega_drift", lambda m: m.get("omega_drift")),
                       ("dissipation", lambda m: m.get("dissipation")),
                       ("fidelity_deficit", deficit)):
-        for arm in ("on", "off"):
-            table[f"{name}_{arm}"] = [get(results[(T, arm)][0]) for T in ts]
+        for arm, cd in (("on", True), ("off", False)):
+            table[f"{name}_{arm}"] = [get(results[(T, cd)][0]) for T in ts]
 
     def over(name, reduce):  # None unless every T produced the metric
         col = table[name]
@@ -528,7 +542,7 @@ def do_sweep(cfg: ExperimentConfig, out: Path, axis: str, values, verify: bool) 
     sweep_block = {"axis": "T", "values": ts, "rows": rows, "flags": flags}
     write_csv(out / "sweep.csv", list(table), list(table.values()))
 
-    integrator = results[(ts[0], "on")][2]["integrator"]
+    integrator = results[(ts[0], True)][2]["integrator"]
     report = _base_report(cfg, "sweep", threads, {"integrator": integrator})
     report["cd_enabled"] = None
     report["metrics"] = {}

@@ -473,8 +473,11 @@ def _uniform_steps(duration: float, dt: float, record_every: int):
 
 def solve_banded(ab, b):
     """Solve A x = b for the complex tridiagonal A banded as scipy's (1, 1) ab,
-    by one LAPACK zgtsv call that consumes ab and b.  The name stays: the
-    benchmark tracer and the tests count and poison Cayley solves through it.
+    by one LAPACK zgtsv call that consumes ab and b.  Blocks of A uncoupled at
+    each junction solve bit-identically to each block alone: gtsv eliminates
+    nothing across a zero subdiagonal, and its fill-in there is zero.  The
+    name stays: the benchmark tracer and the tests count and poison Cayley
+    solves through it.
     """
     *_, x, info = zgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, overwrite_dl=1,
                         overwrite_d=1, overwrite_du=1, overwrite_b=1)
@@ -504,8 +507,18 @@ def propagate_grid(
     wells use scale invariance, V(q; lam) = lam^-b V(q; 1), and the dilation
     generator is xi(lam) = xi(1) / lam, so a block rescales fixed bands
     instead of rebuilding them.  The box is rejected: its moving wall cannot
-    live on a fixed grid, and propagate_basis covers it exactly.
+    live on a fixed grid, and propagate_basis covers it exactly.  This is
+    the one-arm case of _propagate_arms.
     """
+    return _propagate_arms(system, schedule, psi0, dt, (with_cd,), track_level,
+                           n_leading, record_every, hbar)[0]
+
+
+def _propagate_arms(system, schedule, psi0, dt, arms, track_level=0, n_leading=4,
+                    record_every=10, hbar=1.0):
+    """propagate_grid for each CD flag in arms, bit-identical to separate runs:
+    the arms share the bands and each record's eigensolve, and their Cayley
+    matrices stack into one tridiagonal system solved once per step."""
     if system.kind == "box":
         raise DomainError("grid propagation excludes the box; use propagate_basis")
     if psi0.representation != "grid":
@@ -518,7 +531,7 @@ def propagate_grid(
     n_leading = _check_index("n_leading", n_leading, 1, n)
     h = grid.h
     kin = hbar * hbar / (2.0 * system.mass * h * h)
-    mu = system.mu if with_cd else 0.0
+    mus = [system.mu if with_cd else 0.0 for with_cd in arms]
     kappa = step / (2.0 * hbar)
     rec_steps = [i for i in range(n_steps + 1) if i % record_every == 0 or i == n_steps]
     mids = (np.arange(n_steps) + 0.5) * step
@@ -540,52 +553,51 @@ def propagate_grid(
 
     k = max(n_leading, track_level + 1)
     kin_off = np.full(n - 1, -kin)
-    psi = psi0.amplitudes.copy()
-    times, norms, fids, phases, pops = [], [], [], [], []
+    psi = np.tile(psi0.amplitudes, (len(arms), 1))  # one row per arm
+    times, samples = [], [([], [], [], []) for _ in arms]  # norms, fids, phases, pops
 
     def record(psi):
         j = len(times)
         vecs = _band_eigensystem(diagonals(rec_lams[j:j + 1])[0], kin_off, grid,
                                  rec_lams[j], k).states
-        coeff = h * (vecs.T @ psi)
         times.append(rec_steps[j] * step)
-        norms.append(math.sqrt(h * float(np.sum(np.abs(psi) ** 2))))
-        fids.append(float(np.abs(coeff[track_level]) ** 2))
-        phases.append(float(np.angle(coeff[track_level])))
-        pops.append(np.abs(coeff[:n_leading]) ** 2)
+        for amps, (norms, fids, phases, pops) in zip(psi, samples):
+            coeff = h * (vecs.T @ amps)
+            norms.append(math.sqrt(h * float(np.sum(np.abs(amps) ** 2))))
+            fids.append(float(np.abs(coeff[track_level]) ** 2))
+            phases.append(float(np.angle(coeff[track_level])))
+            pops.append(np.abs(coeff[:n_leading]) ** 2)
 
     # off the diagonal, i kappa H is -i kappa kin plus (super) or minus (sub)
-    # kappa lam_dot w(lam), with the dilation weight w(lam) = w(1) / lam
+    # kappa lam_dot w(lam), with the dilation weight w(lam) = w(1) / lam; the
+    # zero first super- and last subdiagonal slot of each arm uncouple the arms
     off_kin = -1j * kappa * kin
-    w1 = kappa * _dilation_offdiag(1.0, mu, grid, hbar)
-    ab = np.zeros((_GRID_BLOCK, 3, n), dtype=complex)
+    w1 = np.array([kappa * _dilation_offdiag(1.0, mu, grid, hbar) for mu in mus])
+    ab = np.zeros((_GRID_BLOCK, 3, len(arms), n), dtype=complex)
     record(psi)
     for lo in range(0, n_steps, _GRID_BLOCK):
         hi = min(lo + _GRID_BLOCK, n_steps)
-        cd = (rates[lo:hi] / lams[lo:hi])[:, None] * w1
-        ab[:hi - lo, 0, 1:] = off_kin + cd
-        ab[:hi - lo, 1] = 1.0 + 1j * kappa * diagonals(lams[lo:hi])
-        ab[:hi - lo, 2, :-1] = off_kin - cd
+        cd = (rates[lo:hi] / lams[lo:hi])[:, None, None] * w1
+        ab[:hi - lo, 0, :, 1:] = off_kin + cd
+        ab[:hi - lo, 1] = (1.0 + 1j * kappa * diagonals(lams[lo:hi]))[:, None]
+        ab[:hi - lo, 2, :, :-1] = off_kin - cd
         for i in range(lo, hi):
             # psi' = 2 A^-1 psi - psi; the bands of A and the rhs are consumed
-            x = solve_banded(ab[i - lo], 2.0 * psi)
-            np.subtract(x, psi, out=psi)
-            norm = math.sqrt(h * float(np.vdot(psi, psi).real))
-            # written so that a NaN norm fails too
-            if not abs(norm - 1.0) <= 1e-10:
-                raise NumericalError(f"norm drift {abs(norm - 1.0):.3e} at step {i}")
+            x = solve_banded(ab[i - lo].reshape(3, -1), 2.0 * psi.ravel())
+            np.subtract(x.reshape(psi.shape), psi, out=psi)
+            for amps in psi:  # each arm's own norm
+                norm = math.sqrt(h * float(np.vdot(amps, amps).real))
+                # written so that a NaN norm fails too
+                if not abs(norm - 1.0) <= 1e-10:
+                    raise NumericalError(f"norm drift {abs(norm - 1.0):.3e} at step {i}")
             if i + 1 == rec_steps[len(times)]:
                 record(psi)
 
-    return GridTrajectory(
-        times=np.array(times),
-        norms=np.array(norms),
-        fidelities=np.array(fids),
-        phases=np.unwrap(np.array(phases)),
-        populations=np.array(pops),
-        track_level=track_level,
-        final_state=QuantumState("grid", psi, grid),
-    )
+    return tuple(GridTrajectory(
+        times=np.array(times), norms=np.array(norms), fidelities=np.array(fids),
+        phases=np.unwrap(np.array(phases)), populations=np.array(pops),
+        track_level=track_level, final_state=QuantumState("grid", amps.copy(), grid),
+    ) for amps, (norms, fids, phases, pops) in zip(psi, samples))
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,7 @@ def test_box_runs_leave_out_unused_scipy_subpackages(tmp_path):
 
 
 def test_numerical_failure_writes_diagnostic(tmp_path, monkeypatch):
-    def boom(cfg, out):
+    def boom(cfg, arms):
         raise NumericalError("solver fell over")
 
     monkeypatch.setitem(cli._RUNNERS, "classical_trajectory", boom)
@@ -288,6 +288,8 @@ def test_non_finite_grid_state_exits_3(tmp_path, monkeypatch):
     })
     out = tmp_path / "out"
     assert main(["compare", p, "--out", str(out)]) == 3
+    # both arms step in one job, so neither arm leaves files behind
+    assert [f.relative_to(out).as_posix() for f in out.rglob("*")] == ["error.json"]
     diag = json.loads((out / "error.json").read_text())
     assert diag["error"] == "NumericalError"
     assert "norm drift nan" in diag["message"]
@@ -436,6 +438,27 @@ def test_compare_quantum_grid(tmp_path):
         assert (out / arm / "spectrum.csv").read_text().startswith(
             "level,energy_start,energy_end"
         )
+
+
+def test_grid_compare_arms_equal_single_runs(tmp_path):
+    cfg = {
+        "kind": "quantum_grid",
+        "system": {"kind": "power_law", "b": 4},
+        "initial": {"level": 1},
+        "schedule": {"shape": "smoothstep", "lam_start": 1.0, "lam_end": 2.0,
+                     "duration": 0.1},
+        "numerics": {"n_points": 128, "e_max": 40.0, "dt": 2e-3, "record_every": 7},
+    }
+    out = tmp_path / "cmp"
+    assert main(["compare", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+    # the arms share one job on the calling thread
+    assert load_report(out)["numerics"]["threads"] == 1
+    for arm, cd in (("on", True), ("off", False)):
+        single = tmp_path / arm
+        p = write_config(tmp_path, f"{arm}.json", {**cfg, "cd_enabled": cd})
+        assert main(["run", p, "--out", str(single)]) == 0
+        for name in ("trajectory.csv", "spectrum.csv"):
+            assert (out / arm / name).read_bytes() == (single / name).read_bytes(), (arm, name)
 
 
 def test_compare_static_schedule_gives_identical_arms(tmp_path):
@@ -639,7 +662,7 @@ def test_unknown_assertion_is_rejected_before_any_job(
         tmp_path, monkeypatch, capsys, mode, name, extra):
     ran, real = [], cli._RUNNERS["classical_ensemble"]
     monkeypatch.setitem(cli._RUNNERS, "classical_ensemble",
-                        lambda cfg, out: ran.append(cfg) or real(cfg, out))
+                        lambda cfg, arms: ran.append(cfg) or real(cfg, arms))
     p = write_config(tmp_path, "c.json", {
         **_GAS, "schedule": {"shape": "linear", "lam_start": 1.0, "lam_end": 2.0,
                              "duration": 0.05},

@@ -46,6 +46,7 @@ from cdrive.quantum import (
     _kick,
     _kick_basis,
     _potential_diagonal,
+    _propagate_arms,
     _sine_coupling,
 )
 from cdrive.schedules import (
@@ -634,6 +635,74 @@ def test_solve_banded_matches_scipy(n):
 def test_solve_banded_singular_is_numerical_error():
     with pytest.raises(NumericalError, match="LAPACK info 1"):
         quantum.solve_banded(np.zeros((3, 8), dtype=complex), np.ones(8, dtype=complex))
+
+
+@pytest.mark.parametrize("n", [2, 7, 64])
+def test_solve_banded_stacked_blocks_match_per_block_solves(n):
+    # two blocks with zero coupling at the junction; |dl| far above |d| and
+    # |du| makes gtsv interchange rows at every step, so it writes fill-in
+    # next to the junction as well
+    rng = np.random.default_rng(n)
+    ab = (rng.normal(size=(3, 2 * n)) + 1j * rng.normal(size=(3, 2 * n))) * np.array(
+        [[0.1], [0.1], [10.0]])
+    ab[0, n] = ab[2, n - 1] = 0.0
+    b = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+    blocks = [quantum.solve_banded(ab[:, s].copy(), b[s].copy())
+              for s in (slice(0, n), slice(n, 2 * n))]
+    assert np.array_equal(quantum.solve_banded(ab.copy(), b.copy()), np.concatenate(blocks))
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("b", [2, 4, 6])
+def test_grid_arms_in_lockstep_match_separate_runs(b, level):
+    # 100 steps, recorded every 7: the last record is off the stride
+    system = power_law(b)
+    g = well_grid(system, 1.7, 15.0, 128)
+    es = eigensystem(discretize_h0(system, 1.0, g), g, 1.0, n_levels=2)
+    psi0 = QuantumState("grid", es.states[:, level].astype(complex), g)
+    sched = smoothstep_ramp(1.0, 1.7, 0.3)
+    kw = {"track_level": level, "record_every": 7}
+    arms = _propagate_arms(system, sched, psi0, 3e-3, (True, False), **kw)
+    assert len(arms) == 2 and arms[0].times.size == 16
+    for rec, with_cd in zip(arms, (True, False)):
+        alone = propagate_grid(system, sched, psi0, 3e-3, with_cd=with_cd, **kw)
+        assert np.array_equal(rec.times, alone.times)
+        for got, want in ((rec.final_state.amplitudes, alone.final_state.amplitudes),
+                          (rec.fidelities, alone.fidelities), (rec.phases, alone.phases),
+                          (rec.norms, alone.norms), (rec.populations, alone.populations)):
+            assert np.array_equal(got, want), with_cd
+
+
+@pytest.mark.parametrize("arm", [0, 1])
+def test_grid_arm_norm_drift_alone_raises(monkeypatch, arm):
+    # a drift of about 1e-9 in one arm's half of one stacked solve
+    real = quantum.solve_banded
+    calls = []
+    g, es, sched = _driving_setup(SHO, 128)
+
+    def drifted(*args, **kwargs):
+        calls.append(None)
+        x = real(*args, **kwargs)
+        if len(calls) == 3:
+            x[arm * 128:(arm + 1) * 128] *= 1.0 + 1e-9
+        return x
+
+    monkeypatch.setattr(quantum, "solve_banded", drifted)
+    psi0 = QuantumState("grid", es.states[:, 0].astype(complex), g)
+    with pytest.raises(NumericalError, match="norm drift .* at step 2"):
+        _propagate_arms(SHO, sched, psi0, 1e-2, (True, False))
+
+
+def test_grid_arms_own_their_final_states():
+    g, es, sched = _driving_setup(SHO, 128)
+    psi0 = QuantumState("grid", es.states[:, 0].astype(complex), g)
+    on, off = _propagate_arms(SHO, sched, psi0, 1e-2, (True, False))
+    # not views into the stacked state
+    assert on.final_state.amplitudes.flags.owndata and off.final_state.amplitudes.flags.owndata
+    kept = off.final_state.amplitudes.copy()
+    on.final_state.amplitudes[:] = 0.0
+    assert np.array_equal(off.final_state.amplitudes, kept)
+    assert np.array_equal(psi0.amplitudes, es.states[:, 0])
 
 
 def test_propagate_grid_makes_one_banded_solve_per_step(monkeypatch):

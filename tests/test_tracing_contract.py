@@ -5,7 +5,8 @@ and the benchmark's own tests are not part of this suite, so this test loads
 the tracer by path, installs it and checks that uninstalling restores every
 module global, class method and shape registry entry it touched.  It also
 checks that the tracer still sees every Cayley solve, every numeric-generator
-gradient and every compare and sweep job the CLI's thread pool runs.
+gradient and every compare and sweep job the CLI's thread pool runs, and it
+pins the work of a grid compare, whose two arms step as one job.
 """
 
 import importlib.util
@@ -137,3 +138,32 @@ def test_tracer_sees_the_cli_thread_pool(tmp_path, mode, extra, n_jobs):
     assert code == 0
     assert tracer.workers >= 1
     assert len(tracer.queue_waits) == n_jobs
+
+
+def test_grid_compare_shares_its_solves_and_spectra(tmp_path):
+    # one stacked Cayley solve per step, one record spectrum per record time
+    # for both arms, and no pool job: the two arms run on the calling thread
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "kind": "quantum_grid",
+        "system": {"kind": "power_law", "b": 4},
+        "initial": {"level": 1},
+        "schedule": {"shape": "smoothstep", "lam_start": 1.0, "lam_end": 2.0,
+                     "duration": 0.1},
+        "numerics": {"n_points": 128, "e_max": 40.0, "dt": 2e-3, "record_every": 7},
+    }))
+    n_steps = 50
+    n_records = len(range(0, n_steps, 7)) + 1  # every 7th step and the last
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        code = cdrive.cli.main(["compare", str(cfg), "--out", str(tmp_path / "out"),
+                                "--verify"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    counts = tracer.counts()
+    assert counts["quantum.banded_solves"] == n_steps
+    # the start and end spectra, and one in the --verify suite
+    assert counts["quantum.eigensolves"] == n_records + 2 + 1
+    assert tracer.queue_waits == []
