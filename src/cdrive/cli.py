@@ -9,10 +9,12 @@ left in the output directory.
 compare and sweep run a CD-on and a CD-off arm.  A quantum_grid config's
 arms share their spectra and Cayley solves, so they run as one lockstep job;
 every other kind runs one job per arm.  A lone job runs on the calling
-thread, several on one thread pool.
+thread, several on one thread pool.  Files are written once every job has
+returned, so a failed arm leaves only error.json.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -60,7 +62,8 @@ SCHEMA_VERSION = "cdrive-report-v1"
 
 # ---------------------------------------------------------------------------
 # experiment runners map (cfg, arms {cd_enabled: output directory or None}) to
-# per-arm (metrics, artifact names, resolved numerics naming the integrator)
+# per-arm (metrics, {artifact name: writer taking its path}, resolved numerics
+# naming the integrator); an arm without a directory gets no writers
 
 
 def _generator(cfg: ExperimentConfig):
@@ -83,10 +86,6 @@ def _run_classical_trajectory(cfg, cd, out):
         rec = evolve_cd(cfg.system, _generator(cfg), sched, z0, dt, tol=tol)
     else:
         rec = evolve_bare(cfg.system, sched, z0, dt, tol=tol)
-    artifacts = []
-    if out is not None:
-        rec.to_csv(out / "trajectory.csv")
-        artifacts.append("trajectory.csv")
     s = rec.summary()
     metrics = {
         "omega_drift": float(s["drift"]),
@@ -94,7 +93,8 @@ def _run_classical_trajectory(cfg, cd, out):
         "n_collisions": int(s["n_collisions"]),
     }
     integrator = "box_exact_flow" if cfg.system.kind == "box" else "adaptive_rk4"
-    return metrics, artifacts, {"dt": float(dt), "integrator": integrator}
+    files = {} if out is None else {"trajectory.csv": rec.to_csv}
+    return metrics, files, {"dt": float(dt), "integrator": integrator}
 
 
 def _run_classical_ensemble(cfg, cd, out):
@@ -112,12 +112,8 @@ def _run_classical_ensemble(cfg, cd, out):
         cfg.numerics["n_particles"], cfg.seed, snaps,
         dt=dt, tol=cfg.numerics["tol"],
     )
-    artifacts = []
-    if out is not None:
-        for k in range(len(rec.snapshot_times)):
-            name = f"ensemble_{k}.csv"
-            rec.snapshot_csv(k, out / name)
-            artifacts.append(name)
+    files = {} if out is None else {f"ensemble_{k}.csv": functools.partial(rec.snapshot_csv, k)
+                                    for k in range(len(rec.snapshot_times))}
     w0 = rec.omegas(cfg.system, 0)
     w_final = rec.omegas(cfg.system, len(rec.snapshot_times) - 1)
     scale = float(np.mean(np.abs(w0)))
@@ -131,7 +127,7 @@ def _run_classical_ensemble(cfg, cd, out):
             for t, s in zip(rec.snapshot_times, rec.ks_stats)
         ]
         metrics["ks_max"] = float(np.max(rec.ks_stats))
-    return metrics, artifacts, {
+    return metrics, files, {
         "dt": float(dt if dt is not None else _ensemble_step(cfg.system, sched.duration)),
         "integrator": "box_exact_flow" if cfg.system.kind == "box" else "adaptive_rk4",
     }
@@ -156,22 +152,21 @@ def _run_quantum_grid(cfg, arms):
         n_leading=max(4, level + 1), record_every=num["record_every"],
         hbar=num["hbar"],
     )
-    # every arm's files are written after every arm has run
     es_end = spectrum(sched.final) if any(arms.values()) else None
+
+    def spectrum_csv(path):
+        write_csv(path, ("level", "energy_start", "energy_end"),
+                  (np.arange(n_keep), es0.energies, es_end.energies))
+
     results = {}
     for (cd, out), rec in zip(arms.items(), recs):
-        artifacts = []
-        if out is not None:
-            rec.to_csv(out / "trajectory.csv")
-            write_csv(out / "spectrum.csv", ("level", "energy_start", "energy_end"),
-                      (np.arange(n_keep), es0.energies, es_end.energies))
-            artifacts = ["trajectory.csv", "spectrum.csv"]
+        files = {} if out is None else {"trajectory.csv": rec.to_csv, "spectrum.csv": spectrum_csv}
         metrics = {
             "min_fidelity": float(rec.min_fidelity),
             "final_fidelity": float(rec.final_fidelity),
             "norm_drift": float(np.max(np.abs(rec.norms - 1.0))),
         }
-        results[cd] = (metrics, artifacts, {"dt": float(dt), "integrator": "cayley_midpoint"})
+        results[cd] = (metrics, files, {"dt": float(dt), "integrator": "cayley_midpoint"})
     return results
 
 
@@ -185,10 +180,8 @@ def _run_quantum_basis(cfg, cd, out):
         sched, c0, n_levels=num["n_levels"], dt=dt, with_cd=cd,
         mass=cfg.system.mass, hbar=num["hbar"], record_every=num["record_every"],
     )
-    artifacts = []
-    if out is not None:
-        rec.to_csv(out / "trajectory.csv", track_level=level)
-        artifacts.append("trajectory.csv")
+    files = {} if out is None else {
+        "trajectory.csv": functools.partial(rec.to_csv, track_level=level)}
     pops = rec.populations
     target = box_phase(level + 1, sched, sched.duration,
                        mass=cfg.system.mass, hbar=num["hbar"])
@@ -201,7 +194,7 @@ def _run_quantum_basis(cfg, cd, out):
         "leakage_warning": bool(rec.leakage_warning),
     }
     integrator = "exact_phase" if cd else "strang_split"
-    return metrics, artifacts, {"dt": float(dt), "integrator": integrator}
+    return metrics, files, {"dt": float(dt), "integrator": integrator}
 
 
 def _run_generator_check(cfg, cd, out):
@@ -213,7 +206,7 @@ def _run_generator_check(cfg, cd, out):
         "bracket_residual": float(chk.bracket_residual),
         "average_residual": float(chk.average_residual),
     }
-    return {"generator_residuals": residuals}, [], {"integrator": "orbit_quadrature"}
+    return {"generator_residuals": residuals}, {}, {"integrator": "orbit_quadrature"}
 
 
 def _each_arm(run_arm):  # a runner from a one-arm body run_arm(cfg, cd, out)
@@ -231,8 +224,9 @@ _RUNNERS = {
 
 def _execute_all(groups: list) -> tuple[dict, int]:
     """Run the arms of every (key, cfg, arms) group in jobs grouped as the
-    module docstring says; returns each arm's result under (key, cd_enabled)
-    and the thread count."""
+    module docstring says, then write every arm's files, so a failed job
+    leaves none; returns each arm's (metrics, artifact names, resolved)
+    under (key, cd_enabled) and the thread count."""
     jobs = [(key, cfg, part) for key, cfg, arms in groups for part in (
         [arms] if cfg.kind == "quantum_grid" else [{cd: out} for cd, out in arms.items()])]
     threads = max(1, min(os.cpu_count() or 1, len(jobs)))
@@ -242,8 +236,13 @@ def _execute_all(groups: list) -> tuple[dict, int]:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(_RUNNERS[cfg.kind], cfg, arms) for _, cfg, arms in jobs]
             done = [fut.result() for fut in futures]
-    return {(key, cd): result for (key, _, _), results in zip(jobs, done)
-            for cd, result in results.items()}, threads
+    results = {}
+    for (key, _, arms), job in zip(jobs, done):
+        for cd, (metrics, files, resolved) in job.items():
+            for name, write in files.items():
+                write(arms[cd] / name)
+            results[(key, cd)] = (metrics, list(files), resolved)
+    return results, threads
 
 
 # ---------------------------------------------------------------------------

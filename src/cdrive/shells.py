@@ -13,7 +13,8 @@ Closed forms are used for the box (Omega = 2 lam sqrt(2 m E)) and the even
 power-law well (Omega = c lam E^(1/2 + 1/b)); generic potentials go through
 adaptive quadrature with a turning-point-regularizing substitution
 q = q- + (q+ - q-) sin^2(theta), which removes the inverse-square-root
-endpoint singularity.
+endpoint singularity.  Orbit states at given fractions of the period invert
+the orbit time that this quadrature tabulates, with no ODE solve.
 
 Two identities are used as cross-checks throughout the tests:
 dOmega/dE equals the orbit period, and the shell-energy gradient at fixed
@@ -171,7 +172,7 @@ def _check_unimodal(system, E, lam, q0, qm, qp):
 
 
 def _orbit_quadrature(
-    system, E, lam, qm, qp, integrand, theta=(0.0, 0.5 * math.pi), epsabs=1e-300
+    system, E, lam, qm, qp, integrand, theta=(0.0, 0.5 * math.pi), epsabs=1e-300, panels=None
 ):
     """Integral over [q-, q+] of f(q, |p(q)|) dq with the sin^2 substitution
     q = q- + (q+ - q-) sin^2(theta); a narrower theta range integrates over
@@ -183,7 +184,8 @@ def _orbit_quadrature(
     if it is within max(epsabs, 1e-8 int |f|) of the 24-node sum (int |f|, as
     a centered integrand cancels), plus the eps (|E| + |V|) / (E - V) rounding
     of each node.  Else each half of the theta interval is retried, up to
-    _BISECT_DEPTH times before NumericalError."""
+    _BISECT_DEPTH times before NumericalError.  A panels list collects the
+    accepted pieces in theta order as (a, b, 48-node values, sum)."""
     m, width = system.mass, qp - qm
 
     def piece(a, b, tol, depth):
@@ -203,6 +205,8 @@ def _orbit_quadrature(
         blur = np.finfo(float).eps * (abs(E) + np.abs(vs)) / np.where(inside, ke, np.inf)
         bound = np.maximum(tol, _GL_RTOL * (size @ _GL_W48)) + (size * blur[24:]) @ _GL_W48
         if np.all(np.abs(high - low) <= bound):
+            if panels is not None:
+                panels.append((a, b, f[..., 24:], high))
             return high
         if depth == _BISECT_DEPTH:
             raise NumericalError(f"orbit quadrature did not converge on theta in [{a}, {b}]")
@@ -275,26 +279,47 @@ def orbit_period(system: SystemModel, E: float, lam: float, method: str = "auto"
 
 def orbit_states(system: SystemModel, E: float, lam: float, fractions) -> tuple:
     """Phase points (qs, ps) on a smooth-well orbit at the given fractions of
-    the period, counted from the right turning point (any order)."""
-    from scipy.integrate import solve_ivp
+    the period, counted from the right turning point (any order).  Fractions
+    0, 1/2 and 1 give the turning points with p = 0; one outside [0, 1] is a
+    DomainError.
 
-    m = system.mass
-    tau = orbit_period(system, E, lam)
-    _, q_plus = turning_points(system, E, lam)
-    ts = np.asarray(fractions, dtype=float) * tau
-    order = np.argsort(ts)
-    sol = solve_ivp(
-        lambda t, y: [y[1] / m, -system.grad_q(y[0], lam)],
-        (0.0, tau), [q_plus, 0.0], method="DOP853",
-        rtol=1e-12, atol=1e-12, t_eval=ts[order],
-    )
-    if not sol.success:
-        raise NumericalError(f"orbit sampling failed: {sol.message}")
-    qs = np.empty(len(ts))
-    ps = np.empty(len(ts))
-    qs[order] = sol.y[0]
-    ps[order] = sol.y[1]
-    return qs, ps
+    Time reversal folds each fraction onto the half orbit from q+.  Newton's
+    method inverts the orbit time on the Legendre interpolant of dt/dtheta on
+    _orbit_quadrature's panels, started at theta = (pi/2)(1 - 2t/tau), exact
+    for the harmonic well.  Each point stops on its own time residual, so it
+    does not depend on the rest of the call, and p = -+sqrt(2m(E - V(q)))
+    puts it on the shell.
+    """
+    f = np.asarray(fractions, dtype=float).ravel()
+    bad = ~((f >= 0.0) & (f <= 1.0))
+    if bad.any():
+        raise DomainError(f"orbit fractions must lie in [0, 1], got {f[bad]}")
+    m, panels, leg = system.mass, [], np.polynomial.legendre
+    qm, qp = turning_points(system, E, lam)
+    half_tau = _orbit_quadrature(system, E, lam, qm, qp, lambda q, absp: m / absp, panels=panels)
+    a, b, values, sums = (np.array(col) for col in zip(*panels))
+    coef = leg.legfit(_GL_X48, values.T, 47).T  # dt/dx on each panel, theta = a + (b - a)(x + 1)/2
+    times = leg.legint(coef, lbnd=-1, axis=1)
+    times[:, 0] += np.cumsum(sums) - sums  # orbit time from q- on each panel
+    fold = np.minimum(f, 1.0 - f)
+    target = (0.5 - fold) * (2.0 * half_tau)
+    theta = 0.5 * math.pi * (1.0 - 2.0 * fold)
+    done = turn = (fold == 0.0) | (fold == 0.5)
+    for _ in range(50):
+        j = np.searchsorted(a, theta, side="right") - 1
+        half = 0.5 * (b[j] - a[j])
+        legendre = leg.legvander((theta - a[j]) / half - 1.0, 48)  # P_k(x) in a row per point
+        r = np.sum(legendre * times[j], axis=1) - target
+        done = done | (np.abs(r) <= 8.0 * np.finfo(float).eps * half_tau)  # roundings of tau/2
+        if done.all():
+            break
+        g = np.sum(legendre[:, :48] * coef[j], axis=1) / half
+        theta = np.where(done, theta, np.clip(theta - r / g, 0.0, 0.5 * math.pi))
+    else:
+        raise NumericalError(f"orbit time inversion did not converge on the shell E={E}")
+    q = np.where(turn, np.where(fold == 0.0, qp, qm), qm + (qp - qm) * np.sin(theta) ** 2)
+    absp = np.where(turn, 0.0, np.sqrt(2.0 * m * np.maximum(E - _on_nodes(system, q, lam), 0.0)))
+    return q, np.where(f > 0.5, absp, -absp)
 
 
 def d_volume_dE(system: SystemModel, E: float, lam: float, method: str = "auto") -> float:

@@ -252,6 +252,45 @@ def test_box_runs_leave_out_unused_scipy_subpackages(tmp_path):
         assert (tmp_path / name).is_dir()
 
 
+_POWER_LAW_RUNS = """
+import json, sys
+from pathlib import Path
+import cdrive.cli as cli
+out = Path(sys.argv[1])
+quartic = {"kind": "power_law", "b": 4}
+ramp = {"shape": "smoothstep", "lam_start": 1.0, "lam_end": 1.3, "duration": 0.1}
+grid = {"kind": "quantum_grid", "system": quartic, "schedule": ramp, "initial": {"level": 1},
+        "numerics": {"n_points": 128, "dt": 1e-2}}
+numeric = {"kind": "classical_trajectory", "system": quartic, "generator": "numeric",
+           "schedule": ramp, "initial": {"energy": 1.0}, "numerics": {"dt": 1e-2, "tol": 1e-7}}
+shell = {"kind": "classical_ensemble", "system": quartic, "schedule": ramp,
+         "initial": {"energy": 1.0}, "numerics": {"n_particles": 20}}
+for name, cfg, argv in (("grid", grid, ["compare", "--verify"]),
+                        ("numeric", numeric, ["compare", "--verify"]),
+                        ("shell", shell, ["run"])):
+    path = out / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.main([argv[0], str(path), "--out", str(out / name), *argv[1:]])
+    assert code in (0, 1), (name, code)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+"""
+
+
+def test_power_law_runs_leave_out_unused_scipy_subpackages(tmp_path):
+    # power-law spectra are banded and orbit states invert the orbit-time
+    # quadrature, so a b = 4 grid compare, numeric trajectory compare (both
+    # with --verify) and shell ensemble run need scipy.linalg only
+    proc = subprocess.run([sys.executable, "-c", _POWER_LAW_RUNS, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "scipy.linalg" in loaded
+    for sub in ("integrate", "optimize", "interpolate", "special", "sparse"):
+        assert f"scipy.{sub}" not in loaded
+    for name in ("grid/on", "grid/off", "numeric/on", "numeric/off", "shell"):
+        assert (tmp_path / name).is_dir()
+
+
 def test_numerical_failure_writes_diagnostic(tmp_path, monkeypatch):
     def boom(cfg, arms):
         raise NumericalError("solver fell over")
@@ -293,6 +332,32 @@ def test_non_finite_grid_state_exits_3(tmp_path, monkeypatch):
     diag = json.loads((out / "error.json").read_text())
     assert diag["error"] == "NumericalError"
     assert "norm drift nan" in diag["message"]
+
+
+def _fail_cd_arm(monkeypatch):
+    def boom(*args, **kwargs):
+        raise NumericalError("cd arm fell over")
+
+    monkeypatch.setattr(cli, "evolve_cd", boom)
+
+
+def test_failed_classical_arm_leaves_only_the_diagnostic_compare(tmp_path, monkeypatch):
+    # the off arm runs to the end, but its files wait until every job returned
+    _fail_cd_arm(monkeypatch)
+    p = write_config(tmp_path, "c.json", box_expansion(assertions={}))
+    out = tmp_path / "out"
+    assert main(["compare", p, "--out", str(out)]) == 3
+    assert [f.relative_to(out).as_posix() for f in out.rglob("*")] == ["error.json"]
+    assert "cd arm fell over" in json.loads((out / "error.json").read_text())["message"]
+
+
+def test_failed_classical_arm_leaves_only_the_diagnostic_sweep(tmp_path, monkeypatch):
+    _fail_cd_arm(monkeypatch)
+    p = write_config(tmp_path, "c.json", box_expansion(assertions={}))
+    out = tmp_path / "out"
+    assert main(["sweep", p, "--out", str(out), "--values", "0.05,0.5"]) == 3
+    assert [f.relative_to(out).as_posix() for f in out.rglob("*")] == ["error.json"]
+    assert "cd arm fell over" in json.loads((out / "error.json").read_text())["message"]
 
 
 def test_failed_record_eigensolve_exits_3(tmp_path, monkeypatch):

@@ -409,3 +409,119 @@ def test_orbit_quadrature_bisects_a_feature_the_fixed_rule_misses(monkeypatch):
 def test_orbit_quadrature_raises_past_the_bisection_depth():
     with pytest.raises(NumericalError, match="did not converge"):
         phase_volume(_ramp_well(1e-7), 2.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# orbit states by inverting the orbit time
+
+
+_EPS = np.finfo(float).eps
+# the generic test well q^4/4 + lam q^2/2
+_SOFT_QUARTIC = generic_1d(lambda q, lam: 0.25 * q**4 + 0.5 * lam * q * q,
+                           dV_dq=lambda q, lam: q**3 + lam * q,
+                           dV_dlam=lambda q, lam: 0.5 * q * q)
+
+
+def _fractions(seed, n=300):
+    # uniform fractions plus some within 1e-9 of 0, 1/2 and 1, and the ends themselves
+    rng = np.random.default_rng(seed)
+    near = rng.uniform(0.0, 1e-9, (4, 10)) * np.array([[1.0], [-1.0], [1.0], [-1.0]])
+    return np.concatenate([rng.uniform(0.0, 1.0, n), near[0], 0.5 + near[1], 0.5 + near[2],
+                           1.0 + near[3], [0.0, 0.25, 0.5, 0.75, 1.0]])
+
+
+def _exact_q(b, E, lam, t):
+    # V = (q/lam)^b, m = 1: A cos(wt) with w = sqrt(2)/lam for b = 2, and
+    # A cn(2 E^(1/4) t / lam | 1/2) for b = 4
+    from scipy.special import ellipj
+
+    A = lam * E ** (1.0 / b)
+    if b == 2:
+        return A * np.cos(math.sqrt(2.0) / lam * t)
+    return A * ellipj(2.0 * E**0.25 / lam * t, 0.5)[1]
+
+
+@pytest.mark.parametrize("b", [2, 4])
+def test_orbit_states_match_the_exact_orbits(b):
+    system = power_law(b)
+    for E in (0.3, 1.3, 7.0):
+        for lam in (0.7, 1.0, 1.3):
+            f = _fractions(b)
+            q, p = shells.orbit_states(system, E, lam, f)
+            q_exact = _exact_q(b, E, lam, f * orbit_period(system, E, lam))
+            width = 2.0 * lam * E ** (1.0 / b)
+            assert np.max(np.abs(q - q_exact)) <= 2e-12 * width, f"E={E} lam={lam}"
+            H = 0.5 * p * p + (q / lam) ** b
+            assert np.max(np.abs(H - E)) <= 4.0 * _EPS * E, f"E={E} lam={lam}"
+            assert np.all(p[f < 0.5] <= 0.0) and np.all(p[f > 0.5] >= 0.0)
+
+
+def _ramp_force(q, lam, delta=0.02):
+    return q / lam**2 + 0.5 * ((q - 0.5) / math.hypot(q - 0.5, delta) + 1.0)
+
+
+def test_orbit_states_across_quadrature_panels():
+    # the ramp well makes the quadrature bisect into panels; the states must
+    # follow an orbit integrated tightly from q+ with the exact force
+    from scipy.integrate import solve_ivp
+
+    well, E, lam = _ramp_well(0.02), 2.0, 1.0
+    panels = []
+    qm, qp = turning_points(well, E, lam)
+    shells._orbit_quadrature(well, E, lam, qm, qp, lambda q, absp: 1.0 / absp, panels=panels)
+    assert len(panels) > 1
+    f = _fractions(7)
+    q, p = shells.orbit_states(well, E, lam, f)
+    order = np.argsort(f)
+    tau = orbit_period(well, E, lam)
+    ref = solve_ivp(lambda t, y: [y[1], -_ramp_force(y[0], lam)], (0.0, tau), [qp, 0.0],
+                    method="DOP853", rtol=1e-13, atol=1e-14, t_eval=f[order] * tau)
+    # the reference itself misses by about 1e-12 of the width
+    assert np.max(np.abs(q[order] - ref.y[0])) <= 1e-11 * (qp - qm)
+    H = np.array([well.energy(z, lam) for z in zip(q, p)])
+    assert np.max(np.abs(H - E)) <= 4.0 * _EPS * E
+
+
+@pytest.mark.parametrize("system", [QUARTIC, _SOFT_QUARTIC], ids=["power_law4", "generic"])
+def test_orbit_states_do_not_depend_on_their_companions(system):
+    f = _fractions(3)
+    q, p = shells.orbit_states(system, 1.3, 1.2, f)
+    for k in range(0, len(f), 7):
+        q1, p1 = shells.orbit_states(system, 1.3, 1.2, [f[k]])
+        assert q1[0] == q[k] and p1[0] == p[k], f"f={f[k]!r}"
+    q_rev, p_rev = shells.orbit_states(system, 1.3, 1.2, f[::-1])
+    assert np.array_equal(q_rev[::-1], q) and np.array_equal(p_rev[::-1], p)
+
+
+@pytest.mark.parametrize("system", [QUARTIC, _SOFT_QUARTIC], ids=["power_law4", "generic"])
+def test_orbit_states_mirror_under_time_reversal(system):
+    # q(tau - t) = q(t) and p(tau - t) = -p(t), exactly for every f in [1/2, 1],
+    # whose 1 - f is exact
+    f = np.concatenate([np.random.default_rng(4).uniform(0.5, 1.0, 300),
+                        [0.5, 0.5 + 1e-12, 1.0 - 1e-12, 1.0]])
+    q, p = shells.orbit_states(system, 2.0, 0.8, f)
+    q_back, p_back = shells.orbit_states(system, 2.0, 0.8, 1.0 - f)
+    assert np.array_equal(q_back, q) and np.array_equal(p_back, -p)
+
+
+@pytest.mark.parametrize("system", [QUARTIC, _SOFT_QUARTIC, _ramp_well(0.02)],
+                         ids=["power_law4", "generic", "asymmetric"])
+def test_orbit_states_edges(system):
+    # on the asymmetric well q- + (q+ - q-) rounds away from q+ at E = 1
+    qm, qp = turning_points(system, 1.0, 1.0)
+    q, p = shells.orbit_states(system, 1.0, 1.0, [0.0, 1.0, 0.5])
+    assert list(q) == [qp, qp, qm] and list(p) == [0.0, 0.0, 0.0]
+    q, p = shells.orbit_states(system, 1.0, 1.0, [])
+    assert q.shape == p.shape == (0,)
+    for bad in ([-0.1], [1.0 + 1e-15], [float("nan")], [0.3, float("inf")], [-float("inf")]):
+        with pytest.raises(DomainError, match="orbit fractions"):
+            shells.orbit_states(system, 1.0, 1.0, bad)
+
+
+def test_orbit_states_raise_when_the_inversion_fails(monkeypatch):
+    # a half period three times too long puts targets past the tabulated orbit
+    real = shells._orbit_quadrature
+    monkeypatch.setattr(shells, "_orbit_quadrature",
+                        lambda *args, **kwargs: 3.0 * real(*args, **kwargs))
+    with pytest.raises(NumericalError, match="did not converge"):
+        shells.orbit_states(QUARTIC, 1.0, 1.0, [0.2])
