@@ -3,10 +3,11 @@
 The box is exact, for single trajectories and ensembles alike: the driven
 flow is free flight of x = q/L on the clock tau = integral of L^-2
 (schedules.clock), closed-form at every record, and the bare flow is free
-flight whose substeps only bracket the wall hits.  Smooth wells use a
-classical fourth-order Runge-Kutta scheme with step-halving error control,
-on a batch of particles that share one step sequence: one column for a
-trajectory, the whole ensemble for an ensemble.
+flight whose work scales with its wall hits, which substeps of dt only
+detect and bracket.  Smooth wells use a classical fourth-order Runge-Kutta
+scheme with step-halving error control, on a batch of particles that share
+one step sequence: one column for a trajectory, the whole ensemble for an
+ensemble.
 
 Hard-wall collision rules: under the driven flow the generator carries the
 wall's motion, so the bounce is p -> -p at both walls; under the bare flow
@@ -31,6 +32,7 @@ from .shells import adiabatic_invariant, orbit_states, shell_energy_from_volume
 from .systems import SystemModel, as_qp
 
 _MAX_COLLISION_ROUNDS = 64
+_HIT_SCAN = 32  # substep ends a bare-box particle scans per round for its next hit
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +289,10 @@ def evolve_bare(system: SystemModel, schedule: Schedule, z0, dt: float,
     """Integrate the undriven flow of H0(z; lam(t)) over the schedule.
 
     Smooth wells run RK4 as in evolve_cd.  The box runs exact free flight
-    (_box_bare_flight); there dt is the record and bracket step: records sit
-    every record_every steps of the dt grid and at T, and substeps of dt
-    bracket the wall hits.  tol and fixed_step apply to smooth wells only.
+    (_box_bare_flight), whose work scales with the wall hits; dt sets only
+    the records, every record_every steps of the dt grid and at T, and the
+    grid that detects and brackets hits.  tol and fixed_step apply to
+    smooth wells only.
     """
     return _evolve(system, None, schedule, z0, dt, tol, fixed_step, record_every)
 
@@ -511,59 +514,81 @@ def _box_bare_flight(schedule, m, qs, ps, times, h_target):
     """Free flight with wall bounces from times[0]: rows of q and of p at the
     sorted times, and the wall hits as (t, wall) pairs.
 
-    Substeps of at most h_target only bracket the wall hits; the walls at
-    all substep ends come from one schedule call.  A left-wall hit time is
-    exact; a right-wall hit time comes from bisection of q + v (s - t) - L(s)
-    to 1e-13 T, closed by one secant step.
+    Work scales with the wall hits.  Substeps of at most h_target per
+    interval only detect a hit, at the first substep end outside [0, L],
+    and bracket it.  A particle whose straight path clears both walls by a
+    rounding margin crosses the interval in one step; the others jump from
+    hit to hit, scanning _HIT_SCAN ends per round.  All pending hits are
+    solved together: a left-wall hit time exactly, a right-wall one by
+    bisection of q + v (s - t) - L(s) to 1e-13 T closed by one secant step.
     """
     T = schedule.duration
     q_rows, p_rows, hits = [qs], [ps], []
-    qs, ps = qs.copy(), ps.copy()
-    ends = []
-    for t_start, t_end in zip(times[:-1], times[1:]):
-        n_sub = max(1, int(math.ceil((t_end - t_start) / h_target)))
-        # [t_end] is what linspace gives for one substep, without its cost
-        ends.append(np.linspace(t_start, t_end, n_sub + 1)[1:] if n_sub > 1 else [t_end])
-    walls = iter(schedule.value(np.concatenate(ends)))
-    ta_scalar = times[0]
-    for interval_ends in ends:
-        for tb in interval_ends:
-            L_b = next(walls)
-            ta = np.full_like(qs, ta_scalar)
-            for _ in range(_MAX_COLLISION_ROUNDS):
-                q1 = qs + (tb - ta) * ps / m
-                out_right = q1 > L_b
-                ia = np.where(out_right | (q1 < 0.0))[0]
-                if ia.size == 0:
-                    qs = q1
-                    break
-                right = out_right[ia]
-                q0, p0, t0 = qs[ia], ps[ia], ta[ia]
-                left = ~right
-                t_c = np.empty(ia.size)
-                t_c[left] = t0[left] - q0[left] * m / p0[left]
-                if np.any(right):
-                    qr, vr, tr = q0[right], p0[right] / m, t0[right]
-                    lo, hi = tr, np.full(tr.shape, tb)
-                    g_lo = np.minimum(qr - schedule.value(tr), 0.0)
-                    g_hi = q1[ia][right] - L_b
-                    while np.max(hi - lo) > 1e-13 * T:
-                        mid = 0.5 * (lo + hi)
-                        g = qr + vr * (mid - tr) - schedule.value(mid)
-                        crossed = g > 0.0
-                        hi, g_hi = np.where(crossed, mid, hi), np.where(crossed, g, g_hi)
-                        lo, g_lo = np.where(crossed, lo, mid), np.where(crossed, g_lo, g)
-                    # a secant step inside the final bracket is exact for linear ramps
-                    t_c[right] = lo + (hi - lo) * g_lo / (g_lo - g_hi)
-                qs[ia] = np.where(right, schedule.value(t_c), 0.0)
-                ps[ia] = np.where(right, -p0 + 2.0 * m * schedule.rate(t_c), -p0)
-                ta[ia] = t_c
-                hits.extend((t, "right" if r else "left")
-                            for t, r in zip(t_c.tolist(), right.tolist()))
-            else:
+    ps = ps.copy()
+    grids = []
+    for a, b in zip(times[:-1], times[1:]):
+        n = max(1, int(math.ceil((b - a) / h_target)))
+        # [a, b] is what linspace gives for one substep, without its cost
+        grids.append(np.linspace(a, b, n + 1) if n > 1 else np.array([a, b]))
+    walls = np.split(schedule.value(np.concatenate([g[1:] for g in grids])),
+                     np.cumsum([g.size - 1 for g in grids[:-1]]))
+    scan = np.arange(_HIT_SCAN)
+    for grid, L in zip(grids, walls):
+        n, start, end = grid.size - 1, grid[0], grid[-1]
+        q1 = qs + (end - start) * ps / m
+        # a position computed at a substep end lies on the straight path from
+        # q to q1 to within a few roundings of |q| + |q1 - q|
+        margin = 16.0 * np.finfo(float).eps * (np.abs(qs) + np.abs(q1 - qs))
+        i = np.flatnonzero((np.minimum(qs, q1) <= margin)
+                           | (np.maximum(qs, q1) + margin >= L.min()))
+        q, p, ta, qs = qs[i], ps[i], np.full(i.size, start), q1
+        # per particle: the next end to scan, the substep of its last hit and
+        # the hits so far in that substep
+        nxt, last, rounds = np.ones(i.size, int), np.zeros(i.size, int), np.zeros(i.size, int)
+        while i.size:
+            rows = np.arange(i.size)
+            k = np.minimum(nxt[:, None] + scan, n)
+            Q = q[:, None] + (grid[k] - ta[:, None]) * p[:, None] / m
+            out = (Q > L[k - 1]) | (Q < 0.0)
+            first = out.argmax(axis=1)
+            hit = out[rows, first]
+            done = ~hit & (nxt + _HIT_SCAN > n)
+            qs[i[done]] = q[done] + (end - ta[done]) * p[done] / m
+            ps[i[done]] = p[done]
+            nxt = np.where(hit, k[rows, first], nxt + _HIT_SCAN)
+            # cdbench's tracer counts the hits by this one-argument np.where
+            h = np.where(hit)[0]
+            j, q0, p0, t0 = nxt[h], q[h], p[h], ta[h]
+            rounds[h], last[h] = np.where(j == last[h], rounds[h] + 1, 1), j
+            if np.any(rounds[h] > _MAX_COLLISION_ROUNDS):
                 raise NumericalError("collision resolution did not settle within a substep")
-            ta_scalar = tb
-        q_rows.append(qs.copy())
+            # the bracket opens at the substep's start, or at a hit inside it
+            t_lo = np.maximum(grid[j - 1], t0)
+            q_lo = q0 + (t_lo - t0) * p0 / m
+            g_hi = Q[h, first[h]] - L[j - 1]
+            right = g_hi > 0.0
+            # exact for left-wall hits; the right-wall entries are replaced below
+            t_c = t_lo - q_lo * m / np.where(right, 1.0, p0)
+            if np.any(right):
+                qr, vr, tr = q_lo[right], p0[right] / m, t_lo[right]
+                lo, hi, g_hi = tr, grid[j[right]], g_hi[right]
+                g_lo = np.minimum(qr - schedule.value(tr), 0.0)
+                # each bracket is bisected until it alone is narrow enough
+                while np.any(wide := hi - lo > 1e-13 * T):
+                    mid = 0.5 * (lo + hi)
+                    g = qr + vr * (mid - tr) - schedule.value(mid)
+                    up, down = wide & (g > 0.0), wide & ~(g > 0.0)
+                    hi, g_hi = np.where(up, mid, hi), np.where(up, g, g_hi)
+                    lo, g_lo = np.where(down, mid, lo), np.where(down, g, g_lo)
+                # a secant step inside the final bracket is exact for linear ramps
+                t_c[right] = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+            q[h] = np.where(right, schedule.value(t_c), 0.0)
+            p[h] = np.where(right, -p0 + 2.0 * m * schedule.rate(t_c), -p0)
+            ta[h] = t_c
+            hits.extend((t, "right" if r else "left")
+                        for t, r in zip(t_c.tolist(), right.tolist()))
+            i, q, p, ta, nxt, last, rounds = (a[~done] for a in (i, q, p, ta, nxt, last, rounds))
+        q_rows.append(qs)
         p_rows.append(ps.copy())
     return np.array(q_rows), np.array(p_rows), hits
 
@@ -581,8 +606,9 @@ def evolve_ensemble(system: SystemModel, generator, schedule: Schedule, sampler,
     Box systems need no time stepping.  The driven arm is the closed-form
     flow on the clock tau (it needs only the schedule, not the generator
     object, since the wall-scaling form is the unique one compatible with
-    the collision rule).  The bare arm is exact free flight; dt (default
-    T/500) only sets the substeps that bracket its wall hits.  For box
+    the collision rule).  The bare arm is exact free flight whose work
+    scales with the wall hits; dt (default T/500) sets only the grid that
+    detects and brackets them.  For box
     systems each snapshot also gets the Kolmogorov-Smirnov statistic of q/L
     against the uniform law.  Smooth wells run the adaptive RK4 integrator
     from dt (default T/1000) on all particles at once: the step sequence is

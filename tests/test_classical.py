@@ -3,7 +3,10 @@
 The box with a linearly moving wall has closed-form flows in both the
 driven and bare cases; those serve as exact oracles for the box engines.
 For curved ramps the oracles below rebuild both flows from quadrature and
-root finding alone, sharing no code with the engines.
+root finding alone, sharing no code with the engines.  A third reference
+steps one bare particle through every substep end of the engine's grid with
+the engine's hit rule, so the straight flight between hits can be checked
+against it hit for hit.
 """
 
 import math
@@ -165,6 +168,41 @@ def _bare_oracle(L, L_dot, q0, p0, times, m=1.0):
         t, q, v = [leg for leg in legs if leg[0] <= r][-1]
         qs.append(q + v * (r - t))
         ps.append(m * v)
+    return np.array(qs), np.array(ps), hits
+
+
+def _bare_substep_reference(sched, q, p, times, h, m=1.0):
+    """One bare box particle checked at every substep end of the engine's
+    grid: wherever it lies outside [0, L], the hit is solved by the engine's
+    rule (a left hit exactly, a right hit by bisection to 1e-13 T and a
+    secant step) and the end is checked again.  Returns q and p at the
+    times, and the hits."""
+    T = sched.duration
+    qs, ps, hits = [q], [p], []
+    for a, b in zip(times[:-1], times[1:]):
+        t = a
+        for e in np.linspace(a, b, max(1, math.ceil((b - a) / h)) + 1)[1:]:
+            L_e = float(sched.value(e))
+            while not 0.0 <= (q1 := q + (e - t) * p / m) <= L_e:
+                if q1 < 0.0:
+                    t, q, p, wall = t - q * m / p, 0.0, -p, "left"
+                else:
+                    def g(s, q=q, v=p / m, t=t):
+                        return q + v * (s - t) - float(sched.value(s))
+                    lo, hi, g_lo, g_hi = t, e, min(g(t), 0.0), q1 - L_e
+                    while hi - lo > 1e-13 * T:
+                        mid = 0.5 * (lo + hi)
+                        if (g_mid := g(mid)) > 0.0:
+                            hi, g_hi = mid, g_mid
+                        else:
+                            lo, g_lo = mid, g_mid
+                    t = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+                    q, p = float(sched.value(t)), -p + 2.0 * m * float(sched.rate(t))
+                    wall = "right"
+                hits.append((t, wall))
+            q, t = q1, e
+        qs.append(q)
+        ps.append(p)
     return np.array(qs), np.array(ps), hits
 
 
@@ -569,6 +607,62 @@ def test_box_ensemble_matches_oracle(shape, lams, T, driven):
         else:
             q_ref, p_ref, _ = _bare_oracle(L, L_dot, q0, p0, rec.snapshot_times)
         _assert_matches_oracle(rows[0][:, i], rows[1][:, i], q_ref, p_ref)
+
+
+@pytest.mark.parametrize("sched", [linear_ramp(1.0, 2.0, 0.5), linear_ramp(1.5, 0.75, 0.5),
+                                   smoothstep_ramp(1.0, 2.0, 0.5)],
+                         ids=["expand", "compress", "smoothstep"])
+def test_bare_box_ensemble_particle_equals_its_trajectory(sched):
+    # each particle of the bare ensemble is flown on its own: alone, on the
+    # same dt grid with records at the snapshots, it lands on the same rows;
+    # and flying straight between hits finds the hits that checking every
+    # substep end finds
+    T = sched.duration
+    snaps = [0.0, T / 4, T / 2, 3 * T / 4, T]
+    rec = evolve_ensemble(BOX, None, sched, uniform_gas_sampler(20.0, "gaussian"), 40,
+                          seed=5, snapshot_times=snaps)
+    qs, ps = np.array(rec.positions), np.array(rec.momenta)
+    L, P = max(sched.value(np.array(snaps))), np.max(np.abs(ps))
+    n_hits = 0
+    for i in range(rec.n_particles):
+        traj = evolve_bare(BOX, sched, (qs[0, i], ps[0, i]), dt=T / 500, record_every=125)
+        np.testing.assert_allclose(traj.times, snaps, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(qs[:, i], traj.qs, rtol=0.0, atol=1e-12 * L)
+        np.testing.assert_allclose(ps[:, i], traj.ps, rtol=0.0, atol=1e-12 * P)
+        q_ref, p_ref, hits = _bare_substep_reference(sched, qs[0, i], ps[0, i], snaps, T / 500)
+        np.testing.assert_allclose(traj.qs, q_ref, rtol=0.0, atol=1e-13 * L)
+        np.testing.assert_allclose(traj.ps, p_ref, rtol=0.0, atol=1e-13 * P)
+        assert [w for _, w in traj.collisions] == [w for _, w in hits]
+        np.testing.assert_allclose([t for t, _ in traj.collisions], [t for t, _ in hits],
+                                   rtol=0.0, atol=1e-13 * T)
+        n_hits += len(hits)
+    assert n_hits > 4 * rec.n_particles
+
+
+@pytest.mark.parametrize("limit, raises", [(2, False), (1, True)])
+def test_bare_box_collision_rounds_guard(monkeypatch, limit, raises):
+    # one substep of a static unit box: from 0.5 at speed 2.2 the particle
+    # hits the right wall, then the left, and ends at 0.7
+    monkeypatch.setattr(classical, "_MAX_COLLISION_ROUNDS", limit)
+    sched = constant_hold(1.0, 1.0)
+    if raises:
+        with pytest.raises(NumericalError, match="did not settle within a substep"):
+            evolve_bare(BOX, sched, (0.5, 2.2), dt=1.0)
+        return
+    rec = evolve_bare(BOX, sched, (0.5, 2.2), dt=1.0)
+    assert [w for _, w in rec.collisions] == ["right", "left"]
+    assert rec.final_state == pytest.approx((0.7, 2.2), abs=1e-14)
+
+
+def test_bare_box_fast_particle_in_a_narrow_box_trips_the_guard(monkeypatch):
+    # 100 box widths per substep: far more hits than the guard allows
+    monkeypatch.setattr(classical, "_MAX_COLLISION_ROUNDS", 8)
+    sched = linear_ramp(0.01, 0.02, 1.0)
+    with pytest.raises(NumericalError, match="did not settle within a substep"):
+        evolve_bare(BOX, sched, (0.005, 100.0), dt=1e-2)
+    with pytest.raises(NumericalError, match="did not settle within a substep"):
+        evolve_ensemble(BOX, None, sched, uniform_gas_sampler(100.0), 10, seed=3,
+                        snapshot_times=[0.0, 1.0])
 
 
 def test_shell_ensemble_stays_on_shell():
