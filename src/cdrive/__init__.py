@@ -41,8 +41,6 @@ from .generators import (
     parametric_map_check,
     power_law_generator,
     verify_generator,
-    xi_box,
-    xi_power_law,
 )
 from .classical import (
     EnsembleRecord,

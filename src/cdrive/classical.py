@@ -55,10 +55,6 @@ class TrajectoryRecord:
             raise DomainError("trajectory sample times must be strictly increasing")
 
     @property
-    def initial_omega(self) -> float:
-        return float(self.omegas[0])
-
-    @property
     def final_state(self) -> tuple[float, float]:
         return float(self.qs[-1]), float(self.ps[-1])
 
@@ -69,10 +65,7 @@ class TrajectoryRecord:
 
     def summary(self) -> dict:
         return {
-            "n_samples": int(len(self.times)),
             "n_collisions": int(len(self.collisions)),
-            "initial_omega": float(self.omegas[0]),
-            "final_omega": float(self.omegas[-1]),
             "drift": self.drift(),
             "final_h0": float(self.h0s[-1]),
         }
@@ -90,8 +83,6 @@ class EnsembleRecord:
     positions: tuple
     momenta: tuple
     lams: np.ndarray
-    seed: int
-    sampler: str
     ks_stats: Optional[np.ndarray]
 
     def __post_init__(self):
@@ -148,8 +139,8 @@ def collide(p: float, wall: str, L: float, L_dot: float, mass: float = 1.0,
 # smooth wells: batched step-halving RK4; single box trajectories: exact engines
 
 
-def _rk4(f, t, y, h):
-    k1 = f(t, y)
+def _rk4(f, t, y, h, k1):
+    """One classical RK4 step from (t, y), whose slope k1 = f(t, y) is given."""
     k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = f(t + h, y + h * k3)
@@ -195,6 +186,7 @@ def _integrate(system, generator, schedule, y0, stops, dt, tol, fixed_step, reco
     t, y = 0.0, np.asarray(y0, dtype=float)
     ts, ys = [t], [y]
     h = min(dt, T)
+    k1 = None  # rhs(t, y), evaluated once per accepted point and only when needed
     steps_since_record = 0
 
     for stop in stops:
@@ -202,12 +194,14 @@ def _integrate(system, generator, schedule, y0, stops, dt, tol, fixed_step, reco
             h = min(h, stop - t)
             if h < 1e-15 * T:
                 raise NumericalError("step size underflow")
+            if k1 is None:
+                k1 = rhs(t, y)
             if fixed_step:
-                y_new, h_next = _rk4(rhs, t, y, h), h
+                y_new, h_next = _rk4(rhs, t, y, h, k1), h
             else:
-                y_full = _rk4(rhs, t, y, h)
-                y_half = _rk4(rhs, t, y, 0.5 * h)
-                y_new = _rk4(rhs, t + 0.5 * h, y_half, 0.5 * h)
+                y_full = _rk4(rhs, t, y, h, k1)
+                y_half = _rk4(rhs, t, y, 0.5 * h, k1)
+                y_new = _rk4(rhs, t + 0.5 * h, y_half, 0.5 * h, rhs(t + 0.5 * h, y_half))
                 err = np.max(np.abs(y_new - y_full), axis=0) / 15.0
                 scale = tol * (1.0 + np.max(np.abs(y), axis=0))
                 ratio = np.max(err / scale)
@@ -219,7 +213,7 @@ def _integrate(system, generator, schedule, y0, stops, dt, tol, fixed_step, reco
                     h = h_next
                     continue
 
-            t, y = t + h, y_new
+            t, y, k1 = t + h, y_new, None
             if stop - t < 1e-14 * T:
                 t = stop
             h = h_next
@@ -306,7 +300,6 @@ class ShellSampler:
     """Initial conditions uniform in orbit time on the shell E."""
 
     E: float
-    tag: str = "shell"
 
 
 @dataclass(frozen=True)
@@ -316,7 +309,6 @@ class UniformGasSampler:
 
     p_bar: float
     law: str = "two_point"
-    tag: str = "uniform_gas"
 
     def __post_init__(self):
         if self.law not in ("two_point", "gaussian"):
@@ -647,8 +639,6 @@ def evolve_ensemble(system: SystemModel, generator, schedule: Schedule, sampler,
         positions=tuple(q_rows),
         momenta=tuple(p_rows),
         lams=lams,
-        seed=int(seed),
-        sampler=sampler.tag,
         ks_stats=ks,
     )
 

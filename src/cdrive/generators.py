@@ -26,12 +26,12 @@ normal n = grad H0 / |grad H0|, which are orthogonal:
 where beta is exact and d xi / dn is one central difference of xi along n.
 
 NumericShellGenerator is what "generator": "numeric" names in every config
-kind, generator_check included.  build_xi_numeric builds the same generator
-on one shell a second way, by integrating the orbit ODE, and stores it as a
-ShellGeneratorTable: the profile sampled at uniform orbit times, read back by
-time only (there is no lookup by phase point).  verify_generator checks a
-table at its own orbit times, and the sampled profile is the independent
-oracle for the pointwise generator in the tests.
+kind, generator_check included.  verify_generator checks the two shell
+conditions for any generator with evaluate and evaluate_grad_z.
+build_xi_numeric builds the same generator on one shell a second way, by
+integrating the orbit ODE, and returns a ShellGeneratorTable: the profile
+sampled at uniform orbit times, the independent oracle for the pointwise
+generator in the tests.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._csv import write_csv
 from .errors import DomainError, NumericalError
 from .systems import SystemModel, _on_nodes, as_qp
 from .shells import (
@@ -58,22 +57,6 @@ from .shells import (
 )
 
 
-def xi_box(z, lam: float) -> float:
-    """Box generator q p / lam; the point must lie between the walls."""
-    q, p = as_qp(z)
-    if not (0.0 <= q <= lam):
-        raise DomainError(f"box generator needs 0 <= q <= {lam}, got q={q}")
-    return q * p / lam
-
-
-def xi_power_law(z, lam: float, b: int) -> float:
-    """Power-law generator [b/(b+2)] q p / lam."""
-    if b < 2 or b % 2 != 0:
-        raise DomainError(f"exponent must be a positive even integer, got {b}")
-    q, p = as_qp(z)
-    return (b / (b + 2.0)) * q * p / lam
-
-
 @dataclass(frozen=True)
 class AnalyticGenerator:
     """A generator with closed-form value and phase-space gradient."""
@@ -81,7 +64,6 @@ class AnalyticGenerator:
     value_fn: Callable
     grad_fn: Callable  # (z, lam) -> (dxi/dq, dxi/dp)
     name: str = "analytic"
-    tag: str = "analytic"
 
     def evaluate(self, z, lam: float) -> float:
         return float(self.value_fn(z, lam))
@@ -121,14 +103,14 @@ def analytic_generator_for(system: SystemModel) -> AnalyticGenerator:
         return box_generator()
     if system.kind == "power_law":
         return power_law_generator(system.b)
-    raise DomainError("generic_1d has no analytic generator; use build_xi_numeric")
+    raise DomainError("generic_1d has no analytic generator; use NumericShellGenerator")
 
 
 # ---------------------------------------------------------------------------
 # numeric single-shell tables
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShellGeneratorTable:
     """Generator profile sampled along one orbit of the shell (E, lam).
 
@@ -146,33 +128,11 @@ class ShellGeneratorTable:
     qs: np.ndarray
     ps: np.ndarray
     xis: np.ndarray
-    grad_lambda_avg: float
     closure_residual: float
 
-    def __post_init__(self):
-        from scipy.interpolate import CubicSpline
-
-        self._xi_spline = CubicSpline(self.times, self.xis, bc_type="periodic")
-        # along-orbit derivative by fourth-order central differences on the
-        # uniform samples, then re-interpolated periodically
-        core = self.xis[:-1]
-        h = self.times[1] - self.times[0]
-        d = (
-            -np.roll(core, -2) + 8 * np.roll(core, -1) - 8 * np.roll(core, 1) + np.roll(core, 2)
-        ) / (12.0 * h)
-        self._dxi_spline = CubicSpline(self.times, np.append(d, d[0]), bc_type="periodic")
-
-    def value_at_time(self, t: float) -> float:
-        return float(self._xi_spline(t % self.period))
-
-    def derivative_at_time(self, t: float) -> float:
-        return float(self._dxi_spline(t % self.period))
-
     def time_average(self) -> float:
-        return float(self._xi_spline.integrate(0.0, self.period)) / self.period
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ("t", "q", "p", "xi"), (self.times, self.qs, self.ps, self.xis))
+        """Orbit-time mean of xi: the mean of the uniform periodic samples."""
+        return float(np.mean(self.xis[:-1]))
 
 
 def build_xi_numeric(
@@ -234,7 +194,6 @@ def build_xi_numeric(
         qs=qs,
         ps=ps,
         xis=xis,
-        grad_lambda_avg=float(g),
         closure_residual=float(closure),
     )
 
@@ -264,8 +223,6 @@ def _shell_source(system: SystemModel, E: float, lam: float):
 class NumericShellGenerator:
     """Generator of a smooth well, evaluated pointwise by one orbit quadrature
     (see the module docstring for the formula and the gradient split)."""
-
-    tag = "numeric"
 
     def __init__(self, system: SystemModel):
         if system.kind == "box":
@@ -331,7 +288,7 @@ class GeneratorCheck:
 
 
 def _orbit_fractions(n_points: int) -> np.ndarray:
-    """Orbit fractions (k + 1/2)/n of the sample points, counted from q+ like table times."""
+    """Orbit fractions (k + 1/2)/n of the sample points, counted from q+."""
     return (np.arange(n_points) + 0.5) / n_points
 
 
@@ -354,55 +311,40 @@ def verify_generator(
 
     Reports, per shell, the worst normalized defect of
     {xi, omega} = d(omega)/dlam over points at orbit times (k + 1/2)/n of
-    the period, and the normalized orbit average |<xi>|.  Pointwise
-    generators give the bracket from their gradients and the average as the
-    mean of xi over the points (the midpoint rule on a periodic function).
-    Tables, checked only on their own system and shell (E, lam), are read at
-    the points' orbit times and use their along-orbit derivative (the bracket
-    against the invariant only sees the tangential part of the gradient).
+    the period, from the generator's gradient, and the normalized orbit
+    average |<xi>|, as the mean of xi over the points (the midpoint rule on
+    a periodic function).
     """
+    if not hasattr(generator, "evaluate_grad_z"):
+        raise DomainError(
+            f"verify_generator needs a generator with phase-space gradients "
+            f"(evaluate_grad_z); {type(generator).__name__} has none"
+        )
     if n_points < 100:
         raise DomainError(f"need at least 100 points per shell, got {n_points}")
     lam = system.check_param(lam)
-    is_table = isinstance(generator, ShellGeneratorTable)
-    if is_table and generator.system != system:
-        raise DomainError(f"table was built for {generator.system}; cannot verify {system}")
-    if is_table and not math.isclose(lam, generator.lam, rel_tol=1e-9):
-        raise DomainError(f"table was built at lam={generator.lam}; cannot verify lam={lam}")
-    times = _orbit_fractions(n_points) * generator.period if is_table else None
     shells = []
     for E in E_list:
-        if is_table and not math.isclose(E, generator.E, rel_tol=1e-9):
-            raise DomainError(
-                f"table was built on shell E={generator.E}; cannot verify E={E}"
-            )
-        pts = _shell_sample_points(system, E, lam, n_points)
         dOdE = d_volume_dE(system, E, lam)
         dOdlam = d_volume_dlam(system, E, lam)
         bracket_errs = []
         grad_scales = []
         xi_vals = []
-        for k, (q, p) in enumerate(pts):
+        for q, p in _shell_sample_points(system, E, lam, n_points):
             grad_omega_lam = dOdlam + dOdE * system.grad_lambda((q, p), lam)
-            if is_table:
-                bracket = dOdE * generator.derivative_at_time(times[k])
-                xi_vals.append(generator.value_at_time(times[k]))
-            else:
-                gq, gp = generator.evaluate_grad_z((q, p), lam)
-                hq, hp = system.grad_z((q, p), lam)
-                bracket = dOdE * (gq * hp - gp * hq)
-                xi_vals.append(generator.evaluate((q, p), lam))
-            bracket_errs.append(abs(bracket - grad_omega_lam))
+            gq, gp = generator.evaluate_grad_z((q, p), lam)
+            hq, hp = system.grad_z((q, p), lam)
+            bracket_errs.append(abs(dOdE * (gq * hp - gp * hq) - grad_omega_lam))
             grad_scales.append(abs(grad_omega_lam))
+            xi_vals.append(generator.evaluate((q, p), lam))
         scale = max(max(grad_scales), 1e-300)
         bracket_residual = max(bracket_errs) / scale
-        avg = generator.time_average() if is_table else float(np.mean(xi_vals))
         xi_scale = max(max(abs(v) for v in xi_vals), 1e-300)
         shells.append(
             {
                 "E": float(E),
                 "bracket_residual": float(bracket_residual),
-                "average_residual": float(abs(avg) / xi_scale),
+                "average_residual": float(abs(np.mean(xi_vals)) / xi_scale),
             }
         )
     return GeneratorCheck(

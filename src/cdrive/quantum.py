@@ -117,7 +117,6 @@ class QuantumState:
     representation: str
     amplitudes: np.ndarray
     grid: Optional[GridSpec] = None
-    lam_ref: Optional[float] = None
 
     def __post_init__(self):
         if self.representation not in ("grid", "eigenbasis"):
@@ -163,10 +162,6 @@ class HermitianOperator:
             )
 
     @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
@@ -188,10 +183,6 @@ class EigenSystem:
     @property
     def n_levels(self) -> int:
         return self.energies.size
-
-    def coefficients(self, psi: np.ndarray) -> np.ndarray:
-        """Eigenbasis coefficients c_n = <n|psi> of grid samples."""
-        return self.grid.h * (self.states.conj().T @ np.asarray(psi, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +615,7 @@ def _kick_basis(n_levels: int):
     """(q, w) with q^T D1 q block-diagonal in [[0, -w], [w, 0]], D1 = _sine_coupling:
     column pairs (x, y) from i D1's w > 0 eigenvectors (x + iy)/sqrt2, one QR pass
     (signs from diag R), and for odd n_levels the null vector beside a zero column."""
-    w, v = eigh(1j * _sine_coupling(n_levels), driver="ev")
+    w, v = np.linalg.eigh(1j * _sine_coupling(n_levels))
     k, odd = n_levels - n_levels // 2, n_levels % 2
     # a C-ordered copy viewed as floats holds Re u, Im u of each eigenvector u side by side
     q, r = np.linalg.qr(math.sqrt(2.0) * v[:, k:].copy().view(float), mode="complete")

@@ -45,7 +45,7 @@ def _fraction(t, duration):
     return np.clip(np.asarray(t, dtype=float) / duration, 0.0, 1.0)
 
 
-def linear_ramp(lam0: float, lam1: float, duration: float, tag: str = "linear") -> Schedule:
+def linear_ramp(lam0: float, lam1: float, duration: float) -> Schedule:
     span = lam1 - lam0
 
     def value(t):
@@ -56,7 +56,7 @@ def linear_ramp(lam0: float, lam1: float, duration: float, tag: str = "linear") 
         s = _fraction(t, duration)
         return np.full_like(s, span / duration)
 
-    return Schedule(duration, value, rate, tag)
+    return Schedule(duration, value, rate, "linear")
 
 
 def smoothstep_ramp(lam0: float, lam1: float, duration: float) -> Schedule:

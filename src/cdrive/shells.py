@@ -239,19 +239,17 @@ def phase_volume(system: SystemModel, E: float, lam: float, method: str = "auto"
     method: "auto" uses closed forms for box/power_law and quadrature for
     generic potentials; "quadrature" forces the orbit quadrature on smooth
     wells (cross-checks).  The box's flat interior gives the closed form for
-    every method.
+    both methods.
     """
     lam = system.check_param(lam)
     if not math.isfinite(E):
         raise DomainError(f"shell energy must be finite, got {E}")
-    if method not in ("auto", "closed", "quadrature"):
+    if method not in ("auto", "quadrature"):
         raise DomainError(f"unknown method {method!r}")
     if system.kind != "generic_1d" and E <= 0:
         raise DomainError(f"shell energy must exceed the potential floor 0, got {E}")
-    if method == "quadrature" or (method == "auto" and system.kind == "generic_1d"):
+    if method == "quadrature" or system.kind == "generic_1d":
         return _volume_quadrature(system, E, lam)
-    if system.kind == "generic_1d":
-        raise DomainError("generic_1d has no closed-form volume")
     return _volume_closed(system, E, lam)
 
 

@@ -570,6 +570,33 @@ def test_rk4_nan_state_is_numerical_error():
         evolve_cd(QUARTIC, NanGenerator(), sched, (0.3, 0.8), dt=1e-3)
 
 
+@pytest.mark.parametrize("fixed_step", [False, True], ids=["adaptive", "fixed"])
+def test_rk4_evaluates_the_flow_once_per_point(fixed_step):
+    # the slope at an accepted point serves every attempt from it: a step-halving
+    # attempt costs the full step's 3 further slopes and the two half steps' 3 + 4,
+    # a fixed step 3, and each accepted point before T 1 more; dt = 0.5 forces
+    # rejected attempts on the adaptive path
+    base = power_law_generator(4)
+    calls = []
+
+    class Counted:
+        def evaluate_grad_z(self, z, lam):
+            calls.append(None)
+            return base.evaluate_grad_z(z, lam)
+
+    sched = smoothstep_ramp(1.0, 1.5, 1.0)
+    with mock.patch.object(classical, "_rk4", wraps=classical._rk4) as rk4:
+        rec = evolve_cd(QUARTIC, Counted(), sched, (0.3, 0.8), dt=0.5, tol=1e-8,
+                        fixed_step=fixed_step)
+    accepted = len(rec.times) - 1
+    attempts = rk4.call_count if fixed_step else rk4.call_count // 3
+    if fixed_step:
+        assert len(calls) == 4 * accepted
+    else:
+        assert attempts > accepted
+        assert len(calls) == 10 * attempts + accepted
+
+
 # ---------------------------------------------------------------------------
 # ensembles
 

@@ -44,8 +44,29 @@ def _wrapped_classes(tracing):
     return classes + [systems.SystemModel]
 
 
+def _pinned_names(tracing):
+    """(module, dotted attribute) of every cdrive name Tracer.install resolves."""
+    names = [(layer, name) for layer, names in tracing._SPANNED_FUNCTIONS.items()
+             for name in names]
+    names += [(layer, f"{cls}.{m}") for layer, cls, methods in tracing._SPANNED_METHODS
+              for m in methods]
+    names += [(mod, f"{cls}.{m}") for mod, cls, m in tracing._CSV_METHODS]
+    names += [("systems", f"SystemModel.{m}") for m in tracing._POINT_METHODS]
+    names += [("schedules", name) for name in tracing._SCHEDULE_FACTORIES]
+    return names + [("quantum", "solve_banded"), ("classical", "np"),
+                    ("cli", "ThreadPoolExecutor")]
+
+
 def test_tracer_installs_and_uninstalls_cleanly():
     tracing = _load_tracing()
+    for mod, dotted in _pinned_names(tracing):
+        owner = sys.modules[f"cdrive.{mod}"]
+        for part in dotted.split("."):
+            assert hasattr(owner, part), (
+                f"cdrive.{mod}.{dotted} is gone, but the benchmark tracer "
+                f"(cdbench/tracing.py) pins the name until the [benchmark] step "
+                f"of ROADMAP item 1")
+            owner = getattr(owner, part)
     modules = _cdrive_modules()
     globals_before = {name: dict(vars(mod)) for name, mod in modules.items()}
     classes = _wrapped_classes(tracing)
