@@ -145,7 +145,10 @@ def _run_quantum_grid(cfg, arms):
         return _band_eigensystem(*_h0_bands(system, lam, grid, num["hbar"]), grid, lam, n_keep)
 
     es0 = spectrum(sched.initial)
-    psi0 = QuantumState("grid", es0.states[:, level].astype(complex), grid)
+    # the level's parity part, (v + (-1)^level Pv)/2: the other part is exactly
+    # zero, so the arms step one half grid
+    v = es0.states[:, level]
+    psi0 = QuantumState("grid", (0.5 * (v + (-1) ** level * v[::-1])).astype(complex), grid)
     dt = 2e-4 if num["dt"] is None else num["dt"]
     recs = _propagate_arms(
         system, sched, psi0, dt, tuple(arms), track_level=level,

@@ -497,19 +497,46 @@ def propagate_grid(
     and the bands of A are built _GRID_BLOCK steps at a time.  Power-law
     wells use scale invariance, V(q; lam) = lam^-b V(q; 1), and the dilation
     generator is xi(lam) = xi(1) / lam, so a block rescales fixed bands
-    instead of rebuilding them.  The box is rejected: its moving wall cannot
-    live on a fixed grid, and propagate_basis covers it exactly.  This is
-    the one-arm case of _propagate_arms.
+    instead of rebuilding them.  On a symmetric grid a power-law H(t)
+    commutes with the reflection P: q -> -q, so each nonzero parity part of
+    psi0 steps on a half grid, and an absent parity's levels get population
+    exactly 0; a parity-definite psi0, (v +- Pv)/2 of an eigenvector v,
+    steps one half grid.  The box is rejected: its moving wall cannot live
+    on a fixed grid, and propagate_basis covers it exactly.  This is the
+    one-arm case of _propagate_arms.
     """
     return _propagate_arms(system, schedule, psi0, dt, (with_cd,), track_level,
                            n_leading, record_every, hbar)[0]
 
 
+def _sectors(system, grid, amps):
+    """(parity, rows) of each nonzero part of amps: for a power-law well on a
+    symmetric grid, (amps + p P amps)/2 for p = +-1 on the left half grid, where
+    the even part keeps an odd grid's centre as psi(0)/sqrt2, so a part's norm
+    is 2h sum |rows|^2; elsewhere the whole grid, parity 0.  Full-grid level g
+    is level g // 2 of parity (-1)^g: the two spectra interlace, even lowest."""
+    n = grid.n_points
+    if system.kind != "power_law" or grid.q_min != -grid.q_max:
+        return [(0, amps)]
+    parts = [(p, 0.5 * (amps + p * amps[::-1])[:(n + (p > 0)) // 2]) for p in (1, -1)]
+    if n % 2:
+        parts[0][1][-1] /= math.sqrt(2.0)
+    return [(p, rows) for p, rows in parts if np.any(rows)]
+
+
+def _unfold(parity, rows, n):
+    """The full-grid amplitudes of one _sectors part."""
+    left, mid = rows[:n // 2], [math.sqrt(2.0) * rows[-1] if parity > 0 else 0.0]
+    return np.concatenate([left, mid[:n % 2], parity * left[::-1]]) if parity else rows
+
+
 def _propagate_arms(system, schedule, psi0, dt, arms, track_level=0, n_leading=4,
                     record_every=10, hbar=1.0):
     """propagate_grid for each CD flag in arms, bit-identical to separate runs:
-    the arms share the bands and each record's eigensolve, and their Cayley
-    matrices stack into one tridiagonal system solved once per step."""
+    the arms share the bands and each record's eigensolves, and the Cayley
+    matrices of every arm's _sectors stack into one tridiagonal system solved
+    once per step.  A half grid's bands are the full grid's left rows, closed
+    at the centre by parity."""
     if system.kind == "box":
         raise DomainError("grid propagation excludes the box; use propagate_basis")
     if psi0.representation != "grid":
@@ -532,62 +559,82 @@ def _propagate_arms(system, schedule, psi0, dt, arms, track_level=0, n_leading=4
     if not (np.all(lams > 0.0) and np.all(rec_lams > 0.0)):
         raise DomainError("schedule leaves the positive parameter range")
 
+    sectors = _sectors(system, grid, psi0.amplitudes)
+    ends = np.cumsum([rows.size for _, rows in sectors])
+    left = np.concatenate([np.arange(rows.size) for _, rows in sectors])  # full-grid rows
+    links = np.minimum(left, 1.0)  # coupling to the row above, in units of the full grid's
+    kin_diag = np.full(left.size, 2.0 * kin)
+    for (p, _), end in zip(sectors, ends):  # close each half grid at the centre:
+        if n % 2 == 0:  # mirror row holds p psi; centre dilation weight (0 up to rounding) drops
+            kin_diag[end - 1] -= p * kin
+        elif p > 0:  # odd part stops short of q = 0; even part's centre row holds psi(0)/sqrt2
+            links[end - 1] = math.sqrt(2.0)
+    fold = 2.0 if sectors[0][0] else 1.0  # a half-grid row stands for its mirror too
+
     if system.kind == "power_law":
-        v1 = _potential_diagonal(system, 1.0, grid)
+        v1 = _potential_diagonal(system, 1.0, grid)[left]
 
         def diagonals(lam):
-            return 2.0 * kin + lam[:, None] ** -system.b * v1
+            return kin_diag + lam[:, None] ** -system.b * v1
     else:  # user callables may take scalars only
 
         def diagonals(lam):  # one row per entry of lam
-            return 2.0 * kin + np.array([_potential_diagonal(system, x, grid) for x in lam])
+            return kin_diag + np.array([_potential_diagonal(system, x, grid) for x in lam])
 
     k = max(n_leading, track_level + 1)
-    kin_off = np.full(n - 1, -kin)
-    psi = np.tile(psi0.amplitudes, (len(arms), 1))  # one row per arm
+    psi = np.tile(np.concatenate([rows for _, rows in sectors]), (len(arms), 1))  # arm rows
     times, samples = [], [([], [], [], []) for _ in arms]  # norms, fids, phases, pops
 
     def record(psi):
         j = len(times)
-        vecs = _band_eigensystem(diagonals(rec_lams[j:j + 1])[0], kin_off, grid,
-                                 rec_lams[j], k).states
+        diag = diagonals(rec_lams[j:j + 1])[0]
+        coeffs = np.zeros((len(arms), k), dtype=complex)
+        for (p, rows), hi in zip(sectors, ends):
+            lo, mine = hi - rows.size, coeffs[:, (p < 0)::1 + (p != 0)]  # levels of parity p
+            if mine.size:
+                vecs = _band_eigensystem(diag[lo:hi], -kin * links[lo + 1:hi], grid,
+                                         rec_lams[j], mine.shape[1]).states
+                for coeff, amps in zip(mine, psi):
+                    coeff[:] = math.sqrt(fold) * h * (vecs.T @ amps[lo:hi])
         times.append(rec_steps[j] * step)
-        for amps, (norms, fids, phases, pops) in zip(psi, samples):
-            coeff = h * (vecs.T @ amps)
-            norms.append(math.sqrt(h * float(np.sum(np.abs(amps) ** 2))))
+        for coeff, amps, (norms, fids, phases, pops) in zip(coeffs, psi, samples):
+            norms.append(math.sqrt(fold * h * float(np.sum(np.abs(amps) ** 2))))
             fids.append(float(np.abs(coeff[track_level]) ** 2))
             phases.append(float(np.angle(coeff[track_level])))
             pops.append(np.abs(coeff[:n_leading]) ** 2)
 
     # off the diagonal, i kappa H is -i kappa kin plus (super) or minus (sub)
     # kappa lam_dot w(lam), with the dilation weight w(lam) = w(1) / lam; the
-    # zero first super- and last subdiagonal slot of each arm uncouple the arms
-    off_kin = -1j * kappa * kin
-    w1 = np.array([kappa * _dilation_offdiag(1.0, mu, grid, hbar) for mu in mus])
-    ab = np.zeros((_GRID_BLOCK, 3, len(arms), n), dtype=complex)
+    # zero link at each sector's first row uncouples the sectors and the arms
+    off_kin = -1j * kappa * kin * links
+    w1 = np.array([kappa * np.append(0.0, _dilation_offdiag(1.0, mu, grid, hbar))[left] * links
+                   for mu in mus])
+    ab = np.zeros((_GRID_BLOCK, 3, len(arms), left.size), dtype=complex)
+    flat = psi.view(float)  # psi is updated in place
     record(psi)
     for lo in range(0, n_steps, _GRID_BLOCK):
         hi = min(lo + _GRID_BLOCK, n_steps)
         cd = (rates[lo:hi] / lams[lo:hi])[:, None, None] * w1
-        ab[:hi - lo, 0, :, 1:] = off_kin + cd
+        ab[:hi - lo, 0] = off_kin + cd
         ab[:hi - lo, 1] = (1.0 + 1j * kappa * diagonals(lams[lo:hi]))[:, None]
-        ab[:hi - lo, 2, :, :-1] = off_kin - cd
+        ab[:hi - lo, 2, :, :-1] = (off_kin - cd)[..., 1:]
         for i in range(lo, hi):
             # psi' = 2 A^-1 psi - psi; the bands of A and the rhs are consumed
             x = solve_banded(ab[i - lo].reshape(3, -1), 2.0 * psi.ravel())
             np.subtract(x.reshape(psi.shape), psi, out=psi)
-            for amps in psi:  # each arm's own norm
-                norm = math.sqrt(h * float(np.vdot(amps, amps).real))
+            for sq in np.einsum("ij,ij->i", flat, flat).tolist():  # each arm's sum |psi|^2
+                norm = math.sqrt(fold * h * sq)
                 # written so that a NaN norm fails too
                 if not abs(norm - 1.0) <= 1e-10:
                     raise NumericalError(f"norm drift {abs(norm - 1.0):.3e} at step {i}")
             if i + 1 == rec_steps[len(times)]:
                 record(psi)
 
-    return tuple(GridTrajectory(
+    return tuple(GridTrajectory(  # the sum of the unfolded sectors is a new array
         times=np.array(times), norms=np.array(norms), fidelities=np.array(fids),
         phases=np.unwrap(np.array(phases)), populations=np.array(pops),
-        track_level=track_level, final_state=QuantumState("grid", amps.copy(), grid),
+        track_level=track_level, final_state=QuantumState("grid", sum(
+            _unfold(p, amps[hi - rows.size:hi], n) for (p, rows), hi in zip(sectors, ends)), grid),
     ) for amps, (norms, fids, phases, pops) in zip(psi, samples))
 
 

@@ -58,7 +58,7 @@ from cdrive.schedules import (
     smoothstep_ramp,
     tabulated,
 )
-from cdrive.systems import box, generic_1d, power_law
+from cdrive.systems import SystemModel, box, generic_1d, power_law
 
 BOX = box()
 SHO = power_law(2)
@@ -675,7 +675,8 @@ def test_grid_arms_in_lockstep_match_separate_runs(b, level):
 
 @pytest.mark.parametrize("arm", [0, 1])
 def test_grid_arm_norm_drift_alone_raises(monkeypatch, arm):
-    # a drift of about 1e-9 in one arm's half of one stacked solve
+    # a drift of about 1e-9 in one arm's half of one stacked solve; the even
+    # psi0 puts each arm on one 64-row half grid
     real = quantum.solve_banded
     calls = []
     g, es, sched = _driving_setup(SHO, 128)
@@ -683,12 +684,14 @@ def test_grid_arm_norm_drift_alone_raises(monkeypatch, arm):
     def drifted(*args, **kwargs):
         calls.append(None)
         x = real(*args, **kwargs)
+        assert x.size == 2 * 64
         if len(calls) == 3:
-            x[arm * 128:(arm + 1) * 128] *= 1.0 + 1e-9
+            x[arm * 64:(arm + 1) * 64] *= 1.0 + 1e-9
         return x
 
     monkeypatch.setattr(quantum, "solve_banded", drifted)
-    psi0 = QuantumState("grid", es.states[:, 0].astype(complex), g)
+    v = es.states[:, 0]
+    psi0 = QuantumState("grid", (0.5 * (v + v[::-1])).astype(complex), g)
     with pytest.raises(NumericalError, match="norm drift .* at step 2"):
         _propagate_arms(SHO, sched, psi0, 1e-2, (True, False))
 
@@ -703,6 +706,105 @@ def test_grid_arms_own_their_final_states():
     on.final_state.amplitudes[:] = 0.0
     assert np.array_equal(off.final_state.amplitudes, kept)
     assert np.array_equal(psi0.amplitudes, es.states[:, 0])
+
+
+class _FullGridWell(SystemModel):
+    """A generic_1d well that carries a power law's dilation coefficient, so
+    that both grid arms step it on the whole grid."""
+
+    @property
+    def mu(self):
+        return self.b / (self.b + 2.0)
+
+
+@pytest.mark.parametrize("start", ["level0", "level1", "mixed"])
+@pytest.mark.parametrize("n", [128, 129])
+@pytest.mark.parametrize("b", [2, 4])
+def test_parity_sectors_match_the_full_grid(monkeypatch, b, n, start):
+    # power_law(b) steps the nonzero parity parts of psi0 on half grids; the
+    # same potential as a generic_1d well steps the whole grid.  Both arms,
+    # 100 steps recorded every 7, agree within the 1e-12 of the per-step loop
+    # comparisons.  A parity-definite psi0, (v +- Pv)/2, occupies one half
+    # grid: one eigensolve of at most (n + 1) // 2 rows per record, and the
+    # other parity's populations and final amplitudes are exact zeros
+    system = power_law(b)
+    well = _FullGridWell(kind="generic_1d", b=b, potential=lambda q, lam: (q / lam) ** b)
+    g = well_grid(system, 1.7, 15.0, n)
+    v0, v1 = eigensystem(discretize_h0(system, 1.0, g), g, 1.0, n_levels=2).states.T
+    amps = {"level0": 0.5 * (v0 + v0[::-1]), "level1": 0.5 * (v1 - v1[::-1]),
+            "mixed": (v0 + v1) / math.sqrt(2.0)}[start]
+    psi0 = QuantumState("grid", amps.astype(complex), g)
+    level = 0 if start == "level0" else 1
+    sched = smoothstep_ramp(1.0, 1.7, 0.3)
+    kw = {"track_level": level, "record_every": 7}
+    rows, real = [], quantum.eigh_tridiagonal
+
+    def counted(diag, *args, **kwargs):
+        rows.append(diag.size)
+        return real(diag, *args, **kwargs)
+
+    monkeypatch.setattr(quantum, "eigh_tridiagonal", counted)
+    halves = _propagate_arms(system, sched, psi0, 3e-3, (True, False), **kw)
+    assert len(rows) == halves[0].times.size * (2 if start == "mixed" else 1)
+    assert max(rows) <= (n + 1) // 2
+    fulls = _propagate_arms(well, sched, psi0, 3e-3, (True, False), **kw)
+    for half, full in zip(halves, fulls):
+        assert np.array_equal(half.times, full.times)
+        for got, want in ((half.final_state.amplitudes, full.final_state.amplitudes),
+                          (half.fidelities, full.fidelities), (half.phases, full.phases),
+                          (half.norms, full.norms), (half.populations, full.populations)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        if start != "mixed":
+            parity = (-1) ** level
+            assert np.all(half.populations[:, 1 - level::2] == 0.0)
+            final = half.final_state.amplitudes
+            assert np.array_equal(final, parity * final[::-1])
+
+
+def _sector_bands(system, lam, g, parity):
+    """The bands of H0 on one parity's half grid: the left rows, closed at
+    the centre by the mirror row (even n) or by q = 0 (odd n)."""
+    diag, off = _h0_bands(system, lam, g)
+    n, kin = g.n_points, -off[0]
+    m = (n + (parity > 0)) // 2
+    diag, off = diag[:m].copy(), off[:m - 1].copy()
+    if n % 2 == 0:
+        diag[-1] -= parity * kin  # psi at the mirror row is parity * psi at this one
+    elif parity > 0:
+        off[-1] *= math.sqrt(2.0)  # the centre row holds psi(0) / sqrt2
+    return diag, off
+
+
+def _unfolded(states, n, parity):
+    """Full-grid h-normalized columns of half-grid h-normalized sector columns."""
+    left = states[:n // 2] / math.sqrt(2.0)
+    mid = states[n // 2:] if parity > 0 else np.zeros((n % 2, states.shape[1]))
+    return np.concatenate([left, mid, parity * left[::-1]])
+
+
+@pytest.mark.parametrize("n", [512, 511])
+@pytest.mark.parametrize("lam", [0.8, 1.0, 1.7])
+@pytest.mark.parametrize("b", [2, 4, 6])
+def test_parity_sector_spectra_interlace(b, lam, n):
+    # level g of the full grid is level g // 2 of parity (-1)^g: the records
+    # of a half-grid run label their levels this way.  The bounds are those
+    # of test_band_eigensystem_matches_dense_oracle
+    system = power_law(b)
+    g = well_grid(system, lam, 40.0, n)
+    energies, vecs = scipy.linalg.eigh(discretize_h0(system, lam, g).matrix.real)
+    floor = 64 * np.finfo(float).eps * np.max(np.abs(energies))
+    even, odd = (_band_eigensystem(*_sector_bands(system, lam, g, parity), g, lam, 20)
+                 for parity in (1, -1))
+    assert np.all(even.energies < odd.energies)
+    assert np.all(odd.energies[:-1] < even.energies[1:])
+    merged = np.empty(40)
+    merged[0::2], merged[1::2] = even.energies, odd.energies
+    np.testing.assert_allclose(merged, energies[:40], rtol=1e-12, atol=floor)
+    states = np.empty((n, 40))
+    states[:, 0::2] = _unfolded(even.states, n, 1)
+    states[:, 1::2] = _unfolded(odd.states, n, -1)
+    np.testing.assert_allclose(states, _fix_signs(vecs[:, :40]) / math.sqrt(g.h),
+                               rtol=0, atol=1e-10)
 
 
 def test_propagate_grid_makes_one_banded_solve_per_step(monkeypatch):
