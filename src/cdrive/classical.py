@@ -301,6 +301,9 @@ class ShellSampler:
 
     E: float
 
+    def __post_init__(self):
+        _check_positive("shell energy E", self.E)
+
 
 @dataclass(frozen=True)
 class UniformGasSampler:
@@ -313,8 +316,7 @@ class UniformGasSampler:
     def __post_init__(self):
         if self.law not in ("two_point", "gaussian"):
             raise DomainError(f"unknown momentum law {self.law!r}")
-        if self.p_bar <= 0:
-            raise DomainError("p_bar must be positive")
+        _check_positive("p_bar", self.p_bar)
 
 
 def shell_sampler(E: float) -> ShellSampler:
@@ -325,129 +327,31 @@ def uniform_gas_sampler(p_bar: float, law: str = "two_point") -> UniformGasSampl
     return UniformGasSampler(p_bar=float(p_bar), law=law)
 
 
-# SeedSequence and PCG64 constants (numpy's stream-stability policy, NEP 19)
-_M32 = 0xFFFFFFFF
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-
-
-def _hashmix(value, const, mult=_HASH_MULT_A):
-    """SeedSequence's hash of a 32-bit word; returns (value, next const)."""
-    value = value ^ const
-    const = (const * mult) & _M32
-    value = (value * const) & _M32
-    return value ^ (value >> 16), const
-
-
-def _mix(x, y):
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
-    return r ^ (r >> 16)
-
-
-def _mul_add_128(hi, lo, mul, add):
-    """(hi, lo) * mul + add mod 2**128 on uint64 halves, with the
-    64 x 64 -> 128 bit product of the low halves split into 32-bit limbs."""
-    u64 = np.uint64
-    m_hi, m_lo = u64(mul >> 64), u64(mul & (2**64 - 1))
-    b0, b1 = u64(mul & _M32), u64((mul >> 32) & _M32)
-    a0, a1 = lo & u64(_M32), lo >> u64(32)
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> u64(32)) + (p01 & u64(_M32)) + (p10 & u64(_M32))
-    lo_out = (p00 & u64(_M32)) | (mid << u64(32))
-    hi_out = (a1 * b1 + (p01 >> u64(32)) + (p10 >> u64(32)) + (mid >> u64(32))
-              + hi * m_lo + lo * m_hi)
-    lo_sum = lo_out + add[1]
-    return hi_out + add[0] + (lo_sum < lo_out), lo_sum
-
-
-def _stream_uniforms(seed, n, k):
-    """The first k doubles of generator i = default_rng(child i) for the
-    children of SeedSequence(seed).spawn(n), as an (k, n) array.
-
-    Child i's entropy is the seed's 32-bit words, zero-padded to four, then
-    i.  Every hash step before the last word is the same for all children,
-    so it runs once on Python ints; only the rounds that mix in i run on
-    uint64 arrays.  PCG64 then seeds from generate_state(4, uint64) and each
-    draw is an LCG step, the XSL-RR output and (out >> 11) * 2**-53.
-    """
-    words = [(seed >> (32 * j)) & _M32
-             for j in range(max(4, (seed.bit_length() + 31) // 32))]
-    const = _HASH_INIT_A
-    pool = []
-    for w in words[:4]:
-        h, const = _hashmix(w, const)
-        pool.append(h)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                h, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], h)
-    for w in words[4:]:
-        for dst in range(4):
-            h, const = _hashmix(w, const)
-            pool[dst] = _mix(pool[dst], h)
-    child = np.arange(n, dtype=np.uint64)
-    for dst in range(4):
-        h, const = _hashmix(child, const)
-        pool[dst] = _mix(pool[dst], h)
-
-    const = _HASH_INIT_B
-    state32 = []
-    for j in range(8):
-        v, const = _hashmix(pool[j % 4], const, _HASH_MULT_B)
-        state32.append(v)
-    seed_hi, seed_lo, inc_hi, inc_lo = (
-        state32[2 * j] | (state32[2 * j + 1] << np.uint64(32)) for j in range(4))
-
-    one = np.uint64(1)
-    inc = ((inc_hi << one) | (inc_lo >> np.uint64(63)), (inc_lo << one) | one)
-    # state 0 steps to inc, then takes the seed and steps once more
-    hi, lo = _mul_add_128(*inc, 1, (seed_hi, seed_lo))
-    hi, lo = _mul_add_128(hi, lo, _PCG_MULT, inc)
-    out = np.empty((k, n))
-    for j in range(k):
-        hi, lo = _mul_add_128(hi, lo, _PCG_MULT, inc)
-        rot = hi >> np.uint64(58)
-        x = hi ^ lo
-        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-        out[j] = (x >> np.uint64(11)) * (1.0 / 9007199254740992.0)
-    return out
-
-
 def _draw_initial_conditions(system, sampler, lam, n, seed):
-    """Initial conditions from per-particle streams split from the master
-    seed, so draws do not depend on how particles are later distributed
-    across workers.
-
-    Particle i draws from default_rng(SeedSequence(seed).spawn(n)[i]), a
-    PCG64 stream.  The uniform laws compute all n streams together in
-    _stream_uniforms, whose doubles are those generators' own, so outputs
-    stay byte-identical.  The Gaussian law keeps one Generator per particle:
-    standard_normal is numpy's ziggurat, whose tables live in C.
+    """n initial conditions from two child streams of SeedSequence(seed):
+    default_rng of the first draws q, or the smooth-shell orbit fraction, and
+    of the second the momentum, its sign for the two-point laws.  Each
+    stream fills its n draws in order, so a particle's draws do not depend
+    on n.
     """
     seed = operator.index(seed)
     if seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed}")
+    q_rng, p_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     if isinstance(sampler, UniformGasSampler):
         if system.kind != "box":
             raise DomainError("uniform_gas sampling needs box walls")
         if sampler.law == "gaussian":
-            streams = [np.random.default_rng(s)
-                       for s in np.random.SeedSequence(seed).spawn(n)]
-            qs = np.array([r.random() * lam for r in streams])
-            return qs, np.array([sampler.p_bar * r.standard_normal() for r in streams])
+            return q_rng.random(n) * lam, sampler.p_bar * p_rng.standard_normal(n)
         p_bar = sampler.p_bar
     elif isinstance(sampler, ShellSampler):
         if system.kind != "box":
-            return orbit_states(system, sampler.E, lam, _stream_uniforms(seed, n, 1)[0])
+            return orbit_states(system, sampler.E, lam, q_rng.random(n))
         # orbit time is uniform in position at fixed speed
         p_bar = math.sqrt(2.0 * system.mass * sampler.E)
     else:
         raise DomainError(f"unknown sampler {sampler!r}")
-    u = _stream_uniforms(seed, n, 2)
-    return u[0] * lam, np.where(u[1] < 0.5, p_bar, -p_bar)
+    return q_rng.random(n) * lam, np.where(p_rng.random(n) < 0.5, p_bar, -p_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -595,17 +499,19 @@ def evolve_ensemble(system: SystemModel, generator, schedule: Schedule, sampler,
                     dt: Optional[float] = None, tol: float = 1e-10) -> EnsembleRecord:
     """Propagate independent particles and record snapshots.
 
-    Box systems need no time stepping.  The driven arm is the closed-form
-    flow on the clock tau (it needs only the schedule, not the generator
-    object, since the wall-scaling form is the unique one compatible with
-    the collision rule).  The bare arm is exact free flight whose work
-    scales with the wall hits; dt (default T/500) sets only the grid that
-    detects and brackets them.  For box
-    systems each snapshot also gets the Kolmogorov-Smirnov statistic of q/L
-    against the uniform law.  Smooth wells run the adaptive RK4 integrator
-    from dt (default T/1000) on all particles at once: the step sequence is
-    shared and lands on every snapshot, and tol holds for each particle.  A
-    particle's path therefore depends on its companions at tolerance level.
+    The sampler's initial conditions come from two child streams of seed
+    (_draw_initial_conditions), so a particle's draws do not depend on
+    n_particles.  Box systems need no time stepping.  The driven arm is the
+    closed-form flow on the clock tau (it needs only the schedule, not the
+    generator object, since the wall-scaling form is the unique one
+    compatible with the collision rule).  The bare arm is exact free flight
+    whose work scales with the wall hits; dt (default T/500) sets only the
+    grid that detects and brackets them.  For box systems each snapshot also
+    gets the Kolmogorov-Smirnov statistic of q/L against the uniform law.
+    Smooth wells run the adaptive RK4 integrator from dt (default T/1000) on
+    all particles at once: the step sequence is shared and lands on every
+    snapshot, and tol holds for each particle.  A particle's path therefore
+    depends on its companions at tolerance level.
     """
     if not isinstance(n_particles, numbers.Integral) or n_particles < 1:
         raise DomainError(f"n_particles must be an integer >= 1, got {n_particles!r}")

@@ -18,6 +18,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import ndtr
 
 import cdrive.classical as classical
 from cdrive.classical import (
@@ -43,7 +44,8 @@ from cdrive.schedules import (
     smoothstep_ramp,
 )
 from cdrive.shells import orbit_period, orbit_states, turning_points
-from cdrive.systems import box, generic_1d, power_law
+from cdrive.systems import SystemModel, box, generic_1d, power_law
+from oracles import harmonic_fundamental_matrices
 
 BOX = box()
 SHO = power_law(2)
@@ -643,10 +645,11 @@ def test_bare_box_ensemble_particle_equals_its_trajectory(sched):
     # each particle of the bare ensemble is flown on its own: alone, on the
     # same dt grid with records at the snapshots, it lands on the same rows;
     # and flying straight between hits finds the hits that checking every
-    # substep end finds
+    # substep end finds.  At width 30 a particle meets five or more walls on
+    # average, so the floor of four hits per particle is not met by luck
     T = sched.duration
     snaps = [0.0, T / 4, T / 2, 3 * T / 4, T]
-    rec = evolve_ensemble(BOX, None, sched, uniform_gas_sampler(20.0, "gaussian"), 40,
+    rec = evolve_ensemble(BOX, None, sched, uniform_gas_sampler(30.0, "gaussian"), 40,
                           seed=5, snapshot_times=snaps)
     qs, ps = np.array(rec.positions), np.array(rec.momenta)
     L, P = max(sched.value(np.array(snaps))), np.max(np.abs(ps))
@@ -762,26 +765,68 @@ def test_smooth_shell_ensemble():
     assert np.max(np.abs(wf - w0[0])) / w0[0] < 1e-7
 
 
+def _harmonic_bare_oracle_check(lam0, lam1, duration):
+    """Each particle of a bare power_law(2) shell ensemble at every snapshot,
+    and one bare trajectory's final state, against the exact linear flow
+    (q, p)(t) = Phi(t) (q, p)(0), Phi the fundamental matrix of
+    q'' = -w(t)^2 q (tests/oracles.py).
+
+    Both run at tol 1e-8 and 1e-10.  Step-halving RK4's error falls about
+    40-fold per 100-fold in tol (26- to 45-fold measured), so the change
+    between the two runs is the coarse run's error, and the fine run's error
+    is bounded by a quarter of it: a bound that holds for any fall of 5-fold
+    or more.
+    """
+    sched = smoothstep_ramp(lam0, lam1, duration)
+    snaps = np.linspace(0.0, duration, 5)
+    z0 = (0.3, -1.1)
+    ens, traj = [], []
+    for tol in (1e-8, 1e-10):
+        rec = evolve_ensemble(SHO, None, sched, shell_sampler(1.0), 8, seed=3,
+                              snapshot_times=snaps, tol=tol)
+        ens.append(np.stack([rec.positions, rec.momenta], axis=1))  # (snapshot, q|p, particle)
+        traj.append(evolve_bare(SHO, sched, z0, dt=duration / 100, tol=tol))
+    exact = harmonic_fundamental_matrices(SHO, sched, rec.snapshot_times) @ ens[1][0]
+    ens_bound = 0.25 * np.max(np.abs(ens[0] - ens[1]))
+    ens_err = np.max(np.abs(ens[1] - exact))
+    assert ens_err <= ens_bound, f"ensemble error {ens_err:.3e} > {ens_bound:.3e}"
+    exact = harmonic_fundamental_matrices(SHO, sched, [duration])[0] @ np.array(z0)
+    traj_bound = 0.25 * np.max(np.abs(np.subtract(traj[0].final_state, traj[1].final_state)))
+    traj_err = np.max(np.abs(traj[1].final_state - exact))
+    assert traj_err <= traj_bound, f"trajectory error {traj_err:.3e} > {traj_bound:.3e}"
+
+
+@pytest.mark.parametrize("lam0, lam1", [(1.0, 2.0), (2.0, 1.0)], ids=["expand", "compress"])
+@pytest.mark.parametrize("duration", [0.3, 1.0, 3.0])
+def test_bare_harmonic_ensemble_and_trajectory_match_the_exact_flow(duration, lam0, lam1):
+    # the orbit period at lam = 1 is 4.4: from a sudden ramp to a slow one
+    _harmonic_bare_oracle_check(lam0, lam1, duration)
+
+
+def test_bare_harmonic_oracle_rejects_a_scaled_force(monkeypatch):
+    real = SystemModel.grad_q
+    monkeypatch.setattr(SystemModel, "grad_q", lambda self, q, lam: 1.01 * real(self, q, lam))
+    with pytest.raises(AssertionError, match="ensemble error"):
+        _harmonic_bare_oracle_check(1.0, 2.0, 1.0)
+
+
 def _reference_draw(system, sampler, lam, n, seed):
-    """The per-particle Generator loop that _draw_initial_conditions
-    reproduces: one default_rng per child of SeedSequence(seed).spawn(n)."""
-    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
-    m = system.mass
+    """The seed's documented mapping, particle by particle: the q stream and
+    the p stream are default_rng of the two children of
+    SeedSequence(seed).spawn(2), and particle i takes the i-th scalar draw of
+    each (its orbit fraction from the q stream on a smooth well)."""
+    q_rng, p_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    us = [q_rng.random() for _ in range(n)]
+    if system.kind != "box":
+        return orbit_states(system, sampler.E, lam, us)
+    qs = np.array([u * lam for u in us])
+    if isinstance(sampler, UniformGasSampler) and sampler.law == "gaussian":
+        return qs, np.array([sampler.p_bar * p_rng.standard_normal() for _ in range(n)])
     if isinstance(sampler, UniformGasSampler):
-        qs = np.array([r.random() * lam for r in streams])
-        if sampler.law == "two_point":
-            ps = np.array([sampler.p_bar if r.random() < 0.5 else -sampler.p_bar
-                           for r in streams])
-        else:
-            ps = np.array([sampler.p_bar * r.standard_normal() for r in streams])
-        return qs, ps
-    E = sampler.E
-    if system.kind == "box":
-        absp = math.sqrt(2.0 * m * E)
-        qs = np.array([r.random() * lam for r in streams])
-        ps = np.array([absp if r.random() < 0.5 else -absp for r in streams])
-        return qs, ps
-    return orbit_states(system, E, lam, [r.random() for r in streams])
+        absp = sampler.p_bar
+    else:
+        absp = math.sqrt(2.0 * system.mass * sampler.E)
+    return qs, np.array([absp if p_rng.random() < 0.5 else -absp for _ in range(n)])
 
 
 _DRAW_CASES = {
@@ -792,9 +837,14 @@ _DRAW_CASES = {
 }
 
 
+def _draw(case, n, seed, lam=1.3):
+    system, sampler = _DRAW_CASES[case]
+    return _draw_initial_conditions(system, sampler, lam, n, seed)
+
+
 def _assert_draws_match(case, n, seed, lam=1.3):
     system, sampler = _DRAW_CASES[case]
-    qs, ps = _draw_initial_conditions(system, sampler, lam, n, seed)
+    qs, ps = _draw(case, n, seed, lam)
     ref_q, ref_p = _reference_draw(system, sampler, lam, n, seed)
     assert np.array_equal(qs, ref_q) and np.array_equal(ps, ref_p)
 
@@ -810,6 +860,78 @@ def test_draws_match_per_particle_generators(case, seed, n):
        seed=st.integers(0, 2**96 - 1), n=st.integers(1, 300))
 def test_draws_match_per_particle_generators_property(case, seed, n):
     _assert_draws_match(case, n, seed)
+
+
+@given(case=st.sampled_from(sorted(_DRAW_CASES)),
+       seed=st.integers(0, 2**96 - 1), n=st.integers(1, 300), k=st.integers(1, 300))
+def test_draws_for_n_particles_are_the_first_of_those_for_more(case, seed, n, k):
+    qs, ps = _draw(case, n, seed)
+    more_q, more_p = _draw(case, n + k, seed)
+    assert np.array_equal(qs, more_q[:n]) and np.array_equal(ps, more_p[:n])
+
+
+@pytest.mark.parametrize("case", sorted(_DRAW_CASES))
+def test_equal_seeds_draw_equal_and_different_seeds_differ(case):
+    for seed in (0, 23, 2**64 + 3):
+        q, p = _draw(case, 50, seed)
+        q2, p2 = _draw(case, 50, seed)
+        assert np.array_equal(q, q2) and np.array_equal(p, p2)
+        q3, p3 = _draw(case, 50, seed + 1)
+        assert not np.array_equal(q, q3) and not np.array_equal(p, p3)
+
+
+def _assert_uniform(u):
+    # a sample of n from U(0, 1) exceeds 2.5/sqrt(n) with probability
+    # about 2 exp(-2 * 2.5**2) = 7.5e-6
+    assert kstest(u) < 2.5 / math.sqrt(len(u))
+
+
+def _assert_balanced_signs(p):
+    # the count of positive signs is binomial(n, 1/2): 4.5 sigma
+    n = len(p)
+    assert abs(np.count_nonzero(p > 0) - 0.5 * n) < 4.5 * 0.5 * math.sqrt(n)
+
+
+def _quartic_orbit_fraction(q, p, E, lam):
+    """Orbit-time fraction, counted from q+, of a point on the quartic shell
+    E: with u = q/q+ the time from q to q+ is proportional to the integral
+    of 1/sqrt(1 - u^4) from u to 1, taken with the endpoint weight
+    (1 - u)^(-1/2), and the integrand is even in u."""
+    def to_top(u):
+        if u < 0.0:
+            return full - to_top(-u)
+        return quad(lambda v: 1.0 / math.sqrt((1.0 + v) * (1.0 + v * v)), u, 1.0,
+                    weight="alg", wvar=(0.0, -0.5))[0]
+
+    full = quad(lambda v: 1.0 / math.sqrt(1.0 + v * v), -1.0, 1.0,
+                weight="alg", wvar=(-0.5, -0.5))[0]
+    half = to_top(q / (lam * E**0.25)) / (2.0 * full)
+    return half if p <= 0.0 else 1.0 - half
+
+
+@pytest.mark.parametrize("case", sorted(_DRAW_CASES))
+def test_draws_follow_their_law(case):
+    lam, n = 1.3, 20_000
+    system, sampler = _DRAW_CASES[case]
+    qs, ps = _draw(case, n, 23, lam)
+    if case == "quartic_shell":
+        _assert_uniform([_quartic_orbit_fraction(q, p, sampler.E, lam) for q, p in zip(qs, ps)])
+        return
+    _assert_uniform(qs / lam)
+    if case == "gaussian_gas":
+        _assert_uniform(ndtr(ps / sampler.p_bar))
+        return
+    p_bar = sampler.p_bar if case == "two_point_gas" else math.sqrt(2.0 * sampler.E)
+    assert np.array_equal(np.abs(ps), np.full(n, p_bar))
+    _assert_balanced_signs(ps)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_samplers_reject_non_finite_or_non_positive_parameters(value):
+    for make in (uniform_gas_sampler, lambda v: uniform_gas_sampler(v, "gaussian"),
+                 shell_sampler):
+        with pytest.raises(DomainError, match="must be finite and positive"):
+            make(value)
 
 
 def test_negative_seed_is_domain_error():

@@ -202,6 +202,27 @@ def test_integral_float_count_is_config_error(tmp_path, capsys, section, key, va
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("key, value, literal", [
+    ("gas_momentum", float("nan"), "NaN"),
+    ("gas_momentum", float("inf"), "Infinity"),
+    ("energy", float("inf"), "Infinity"),
+    ("energy", float("-inf"), "-Infinity"),
+])
+def test_non_finite_number_is_config_error_before_any_run(tmp_path, capsys, key, value,
+                                                          literal):
+    # json reads NaN and Infinity as floats that pass exclusiveMinimum: 0
+    cfg = {"kind": "classical_ensemble", "system": {"kind": "box"},
+           "schedule": {"shape": "linear", "lam_start": 1.0, "lam_end": 2.0,
+                        "duration": 0.05},
+           "initial": {key: value}, "numerics": {"n_particles": 50}}
+    p = write_config(tmp_path, "c.json", cfg)
+    assert literal in (tmp_path / "c.json").read_text()
+    out = tmp_path / "out"
+    assert main(["compare", p, "--out", str(out)]) == 2
+    assert f"config numbers must be finite, got {literal}" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_report_validation_matches_schema_validation(tmp_path):
     out = tmp_path / "out"
     assert main(["run", write_config(tmp_path, "c.json", box_expansion()),
