@@ -8,6 +8,8 @@ the CLI maps to exit code 2.
 
 import copy
 import json
+import math
+import numbers
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional
@@ -184,10 +186,31 @@ def _check_kind_inputs(data: dict, system: SystemModel, schedule: Schedule) -> N
             raise ConfigError("snapshot times must lie within the schedule window")
 
 
+def _check_finite(obj, path: str = "") -> None:
+    """ConfigError naming the first non-finite number in obj.  NaN passes every
+    schema bound, since each comparison with it is false, and inf passes a
+    lower bound."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        where = f"{path}/{key}" if path else str(key)
+        if isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral):
+            if not math.isfinite(value):
+                raise ConfigError(f"invalid config at {where}: config numbers must be "
+                                  f"finite, got {value}")
+        else:
+            _check_finite(value, where)
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     data = copy.deepcopy(data)
     if not isinstance(data, dict):
         raise ConfigError("config document must be a JSON object")
+    _check_finite(data)
     _inject_defaults(data, CONFIG_SCHEMA)
     try:
         _validate(_CONFIG_VALIDATOR, data)

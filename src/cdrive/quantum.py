@@ -12,14 +12,13 @@ arm without stepping.  hbar = 1 by default; every operation takes it as a
 keyword.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import bandwidth, eigh, eigh_tridiagonal, expm
-from scipy.linalg.lapack import zgtsv
 
 from ._csv import write_csv
 from .errors import DomainError, NumericalError
@@ -257,10 +256,50 @@ def _checked_eigensystem(energies, vecs, residual, grid, lam) -> EigenSystem:
     return EigenSystem(float(lam), energies, vecs, grid)
 
 
+# scipy.linalg loads on first use: box spectra are closed-form, so box runs
+# never import it.  eigh and eigh_tridiagonal stay module names for callers
+# that wrap or replace them.
+
+
+def eigh(*args, **kwargs):
+    """scipy.linalg.eigh, imported on the first call."""
+    from scipy.linalg import eigh
+
+    return eigh(*args, **kwargs)
+
+
+def eigh_tridiagonal(*args, **kwargs):
+    """scipy.linalg.eigh_tridiagonal, imported on the first call."""
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(*args, **kwargs)
+
+
+def _sine_eigenpairs(d: float, o: float, n: int, n_levels: int):
+    """Lowest n_levels eigenpairs of the n x n tridiagonal matrix with constant
+    diagonal d and off-diagonal o: E_j = d + 2o cos(j pi/(n+1)) with unit vector
+    v_ij = sqrt(2/(n+1)) sin(ij pi/(n+1)), j = 1..n, ascending in j for o <= 0
+    and descending for o > 0.  ij is reduced mod 2(n+1) in integers first, so
+    every sine argument lies in [0, 2 pi)."""
+    js = np.arange(1, n_levels + 1) if o <= 0 else np.arange(n, n - n_levels, -1)
+    energies = d + 2.0 * o * np.cos(js * (math.pi / (n + 1)))
+    ij = np.outer(np.arange(1, n + 1), js) % (2 * (n + 1))
+    return energies, math.sqrt(2.0 / (n + 1)) * np.sin(ij * (math.pi / (n + 1)))
+
+
 def _band_eigensystem(diag, off, grid: GridSpec, lam: float, n_levels: int) -> EigenSystem:
-    """Lowest n_levels of a real symmetric tridiagonal matrix, from its bands."""
+    """Lowest n_levels of a real symmetric tridiagonal matrix, from its bands.
+
+    Constant bands (every box grid) take the closed-form discrete sines, any
+    others LAPACK; both pass the same residual and eigensystem checks.
+    """
     n_levels = _check_index("n_levels", n_levels, 1, diag.size)
-    energies, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1))
+    if np.all(diag == diag[0]) and np.all(off == off[:1]):
+        o = off[0] if off.size else 0.0
+        energies, vecs = _sine_eigenpairs(diag[0], o, diag.size, n_levels)
+    else:
+        energies, vecs = eigh_tridiagonal(diag, off, select="i",
+                                          select_range=(0, n_levels - 1))
     r = _tridiag_apply(vecs, off, off, diag) - vecs * energies
     return _checked_eigensystem(energies, vecs, float(np.max(np.abs(r))), grid, lam)
 
@@ -291,7 +330,7 @@ def eigensystem(
     k = m.shape[0] if n_levels is None else n_levels
     if np.max(np.abs(m.imag)) == 0.0:
         m = m.real
-        if max(bandwidth(m)) <= 1:
+        if not (np.triu(m, 2).any() or np.tril(m, -2).any()):  # tridiagonal
             return _band_eigensystem(np.diag(m), np.diag(m, -1), grid, lam, k)
     k = _check_index("n_levels", k, 1, m.shape[0])
     energies, vecs = eigh(m, subset_by_index=None if n_levels is None else [0, k - 1])
@@ -406,6 +445,8 @@ def finite_stretch(state: QuantumState, s: float, mu: float = 1.0) -> QuantumSta
         raise DomainError("stretch maps act on grid states")
     if s <= 0:
         raise DomainError(f"stretch factor must be positive, got {s}")
+    from scipy.linalg import expm
+
     a = _stretch_times(state.grid, np.eye(state.grid.n_points))
     amps = expm(-mu * math.log(s) * a) @ state.amplitudes
     return QuantumState("grid", amps, state.grid)
@@ -462,16 +503,24 @@ def _uniform_steps(duration: float, dt: float, record_every: int):
     return n_steps, duration / n_steps
 
 
+@functools.cache
+def _zgtsv():
+    from scipy.linalg.lapack import zgtsv
+
+    return zgtsv
+
+
 def solve_banded(ab, b):
     """Solve A x = b for the complex tridiagonal A banded as scipy's (1, 1) ab,
     by one LAPACK zgtsv call that consumes ab and b.  Blocks of A uncoupled at
     each junction solve bit-identically to each block alone: gtsv eliminates
-    nothing across a zero subdiagonal, and its fill-in there is zero.  The
-    name stays: the benchmark tracer and the tests count and poison Cayley
-    solves through it.
+    nothing across a zero subdiagonal, and its fill-in there is zero.  zgtsv
+    is imported at the first solve and kept, so later steps pay one cached
+    lookup, not an import.  The name stays: the benchmark tracer and the tests
+    count and poison Cayley solves through it.
     """
-    *_, x, info = zgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, overwrite_dl=1,
-                        overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    *_, x, info = _zgtsv()(ab[2, :-1], ab[1], ab[0, 1:], b, overwrite_dl=1,
+                           overwrite_d=1, overwrite_du=1, overwrite_b=1)
     if info != 0:
         raise NumericalError(f"tridiagonal solve failed, LAPACK info {info}")
     return x

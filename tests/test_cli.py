@@ -238,10 +238,79 @@ def test_report_validation_matches_schema_validation(tmp_path):
         assert str(got.value) == str(want.value)
 
 
+def test_overflowing_number_literal_is_config_error(tmp_path, capsys):
+    # json reads 1e999 as inf without calling parse_constant
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(box_expansion()).replace('"energy": 2.0', '"energy": 1e999'))
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert ("invalid config at initial/energy: config numbers must be finite, got inf"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def _number_field_configs():
+    """One valid config of each kind that holds every number field the kind
+    takes; hold and tabulated schedules stand in for the ramps on two kinds."""
+    quartic = {"kind": "power_law", "b": 4, "epsilon": 1.5, "mass": 2.0}
+    ramp = {"shape": "linear", "lam_start": 1.0, "lam_end": 1.4, "duration": 0.5}
+    common = {"numerics": {"dt": 1e-2, "tol": 1e-8, "e_max": 30.0, "hbar": 1.0},
+              "assertions": {"omega_drift": 1e-3}, "snapshots": [0.0, 0.25],
+              "shells": [1.0, 2.0], "sweep": {"axis": "T", "values": [0.5, 1.0]}}
+    return {
+        "classical_trajectory": {"system": quartic, "schedule": ramp,
+                                 "initial": {"energy": 1.0}, **common},
+        "classical_ensemble": {"system": {"kind": "box", "mass": 2.0},
+                               "schedule": {"shape": "hold", "value": 1.5, "duration": 0.5},
+                               "initial": {"gas_momentum": 2.0}, **common},
+        "quantum_grid": {"system": quartic, "schedule": {
+            "shape": "tabulated", "times": [0.0, 0.25, 0.5], "values": [1.0, 1.2, 1.4],
+            "rates": [0.8, 0.8, 0.8]}, **common},
+        "quantum_basis": {"system": {"kind": "box", "mass": 2.0}, "schedule": ramp, **common},
+        "generator_check": {"system": quartic, "schedule": ramp,
+                            "initial": {"energy": 1.0}, **common},
+    }
+
+
+def _number_fields(obj, path=()):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _number_fields(value, (*path, key))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _number_fields(value, (*path, i))
+    elif isinstance(obj, float):
+        yield path
+
+
+def _non_finite_cases():
+    for kind, cfg in _number_field_configs().items():
+        for path in _number_fields(cfg):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                where = "/".join(map(str, path))
+                yield pytest.param(kind, path, value, id=f"{kind}-{where}-{value}")
+
+
+@pytest.mark.parametrize("kind, path, value", _non_finite_cases())
+def test_config_from_dict_rejects_non_finite_numbers(kind, path, value):
+    # the API path parses no JSON, so it sees the floats themselves: NaN
+    # passes every schema bound and inf every lower bound
+    data = {"kind": kind, **copy.deepcopy(_number_field_configs()[kind])}
+    assert config.config_from_dict(data).kind == kind
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    where = "/".join(map(str, path))
+    with pytest.raises(ConfigError, match=(
+            f"^invalid config at {where}: config numbers must be finite, got {value}$")):
+        config.config_from_dict(data)
+
+
 _BOX_RUNS = """
 import json, sys
 from pathlib import Path
 import cdrive.cli as cli
+on_import = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 out = Path(sys.argv[1])
 sched = {"shape": "linear", "lam_start": 1.0, "lam_end": 2.0, "duration": 0.05}
 gas = {"kind": "classical_ensemble", "system": {"kind": "box"}, "schedule": sched,
@@ -249,27 +318,31 @@ gas = {"kind": "classical_ensemble", "system": {"kind": "box"}, "schedule": sche
        "snapshots": [0.0, 0.025, 0.05]}
 basis = {"kind": "quantum_basis", "system": {"kind": "box"}, "schedule": sched,
          "numerics": {"n_levels": 8, "dt": 1e-3}}
-for name, cfg, argv in (("gas", gas, ["compare"]), ("basis", basis, ["compare"]),
-                        ("sweep", gas, ["sweep", "--values", "0.05,0.5"])):
+check = {"kind": "generator_check", "system": {"kind": "box"}, "schedule": sched,
+         "shells": [1.0, 2.0]}
+for name, cfg, argv in (("gas", gas, ["compare", "--verify"]),
+                        ("basis", basis, ["compare", "--verify"]),
+                        ("sweep", gas, ["sweep", "--values", "0.05,0.5"]),
+                        ("check", check, ["run", "--verify"])):
     path = out / f"{name}.json"
     path.write_text(json.dumps(cfg))
     code = cli.main([argv[0], str(path), "--out", str(out / name), *argv[1:]])
     assert code in (0, 1), (name, code)
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+print(json.dumps([on_import, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
 
 
 def test_box_runs_leave_out_unused_scipy_subpackages(tmp_path):
-    # the box engines are closed-form: a gas compare, a basis compare and a
-    # gas sweep need scipy.linalg only, not the solvers smooth wells use
+    # the box engines and the box spectrum are closed-form: importing the CLI,
+    # then a gas and a basis compare (both with --verify), a gas sweep and a
+    # generator check load no scipy module at all
     proc = subprocess.run([sys.executable, "-c", _BOX_RUNS, str(tmp_path)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout))
-    assert "scipy.linalg" in loaded
-    for sub in ("integrate", "optimize", "interpolate", "stats"):
-        assert f"scipy.{sub}" not in loaded
-    for name in ("gas/on", "gas/off", "basis/on", "basis/off", "sweep"):
+    on_import, after_runs = json.loads(proc.stdout)
+    assert on_import == []
+    assert after_runs == []
+    for name in ("gas/on", "gas/off", "basis/on", "basis/off", "sweep", "check"):
         assert (tmp_path / name).is_dir()
 
 

@@ -899,6 +899,53 @@ def test_propagate_grid_checks_its_record_eigensolves(monkeypatch):
         propagate_grid(SHO, sched, psi0, dt=1e-2)
 
 
+def _sine_cases():
+    for n in (1, 2, 3, 64, 256, 511):
+        for k in sorted({1, 8, n}):
+            if k <= n:
+                for off in (-3.7, 2.1):
+                    yield pytest.param(n, k, off, id=f"n{n}-k{k}-off{off}")
+
+
+def _constant_bands(n, off):
+    # a 64-point grid stands in below 64 rows: the checks read only its h
+    return np.full(n, 5.3), np.full(n - 1, off), GridSpec(0.0, 1.0, max(n, 64))
+
+
+@pytest.mark.parametrize("n, k, off", _sine_cases())
+def test_constant_band_closed_form_matches_lapack(n, k, off):
+    # discrete sines against LAPACK, for either sign of the coupling (the
+    # ascending order runs the other way for off > 0) and down to one row
+    diag, offs, g = _constant_bands(n, off)
+    es = _band_eigensystem(diag, offs, g, 1.0, k)
+    if n == 1:
+        energies, vecs = diag[:1], np.ones((1, 1))
+    else:
+        energies, vecs = scipy.linalg.eigh_tridiagonal(diag, offs, select="i",
+                                                       select_range=(0, k - 1))
+    eps = np.finfo(float).eps
+    assert np.all(np.diff(es.energies) > 0)
+    np.testing.assert_allclose(es.energies, energies, rtol=0,
+                               atol=64 * eps * np.max(np.abs(energies)))
+    np.testing.assert_allclose(math.sqrt(g.h) * es.states, _fix_signs(vecs), rtol=0,
+                               atol=8 * n * eps)
+
+
+@pytest.mark.parametrize("n, k, off", _sine_cases())
+def test_closed_form_spectrum_is_checked(monkeypatch, n, k, off):
+    # one energy 1e-6 off must fail the residual check the LAPACK path passes
+    real = quantum._sine_eigenpairs
+
+    def mutated(*args):
+        energies, vecs = real(*args)
+        energies[np.argmax(np.abs(energies))] *= 1.0 + 1e-6
+        return energies, vecs
+
+    monkeypatch.setattr(quantum, "_sine_eigenpairs", mutated)
+    with pytest.raises(NumericalError, match="eigendecomposition residual"):
+        _band_eigensystem(*_constant_bands(n, off), 1.0, k)
+
+
 def _dense_oracle_cases():
     for n in (256, 512):
         yield pytest.param(BOX, 1.0, box_grid(1.0, n), id=f"box-{n}")
