@@ -82,10 +82,11 @@ def _run_classical_trajectory(cfg, cd, out):
     z0 = (float(qs[0]), float(ps[0]))
     dt = sched.duration / 2000.0 if cfg.numerics["dt"] is None else cfg.numerics["dt"]
     tol = cfg.numerics["tol"]
+    # trajectory.csv holds every accepted step; the config's record_every is not used
     if cd:
-        rec = evolve_cd(cfg.system, _generator(cfg), sched, z0, dt, tol=tol)
+        rec = evolve_cd(cfg.system, _generator(cfg), sched, z0, dt, tol=tol, record_every=1)
     else:
-        rec = evolve_bare(cfg.system, sched, z0, dt, tol=tol)
+        rec = evolve_bare(cfg.system, sched, z0, dt, tol=tol, record_every=1)
     s = rec.summary()
     metrics = {
         "omega_drift": float(s["drift"]),
@@ -94,7 +95,7 @@ def _run_classical_trajectory(cfg, cd, out):
     }
     integrator = "box_exact_flow" if cfg.system.kind == "box" else "adaptive_rk4"
     files = {} if out is None else {"trajectory.csv": rec.to_csv}
-    return metrics, files, {"dt": float(dt), "integrator": integrator}
+    return metrics, files, {"dt": float(dt), "record_every": 1, "integrator": integrator}
 
 
 def _run_classical_ensemble(cfg, cd, out):
@@ -200,15 +201,20 @@ def _run_quantum_basis(cfg, cd, out):
     return metrics, files, {"dt": float(dt), "integrator": integrator}
 
 
-def _run_generator_check(cfg, cd, out):
-    shells = [float(E) for E in cfg.shells]
-    chk = verify_generator(cfg.system, _generator(cfg), cfg.schedule.initial, shells,
+def _generator_residuals(cfg, generator, shells: list) -> dict:
+    """The report's residual block for generator checked on shells at the
+    schedule's initial lam."""
+    chk = verify_generator(cfg.system, generator, cfg.schedule.initial, shells,
                            n_points=cfg.numerics["shell_points"])
-    residuals = {
+    return {
         "shells": shells,
         "bracket_residual": float(chk.bracket_residual),
         "average_residual": float(chk.average_residual),
     }
+
+
+def _run_generator_check(cfg, cd, out):
+    residuals = _generator_residuals(cfg, _generator(cfg), [float(E) for E in cfg.shells])
     return {"generator_residuals": residuals}, {}, {"integrator": "orbit_quadrature"}
 
 
@@ -371,16 +377,8 @@ def _verify_block(cfg: ExperimentConfig) -> tuple[dict, list, bool]:
         shells = [float(cfg.initial["energy"])]
     else:
         shells = [1.0, 2.0, 4.0]
-    chk = verify_generator(
-        cfg.system, analytic_generator_for(cfg.system), cfg.schedule.initial,
-        shells, n_points=cfg.numerics["shell_points"],
-    )
     block = {
-        "generator": {
-            "shells": shells,
-            "bracket_residual": float(chk.bracket_residual),
-            "average_residual": float(chk.average_residual),
-        },
+        "generator": _generator_residuals(cfg, analytic_generator_for(cfg.system), shells),
         "commutator": None,
     }
     bounds = {"verify_bracket_residual": 1e-8, "verify_average_residual": 1e-8}
@@ -544,8 +542,9 @@ def do_sweep(cfg: ExperimentConfig, out: Path, axis: str, values, verify: bool) 
     sweep_block = {"axis": "T", "values": ts, "rows": rows, "flags": flags}
     write_csv(out / "sweep.csv", list(table), list(table.values()))
 
-    integrator = results[(ts[0], True)][2]["integrator"]
-    report = _base_report(cfg, "sweep", threads, {"integrator": integrator})
+    # the arms' resolved numerics, less dt, which may follow T
+    resolved = {k: v for k, v in results[(ts[0], True)][2].items() if k != "dt"}
+    report = _base_report(cfg, "sweep", threads, resolved)
     report["cd_enabled"] = None
     report["metrics"] = {}
     report["sweep"] = sweep_block

@@ -243,14 +243,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     )
 
 
-def _reject_constant(name: str):
-    raise ConfigError(f"config numbers must be finite, got {name}")
-
-
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
-            data = json.load(fh, parse_constant=_reject_constant)
+            data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -9,12 +9,14 @@ map E(Omega, lam), and microcanonical (single-orbit time) averages.  For a
 1D bound orbit the shell is the orbit itself, so the microcanonical average
 of an observable is its time average over one period.
 
-Closed forms are used for the box (Omega = 2 lam sqrt(2 m E)) and the even
-power-law well (Omega = c lam E^(1/2 + 1/b)); generic potentials go through
-adaptive quadrature with a turning-point-regularizing substitution
-q = q- + (q+ - q-) sin^2(theta), which removes the inverse-square-root
-endpoint singularity.  Orbit states at given fractions of the period invert
-the orbit time that this quadrature tabulates, with no ODE solve.
+Scale invariance gives the box and the even power-law wells one law,
+Omega = c lam E^kappa: kappa = 1/2 + 1/b and c = power_law_coefficient for
+the power law, and its b -> infinity limit kappa = 1/2, c = 2 sqrt(2 m) for
+the box.  Generic potentials go through adaptive quadrature with a
+turning-point-regularizing substitution q = q- + (q+ - q-) sin^2(theta),
+which removes the inverse-square-root endpoint singularity.  Orbit states at
+given fractions of the period invert the orbit time that this quadrature
+tabulates, with no ODE solve.
 
 Two identities are used as cross-checks throughout the tests:
 dOmega/dE equals the orbit period, and the shell-energy gradient at fixed
@@ -58,19 +60,23 @@ def power_law_coefficient(system: SystemModel) -> float:
     )
 
 
+def _scaling(system: SystemModel) -> Optional[tuple[float, float]]:
+    """(c, kappa) of the scale law Omega = c lam E^kappa; None for generic wells."""
+    if system.kind == "box":  # the b -> infinity limit of the power law
+        return 2.0 * math.sqrt(2.0 * system.mass), 0.5
+    if system.kind == "power_law":
+        return power_law_coefficient(system), 0.5 + 1.0 / system.b
+    return None
+
+
 def _volume_closed(system: SystemModel, E: float, lam: float) -> float:
-    if system.kind == "box":
-        return 2.0 * lam * math.sqrt(2.0 * system.mass * E)
-    c = power_law_coefficient(system)
-    return c * lam * E ** (0.5 + 1.0 / system.b)
+    c, kappa = _scaling(system)
+    return c * lam * math.pow(E, kappa)  # E < 0 raises, where ** would give a complex
 
 
 def _d_volume_dE_closed(system: SystemModel, E: float, lam: float) -> float:
-    if system.kind == "box":
-        return lam * math.sqrt(2.0 * system.mass / E)
-    c = power_law_coefficient(system)
-    ex = 0.5 + 1.0 / system.b
-    return c * lam * ex * E ** (ex - 1.0)
+    c, kappa = _scaling(system)
+    return c * lam * kappa * math.pow(E, kappa - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +230,7 @@ def _orbit_moments(system, E, lam, qm, qp):
 
 def _volume_quadrature(system: SystemModel, E: float, lam: float) -> float:
     if system.kind == "box":  # flat interior: the momentum width times the length
-        return _volume_closed(system, E, lam)
+        return 2.0 * lam * math.sqrt(2.0 * system.mass * E)
     qm, qp = turning_points(system, E, lam)
     return 2.0 * _orbit_quadrature(system, E, lam, qm, qp, lambda q, absp: absp)
 
@@ -236,10 +242,9 @@ def _volume_quadrature(system: SystemModel, E: float, lam: float) -> float:
 def phase_volume(system: SystemModel, E: float, lam: float, method: str = "auto") -> float:
     """Phase-space volume enclosed by the shell H0 = E.
 
-    method: "auto" uses closed forms for box/power_law and quadrature for
+    method: "auto" uses the scale law for box/power_law and quadrature for
     generic potentials; "quadrature" forces the orbit quadrature on smooth
-    wells (cross-checks).  The box's flat interior gives the closed form for
-    both methods.
+    wells and the flat-interior width times length on the box (cross-checks).
     """
     lam = system.check_param(lam)
     if not math.isfinite(E):
@@ -267,10 +272,10 @@ def orbit_period(system: SystemModel, E: float, lam: float, method: str = "auto"
     """Period of the closed orbit on the shell (equals dOmega/dE)."""
     lam = system.check_param(lam)
     m = system.mass
-    if system.kind == "box":  # flat interior: the same constant for every method
-        return 2.0 * m * lam / math.sqrt(2.0 * m * E)
-    if system.kind == "power_law" and method != "quadrature":
+    if system.kind != "generic_1d" and method != "quadrature":
         return _d_volume_dE_closed(system, E, lam)
+    if system.kind == "box":  # flat interior: twice the length over the speed
+        return 2.0 * m * lam / math.sqrt(2.0 * m * E)
     qm, qp = turning_points(system, E, lam)
     return 2.0 * _orbit_quadrature(system, E, lam, qm, qp, lambda q, absp: m / absp)
 
@@ -321,7 +326,7 @@ def orbit_states(system: SystemModel, E: float, lam: float, fractions) -> tuple:
 
 
 def d_volume_dE(system: SystemModel, E: float, lam: float, method: str = "auto") -> float:
-    """dOmega/dE.  Closed forms where available; otherwise the exact period
+    """dOmega/dE.  The scale law where it holds; otherwise the exact period
     identity dOmega/dE = tau(E) evaluated by quadrature.  method="fd" uses a
     central difference with step h = max(1e-6 E, 1e-9) as an independent
     cross-check."""
@@ -343,11 +348,9 @@ def shell_energy_from_volume(
     lam = system.check_param(lam)
     if not (math.isfinite(omega) and omega > 0):
         raise DomainError(f"shell volume must be positive, got {omega}")
-    if system.kind == "box" and method != "quadrature":
-        return omega * omega / (8.0 * system.mass * lam * lam)
-    if system.kind == "power_law" and method != "quadrature":
-        c = power_law_coefficient(system)
-        return (omega / (c * lam)) ** (2.0 * system.mu)
+    if system.kind != "generic_1d" and method != "quadrature":
+        c, _ = _scaling(system)
+        return (omega / (c * lam)) ** (2.0 * system.mu)  # 1 / kappa = 2 mu
 
     from scipy.optimize import brentq
 
@@ -456,9 +459,7 @@ def shell_average_grad_lambda(system: SystemModel, E: float, lam: float) -> floa
 
 def d_volume_dlam(system: SystemModel, E: float, lam: float, method: str = "auto") -> float:
     """dOmega/dlam at fixed E."""
-    if system.kind == "box" and method != "fd":
-        return 2.0 * math.sqrt(2.0 * system.mass * E)
-    if system.kind == "power_law" and method != "fd":
+    if system.kind != "generic_1d" and method != "fd":
         return _volume_closed(system, E, lam) / lam
     h = 1e-5 * lam
     return (
@@ -481,12 +482,10 @@ def grad_shell_energy(
     E = shell_energy_from_volume(system, omega, lam)
     if method == "numeric":
         val = -d_volume_dlam(system, E, lam, method="fd") / d_volume_dE(system, E, lam, method="fd")
-    elif system.kind == "box":
-        val = -2.0 * E / lam
-    elif system.kind == "power_law":
-        val = -2.0 * system.mu * E / lam
-    else:
+    elif system.kind == "generic_1d":
         val = -d_volume_dlam(system, E, lam) / d_volume_dE(system, E, lam)
+    else:  # the scale law: -(Omega / lam) / (kappa Omega / E)
+        val = -2.0 * system.mu * E / lam
     if verify:
         other = shell_average_grad_lambda(system, E, lam)
         scale = max(abs(val), abs(other), 1e-12)

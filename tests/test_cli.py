@@ -57,6 +57,21 @@ def test_run_cd_on_passes(tmp_path):
     assert header == "t,q,p,H0,omega"
 
 
+@pytest.mark.parametrize("mode, extra", [
+    ("run", []), ("compare", []), ("sweep", ["--values", "0.05,0.1"]),
+])
+def test_trajectory_report_states_the_record_every_it_ran_with(tmp_path, mode, extra):
+    # trajectory.csv holds every accepted step, whatever the config asks for
+    cfg = box_expansion(numerics={"record_every": 10}, assertions={})
+    out = tmp_path / "out"
+    assert main([mode, write_config(tmp_path, "c.json", cfg), "--out", str(out), *extra]) == 0
+    rep = load_report(out)
+    assert rep["numerics"]["record_every"] == 1
+    if mode == "run":
+        rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+        assert len(rows) == round(0.05 / rep["numerics"]["dt"]) + 1
+
+
 def test_run_report_matches_shipped_schema(tmp_path):
     p = write_config(tmp_path, "c.json", box_expansion())
     out = tmp_path / "out"
@@ -219,7 +234,7 @@ def test_non_finite_number_is_config_error_before_any_run(tmp_path, capsys, key,
     assert literal in (tmp_path / "c.json").read_text()
     out = tmp_path / "out"
     assert main(["compare", p, "--out", str(out)]) == 2
-    assert f"config numbers must be finite, got {literal}" in capsys.readouterr().err
+    assert f"config numbers must be finite, got {value}" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.csv"))
 
 

@@ -31,6 +31,9 @@ from cdrive.shells import d_volume_dE, d_volume_dlam
 BOX = box()
 SHO = power_law(b=2)
 QUARTIC = power_law(b=4)
+# masses other than 1 and a scaled quartic: a scale-law constant that dropped
+# m or epsilon still passes on the unit systems
+MASSIVE = [box(mass=0.5), box(mass=3.0), power_law(4, epsilon=1.5, mass=2.0)]
 
 
 def _scaled_quartic():
@@ -62,11 +65,43 @@ def test_generic_matches_power_law_closed_form():
     assert val == pytest.approx(math.pi * math.sqrt(2), abs=1e-9)
 
 
+_SCALE_LAW_QUANTITIES = ("volume", "period", "d_volume_dE", "energy", "d_volume_dlam",
+                         "grad_shell_energy")
+
+
+def _scale_law_misses(system, E, lam):
+    # the scale-law quantities at (E, lam) that miss their flat-interior,
+    # quadrature or finite-difference route, in _SCALE_LAW_QUANTITIES order
+    om = phase_volume(system, E, lam, method="quadrature")
+    dlam = d_volume_dlam(system, E, lam, method="fd")
+    dE = d_volume_dE(system, E, lam, method="fd")
+    checks = {
+        "volume": (phase_volume(system, E, lam), om, 1e-8),
+        "period": (orbit_period(system, E, lam), orbit_period(system, E, lam, method="quadrature"),
+                   1e-8),
+        "d_volume_dE": (d_volume_dE(system, E, lam), dE, 2e-6),
+        "energy": (shell_energy_from_volume(system, om, lam), E, 1e-9),
+        "d_volume_dlam": (d_volume_dlam(system, E, lam), dlam, 1e-6),
+        "grad_shell_energy": (grad_shell_energy(system, om, lam), -dlam / dE, 1e-5),
+    }
+    return [name for name, (val, ref, rtol) in checks.items() if abs(val - ref) > rtol * abs(ref)]
+
+
 def test_quadrature_route_agrees_with_closed_forms():
-    for system, E, lam in [(BOX, 2.0, 1.0), (BOX, 0.7, 2.5), (SHO, 1.3, 0.8), (QUARTIC, 2.2, 1.7)]:
-        closed = phase_volume(system, E, lam)
-        quadv = phase_volume(system, E, lam, method="quadrature")
-        assert abs(quadv - closed) <= 1e-8 * closed
+    cases = [(BOX, 2.0, 1.0), (BOX, 0.7, 2.5), (SHO, 1.3, 0.8), (QUARTIC, 2.2, 1.7)]
+    for system, E, lam in cases + [(system, 1.3, 0.8) for system in MASSIVE]:
+        assert _scale_law_misses(system, E, lam) == [], (system, E, lam)
+
+
+@pytest.mark.parametrize("wrong, systems", [
+    (lambda system, c: 1.01 * c, MASSIVE),
+    (lambda system, c: c / math.sqrt(system.mass), MASSIVE[:2]),  # the box's c without m
+], ids=["c_times_1.01", "box_c_without_m"])
+def test_scale_law_checks_catch_a_wrong_constant(monkeypatch, wrong, systems):
+    scaling = shells._scaling
+    monkeypatch.setattr(shells, "_scaling", lambda s: (wrong(s, scaling(s)[0]), scaling(s)[1]))
+    for system in systems:
+        assert _scale_law_misses(system, 1.3, 0.8) == list(_SCALE_LAW_QUANTITIES), system
 
 
 def test_power_law_coefficient_against_quadrature():
@@ -167,7 +202,7 @@ def test_generic_quartic_energy_roundtrip():
 
 def test_energy_volume_roundtrip_random():
     rng = np.random.default_rng(3)
-    for system in (BOX, SHO, QUARTIC, _scaled_quartic()):
+    for system in (BOX, SHO, QUARTIC, _scaled_quartic(), *MASSIVE):
         for _ in range(20):
             E = rng.uniform(0.2, 4.0)
             lam = rng.uniform(0.5, 2.0)
@@ -261,12 +296,14 @@ def test_cyclic_identity_all_kinds():
 
 
 def test_grad_shell_energy_verify_mode():
-    grad_shell_energy(QUARTIC, omega=3.0, lam=1.0, verify=True)
+    for system in (QUARTIC, *MASSIVE):
+        grad_shell_energy(system, omega=3.0, lam=1.0, verify=True)
     grad_shell_energy(BOX, omega=4.0, lam=1.0, verify=True)
 
 
 def test_numeric_route_matches_closed_forms():
-    for system, om, lam in [(BOX, 4.0, 1.0), (SHO, 3.0, 1.2)]:
+    cases = [(BOX, 4.0, 1.0), (SHO, 3.0, 1.2)] + [(system, 3.0, 1.2) for system in MASSIVE]
+    for system, om, lam in cases:
         a = grad_shell_energy(system, om, lam)
         n = grad_shell_energy(system, om, lam, method="numeric")
         assert n == pytest.approx(a, rel=1e-5)
