@@ -14,9 +14,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional
 
-import jsonschema
-
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericalError
 from .schedules import (
     BUILTIN_SHAPES,
     Schedule,
@@ -40,28 +38,77 @@ def _load_schema(name: str) -> dict:
     return json.loads(text)
 
 
-def _compiled(schema: dict):
-    """The schema's validator, checked against its metaschema once.  Its
-    "integer" is an int and not a bool, so an integral float such as 128.0,
-    which jsonschema would accept, cannot reach an engine as a count."""
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    integer = cls.TYPE_CHECKER.redefine(
-        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool))
-    return jsonschema.validators.extend(cls, type_checker=integer)(schema)
-
-
-def _validate(validator, instance) -> None:
-    """jsonschema.validate with a prebuilt validator: raises the same error."""
-    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
-    if error is not None:
-        raise error
-
-
 CONFIG_SCHEMA = _load_schema("config-v1.json")
 REPORT_SCHEMA = _load_schema("report-v1.json")
-_CONFIG_VALIDATOR = _compiled(CONFIG_SCHEMA)
-_REPORT_VALIDATOR = _compiled(REPORT_SCHEMA)
+
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "null": type(None), "number": numbers.Number, "integer": int}
+# the Draft 7 keywords _schema_errors knows, annotations included
+_KEYWORDS = {"type", "enum", "const", "minimum", "exclusiveMinimum", "minItems", "items",
+             "required", "properties", "additionalProperties", "$ref",
+             "title", "description", "default", "$schema", "$id", "definitions"}
+
+
+def _is(instance, name: str) -> bool:
+    """A bool is no number.  "integer" is an int, so an integral float such as
+    128.0, which jsonschema would accept, cannot reach an engine as a count."""
+    return isinstance(instance, _TYPES[name]) and not (
+        isinstance(instance, bool) and name in ("number", "integer"))
+
+
+def _schema_errors(instance, schema: dict, root: dict, path: tuple = ()):
+    """(path, message) for each way instance breaks the Draft 7 schema, in
+    jsonschema 4's order and words.  Only the keywords the shipped schemas
+    use are known; any other raises."""
+    if "$ref" in schema:  # Draft 7 ignores the siblings of a $ref
+        name = schema["$ref"].removeprefix("#/definitions/")
+        yield from _schema_errors(instance, root["definitions"][name], root, path)
+        return
+    is_object = isinstance(instance, dict)
+    for key, value in schema.items():
+        if key == "type":
+            types = value if isinstance(value, list) else [value]
+            if not any(_is(instance, t) for t in types):
+                yield path, f"{instance!r} is not of type {', '.join(map(repr, types))}"
+        elif key == "enum" and instance not in value:
+            yield path, f"{instance!r} is not one of {value!r}"
+        elif key == "const" and instance != value:
+            yield path, f"{value!r} was expected"
+        elif key in ("minimum", "exclusiveMinimum"):
+            exclusive = key == "exclusiveMinimum"
+            if _is(instance, "number") and (instance <= value if exclusive else instance < value):
+                yield path, (f"{instance!r} is less than {'or equal to ' * exclusive}"
+                             f"the minimum of {value!r}")
+        elif key == "minItems" and isinstance(instance, list) and len(instance) < value:
+            yield path, f"{instance!r} " + ("should be non-empty" if value == 1 else "is too short")
+        elif key == "items" and isinstance(instance, list):
+            for i, item in enumerate(instance):
+                yield from _schema_errors(item, value, root, (*path, i))
+        elif key == "required" and is_object:
+            yield from ((path, f"{n!r} is a required property") for n in value if n not in instance)
+        elif key == "properties" and is_object:
+            for name, sub in value.items():
+                if name in instance:
+                    yield from _schema_errors(instance[name], sub, root, (*path, name))
+        elif key == "additionalProperties" and is_object:
+            extras = [name for name in instance if name not in schema.get("properties", {})]
+            if isinstance(value, dict):
+                for name in extras:
+                    yield from _schema_errors(instance[name], value, root, (*path, name))
+            elif not value and extras:
+                names = ", ".join(map(repr, sorted(extras, key=str)))
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif key not in _KEYWORDS:
+            raise NotImplementedError(f"schema keyword {key!r} is not supported")
+
+
+def _schema_error(instance, schema: dict) -> Optional[str]:
+    """"<path>: <message>" of the error jsonschema.exceptions.best_match picks,
+    or None: the shallowest, then the greatest path, then the first found."""
+    error = max(_schema_errors(instance, schema, schema),
+                key=lambda e: (-len(e[0]), e[0]), default=None)
+    return error and f"{'/'.join(map(str, error[0])) or '<root>'}: {error[1]}"
 
 
 def _inject_defaults(obj: dict, schema: dict) -> None:
@@ -212,11 +259,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError("config document must be a JSON object")
     _check_finite(data)
     _inject_defaults(data, CONFIG_SCHEMA)
-    try:
-        _validate(_CONFIG_VALIDATOR, data)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"invalid config at {path}: {exc.message}") from exc
+    error = _schema_error(data, CONFIG_SCHEMA)
+    if error is not None:
+        raise ConfigError(f"invalid config at {error}")
     try:
         system = _build_system(data["system"])
         schedule = _build_schedule(data["schedule"])
@@ -255,5 +300,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def validate_report(report: dict) -> None:
-    """Self-check an emitted report against the shipped schema."""
-    _validate(_REPORT_VALIDATOR, report)
+    """Self-check an emitted report against the shipped schema; a report that
+    breaks it is a NumericalError, which the CLI maps to exit code 3."""
+    error = _schema_error(report, REPORT_SCHEMA)
+    if error is not None:
+        raise NumericalError(f"report breaks cdrive-report-v1 at {error}")

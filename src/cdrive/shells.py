@@ -69,14 +69,23 @@ def _scaling(system: SystemModel) -> Optional[tuple[float, float]]:
     return None
 
 
+def _energy_power(E: float, exponent: float) -> float:
+    """E ** exponent, or phase_volume's DomainError where that has no real
+    value: E < 0, or E = 0 with a negative exponent."""
+    try:
+        return math.pow(E, exponent)
+    except ValueError:
+        raise DomainError(f"shell energy must exceed the potential floor 0, got {E}") from None
+
+
 def _volume_closed(system: SystemModel, E: float, lam: float) -> float:
     c, kappa = _scaling(system)
-    return c * lam * math.pow(E, kappa)  # E < 0 raises, where ** would give a complex
+    return c * lam * _energy_power(E, kappa)
 
 
 def _d_volume_dE_closed(system: SystemModel, E: float, lam: float) -> float:
     c, kappa = _scaling(system)
-    return c * lam * kappa * math.pow(E, kappa - 1.0)
+    return c * lam * kappa * _energy_power(E, kappa - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,29 @@ def test_trajectory_report_states_the_record_every_it_ran_with(tmp_path, mode, e
         assert len(rows) == round(0.05 / rep["numerics"]["dt"]) + 1
 
 
+_QUARTIC_RAMP = {"system": {"kind": "power_law", "b": 4},
+                 "schedule": {"shape": "smoothstep", "lam_start": 1.0, "lam_end": 1.3,
+                              "duration": 0.1}}
+
+
+@pytest.mark.parametrize("cfg, record_every", [
+    (box_expansion(kind="classical_ensemble", initial={"gas_momentum": 25.0},
+                   numerics={"n_particles": 50}, assertions={}), None),
+    ({"kind": "generator_check", **_QUARTIC_RAMP, "shells": [1.0]}, None),
+    ({"kind": "quantum_grid", **_QUARTIC_RAMP,
+      "numerics": {"n_points": 128, "dt": 1e-2, "record_every": 5}}, 5),
+    (box_expansion(kind="quantum_basis", initial={},
+                   numerics={"n_levels": 8, "dt": 1e-3, "record_every": 5}, assertions={}), 5),
+], ids=["gas", "generator_check", "grid", "basis"])
+def test_report_record_every_is_what_the_kind_used(tmp_path, cfg, record_every):
+    # ensembles and generator checks record nothing at a step interval, so
+    # their reports hold null rather than the config's default; trajectories
+    # are the test above
+    out = tmp_path / "out"
+    assert main(["compare", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+    assert load_report(out)["numerics"]["record_every"] == record_every
+
+
 def test_run_report_matches_shipped_schema(tmp_path):
     p = write_config(tmp_path, "c.json", box_expansion())
     out = tmp_path / "out"
@@ -246,11 +269,14 @@ def test_report_validation_matches_schema_validation(tmp_path):
     config.validate_report(report)
     for bad in ({**report, "mode": "bogus"}, {**report, "extra": 1},
                 {k: v for k, v in report.items() if k != "metrics"}):
+        # jsonschema.validate raises the error best_match picks
         with pytest.raises(jsonschema.ValidationError) as want:
             jsonschema.validate(bad, config.REPORT_SCHEMA)
-        with pytest.raises(jsonschema.ValidationError) as got:
+        path = "/".join(str(p) for p in want.value.absolute_path) or "<root>"
+        with pytest.raises(NumericalError) as got:
             config.validate_report(bad)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == (
+            f"report breaks cdrive-report-v1 at {path}: {want.value.message}")
 
 
 def test_overflowing_number_literal_is_config_error(tmp_path, capsys):
@@ -325,7 +351,8 @@ _BOX_RUNS = """
 import json, sys
 from pathlib import Path
 import cdrive.cli as cli
-on_import = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+watched = set(sys.argv[2].split(","))
+on_import = sorted(m for m in sys.modules if m.split(".")[0] in watched)
 out = Path(sys.argv[1])
 sched = {"shape": "linear", "lam_start": 1.0, "lam_end": 2.0, "duration": 0.05}
 gas = {"kind": "classical_ensemble", "system": {"kind": "box"}, "schedule": sched,
@@ -343,22 +370,32 @@ for name, cfg, argv in (("gas", gas, ["compare", "--verify"]),
     path.write_text(json.dumps(cfg))
     code = cli.main([argv[0], str(path), "--out", str(out / name), *argv[1:]])
     assert code in (0, 1), (name, code)
-print(json.dumps([on_import, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps([on_import, sorted(m for m in sys.modules if m.split(".")[0] in watched)]))
 """
+
+
+def _box_runs_load(tmp_path, watched: str) -> tuple[list, list]:
+    """The modules of the watched packages loaded on importing the CLI, and
+    after the box runs of _BOX_RUNS."""
+    proc = subprocess.run([sys.executable, "-c", _BOX_RUNS, str(tmp_path), watched],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("gas/on", "gas/off", "basis/on", "basis/off", "sweep", "check"):
+        assert (tmp_path / name).is_dir()
+    return json.loads(proc.stdout)
 
 
 def test_box_runs_leave_out_unused_scipy_subpackages(tmp_path):
     # the box engines and the box spectrum are closed-form: importing the CLI,
     # then a gas and a basis compare (both with --verify), a gas sweep and a
     # generator check load no scipy module at all
-    proc = subprocess.run([sys.executable, "-c", _BOX_RUNS, str(tmp_path)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    on_import, after_runs = json.loads(proc.stdout)
-    assert on_import == []
-    assert after_runs == []
-    for name in ("gas/on", "gas/off", "basis/on", "basis/off", "sweep", "check"):
-        assert (tmp_path / name).is_dir()
+    assert _box_runs_load(tmp_path, "scipy") == [[], []]
+
+
+def test_box_runs_load_no_schema_validator(tmp_path):
+    # the config layer walks its schemas itself: jsonschema and what it
+    # imports load neither with the CLI nor in the box runs
+    assert _box_runs_load(tmp_path, "jsonschema,referencing,attrs,attr,rpds") == [[], []]
 
 
 _POWER_LAW_RUNS = """
@@ -411,6 +448,20 @@ def test_numerical_failure_writes_diagnostic(tmp_path, monkeypatch):
     diag = json.loads((out / "error.json").read_text())
     assert diag["error"] == "NumericalError"
     assert "solver fell over" in diag["message"]
+
+
+def test_report_that_breaks_its_schema_exits_3(tmp_path, monkeypatch):
+    # the report self-check is a numerical failure, not a config error
+    monkeypatch.setitem(cli._RUNNERS, "classical_trajectory", lambda cfg, arms: {
+        cd: ({"omega_drift": "x"}, {}, {"integrator": "rk4"}) for cd in arms})
+    p = write_config(tmp_path, "c.json", box_expansion(assertions={}))
+    out = tmp_path / "out"
+    assert main(["run", p, "--out", str(out)]) == 3
+    diag = json.loads((out / "error.json").read_text())
+    assert diag["error"] == "NumericalError"
+    assert diag["message"] == ("report breaks cdrive-report-v1 at metrics/omega_drift: "
+                               "'x' is not of type 'number', 'null'")
+    assert not (out / "report.json").exists()
 
 
 def test_non_finite_grid_state_exits_3(tmp_path, monkeypatch):

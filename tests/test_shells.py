@@ -131,6 +131,19 @@ def test_volume_rejects_bad_energy():
         phase_volume(SHO, E=0.0, lam=1.0)
 
 
+@pytest.mark.parametrize("system", [box(), power_law(4)], ids=["box", "quartic"])
+@pytest.mark.parametrize("E", [-1.0, 0.0])
+def test_scale_law_rejects_bad_energy(system, E):
+    # phase_volume's DomainError, not math.pow's bare ValueError; on the E = 0
+    # shell only the E-derivative, with exponent kappa - 1 < 0, has no value
+    for fn in (orbit_period, d_volume_dE, d_volume_dlam)[:3 if E < 0 else 2]:
+        with pytest.raises(DomainError, match=(
+                f"^shell energy must exceed the potential floor 0, got {E}$")):
+            fn(system, E, 1.0)
+    if E == 0.0:
+        assert d_volume_dlam(system, E, 1.0) == 0.0
+
+
 def test_double_well_rejected():
     double = generic_1d(potential=lambda q, lam: (q * q - 1.0) ** 2 / lam)
     with pytest.raises(DomainError):
