@@ -854,6 +854,8 @@ def box_phase(
     """
     if n < 1:
         raise DomainError(f"sine quantum number must be >= 1, got {n}")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"phase time must be finite and nonnegative, got {t}")
 
     def piece(a, b, depth=0):
         half = 0.5 * (b - a)

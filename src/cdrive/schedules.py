@@ -141,7 +141,7 @@ def clock(schedule: Schedule, times) -> np.ndarray:
     ts = np.asarray(times, dtype=float)
     edges = np.concatenate(([0.0], ts))
     widths = np.diff(edges)
-    if ts.ndim != 1 or np.any(widths < 0.0):
+    if ts.ndim != 1 or not np.all(widths >= 0.0):  # NaN fails too
         raise DomainError("clock times must be a sorted 1D array of nonnegative times")
     n_pan = np.ceil(widths * (_PANELS_PER_DURATION / schedule.duration)).astype(int)
     n_pan = np.maximum(n_pan, 1)

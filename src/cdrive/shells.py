@@ -12,15 +12,14 @@ of an observable is its time average over one period.
 Scale invariance gives the box and the even power-law wells one law,
 Omega = c lam E^kappa: kappa = 1/2 + 1/b and c = power_law_coefficient for
 the power law, and its b -> infinity limit kappa = 1/2, c = 2 sqrt(2 m) for
-the box.  Generic potentials go through adaptive quadrature with a
-turning-point-regularizing substitution q = q- + (q+ - q-) sin^2(theta),
-which removes the inverse-square-root endpoint singularity.  Orbit states at
-given fractions of the period invert the orbit time that this quadrature
-tabulates, with no ODE solve.
-
-Two identities are used as cross-checks throughout the tests:
-dOmega/dE equals the orbit period, and the shell-energy gradient at fixed
-volume equals minus the shell average of dH0/dlam.
+the box.  Every shell quantity of these systems comes from it.  Generic
+potentials go through adaptive quadrature with a turning-point-regularizing
+substitution q = q- + (q+ - q-) sin^2(theta), which removes the
+inverse-square-root endpoint singularity; their dOmega/dE is the orbit
+period by the identity dOmega/dE = tau, and dOmega/dlam is a central
+difference of the quadrature volume.  Orbit states at given fractions of the
+period invert the orbit time that this quadrature tabulates, with no ODE
+solve.
 """
 
 from __future__ import annotations
@@ -70,22 +69,17 @@ def _scaling(system: SystemModel) -> Optional[tuple[float, float]]:
 
 
 def _energy_power(E: float, exponent: float) -> float:
-    """E ** exponent, or phase_volume's DomainError where that has no real
-    value: E < 0, or E = 0 with a negative exponent."""
-    try:
-        return math.pow(E, exponent)
-    except ValueError:
-        raise DomainError(f"shell energy must exceed the potential floor 0, got {E}") from None
+    """E ** exponent on a scale-law shell, which needs a finite E > 0; else
+    phase_volume's DomainError."""
+    if not (math.isfinite(E) and E > 0):
+        why = "exceed the potential floor 0" if math.isfinite(E) else "be finite"
+        raise DomainError(f"shell energy must {why}, got {E}")
+    return math.pow(E, exponent)
 
 
 def _volume_closed(system: SystemModel, E: float, lam: float) -> float:
     c, kappa = _scaling(system)
     return c * lam * _energy_power(E, kappa)
-
-
-def _d_volume_dE_closed(system: SystemModel, E: float, lam: float) -> float:
-    c, kappa = _scaling(system)
-    return c * lam * kappa * _energy_power(E, kappa - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +120,8 @@ def turning_points(system: SystemModel, E: float, lam: float) -> tuple[float, fl
     not unimodal about a single minimum (multiple wells stay out of scope).
     """
     lam = system.check_param(lam)
+    if not math.isfinite(E):
+        raise DomainError(f"shell energy must be finite, got {E}")
     if system.kind == "box":
         raise DomainError("the box has walls, not turning points")
     if system.kind == "power_law":
@@ -238,31 +234,25 @@ def _orbit_moments(system, E, lam, qm, qp):
 
 
 def _volume_quadrature(system: SystemModel, E: float, lam: float) -> float:
-    if system.kind == "box":  # flat interior: the momentum width times the length
-        return 2.0 * lam * math.sqrt(2.0 * system.mass * E)
     qm, qp = turning_points(system, E, lam)
     return 2.0 * _orbit_quadrature(system, E, lam, qm, qp, lambda q, absp: absp)
+
+
+def _period_quadrature(system: SystemModel, E: float, lam: float) -> float:
+    m = system.mass
+    qm, qp = turning_points(system, E, lam)
+    return 2.0 * _orbit_quadrature(system, E, lam, qm, qp, lambda q, absp: m / absp)
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def phase_volume(system: SystemModel, E: float, lam: float, method: str = "auto") -> float:
-    """Phase-space volume enclosed by the shell H0 = E.
-
-    method: "auto" uses the scale law for box/power_law and quadrature for
-    generic potentials; "quadrature" forces the orbit quadrature on smooth
-    wells and the flat-interior width times length on the box (cross-checks).
-    """
+def phase_volume(system: SystemModel, E: float, lam: float) -> float:
+    """Phase-space volume enclosed by the shell H0 = E: the scale law for
+    box/power_law, the orbit quadrature for generic potentials."""
     lam = system.check_param(lam)
-    if not math.isfinite(E):
-        raise DomainError(f"shell energy must be finite, got {E}")
-    if method not in ("auto", "quadrature"):
-        raise DomainError(f"unknown method {method!r}")
-    if system.kind != "generic_1d" and E <= 0:
-        raise DomainError(f"shell energy must exceed the potential floor 0, got {E}")
-    if method == "quadrature" or system.kind == "generic_1d":
+    if system.kind == "generic_1d":
         return _volume_quadrature(system, E, lam)
     return _volume_closed(system, E, lam)
 
@@ -277,16 +267,14 @@ def adiabatic_invariant(system: SystemModel, z, lam: float) -> float:
     return phase_volume(system, system.energy((q, p), lam), lam)
 
 
-def orbit_period(system: SystemModel, E: float, lam: float, method: str = "auto") -> float:
-    """Period of the closed orbit on the shell (equals dOmega/dE)."""
+def orbit_period(system: SystemModel, E: float, lam: float) -> float:
+    """Period of the closed orbit on the shell, which equals dOmega/dE:
+    kappa Omega / E on the scale law, the orbit quadrature elsewhere."""
     lam = system.check_param(lam)
-    m = system.mass
-    if system.kind != "generic_1d" and method != "quadrature":
-        return _d_volume_dE_closed(system, E, lam)
-    if system.kind == "box":  # flat interior: twice the length over the speed
-        return 2.0 * m * lam / math.sqrt(2.0 * m * E)
-    qm, qp = turning_points(system, E, lam)
-    return 2.0 * _orbit_quadrature(system, E, lam, qm, qp, lambda q, absp: m / absp)
+    if system.kind == "generic_1d":
+        return _period_quadrature(system, E, lam)
+    c, kappa = _scaling(system)
+    return c * lam * kappa * _energy_power(E, kappa - 1.0)
 
 
 def orbit_states(system: SystemModel, E: float, lam: float, fractions) -> tuple:
@@ -334,30 +322,17 @@ def orbit_states(system: SystemModel, E: float, lam: float, fractions) -> tuple:
     return q, np.where(f > 0.5, absp, -absp)
 
 
-def d_volume_dE(system: SystemModel, E: float, lam: float, method: str = "auto") -> float:
-    """dOmega/dE.  The scale law where it holds; otherwise the exact period
-    identity dOmega/dE = tau(E) evaluated by quadrature.  method="fd" uses a
-    central difference with step h = max(1e-6 E, 1e-9) as an independent
-    cross-check."""
-    if method == "fd":
-        h = max(1e-6 * abs(E), 1e-9)
-        return (
-            phase_volume(system, E + h, lam, method="quadrature")
-            - phase_volume(system, E - h, lam, method="quadrature")
-        ) / (2 * h)
-    if system.kind == "generic_1d":
-        return orbit_period(system, E, lam)
-    return _d_volume_dE_closed(system, E, lam)
+def d_volume_dE(system: SystemModel, E: float, lam: float) -> float:
+    """dOmega/dE, which is the orbit period."""
+    return orbit_period(system, E, lam)
 
 
-def shell_energy_from_volume(
-    system: SystemModel, omega: float, lam: float, method: str = "auto"
-) -> float:
+def shell_energy_from_volume(system: SystemModel, omega: float, lam: float) -> float:
     """Invert Omega(E, lam) = omega for E (monotone in E, so the root is unique)."""
     lam = system.check_param(lam)
     if not (math.isfinite(omega) and omega > 0):
         raise DomainError(f"shell volume must be positive, got {omega}")
-    if system.kind != "generic_1d" and method != "quadrature":
+    if system.kind != "generic_1d":
         c, _ = _scaling(system)
         return (omega / (c * lam)) ** (2.0 * system.mu)  # 1 / kappa = 2 mu
 
@@ -366,7 +341,7 @@ def shell_energy_from_volume(
     _, vmin = _potential_floor(system, lam)
 
     def f(E):
-        return phase_volume(system, E, lam, method="quadrature") - omega
+        return _volume_quadrature(system, E, lam) - omega
 
     scale = abs(vmin) + 1.0
     lo = vmin + 1e-12 * scale
@@ -466,44 +441,23 @@ def shell_average_grad_lambda(system: SystemModel, E: float, lam: float) -> floa
     return moment / half_tau
 
 
-def d_volume_dlam(system: SystemModel, E: float, lam: float, method: str = "auto") -> float:
-    """dOmega/dlam at fixed E."""
-    if system.kind != "generic_1d" and method != "fd":
+def d_volume_dlam(system: SystemModel, E: float, lam: float) -> float:
+    """dOmega/dlam at fixed E: Omega / lam on the scale law, a central
+    difference of the quadrature volume elsewhere."""
+    lam = system.check_param(lam)
+    if system.kind != "generic_1d":
         return _volume_closed(system, E, lam) / lam
     h = 1e-5 * lam
-    return (
-        phase_volume(system, E, lam + h, method="quadrature")
-        - phase_volume(system, E, lam - h, method="quadrature")
-    ) / (2 * h)
+    return (_volume_quadrature(system, E, lam + h) - _volume_quadrature(system, E, lam - h)) / (2 * h)
 
 
-def grad_shell_energy(
-    system: SystemModel, omega: float, lam: float, method: str = "auto", verify: bool = False
-) -> float:
-    """dE/dlam at fixed shell volume: -(dOmega/dlam) / (dOmega/dE).
-
-    method "numeric" forces the quadrature/finite-difference route for any
-    system kind (used to cross-check the closed forms).  verify=True also
-    evaluates the orbit average of dH0/dlam and raises NumericalError if the
-    two routes disagree beyond 1e-6 relative.
-    """
+def grad_shell_energy(system: SystemModel, omega: float, lam: float) -> float:
+    """dE/dlam at fixed shell volume: -(dOmega/dlam) / (dOmega/dE)."""
     lam = system.check_param(lam)
     E = shell_energy_from_volume(system, omega, lam)
-    if method == "numeric":
-        val = -d_volume_dlam(system, E, lam, method="fd") / d_volume_dE(system, E, lam, method="fd")
-    elif system.kind == "generic_1d":
-        val = -d_volume_dlam(system, E, lam) / d_volume_dE(system, E, lam)
-    else:  # the scale law: -(Omega / lam) / (kappa Omega / E)
-        val = -2.0 * system.mu * E / lam
-    if verify:
-        other = shell_average_grad_lambda(system, E, lam)
-        scale = max(abs(val), abs(other), 1e-12)
-        if abs(val - other) > 1e-6 * scale:
-            raise NumericalError(
-                f"volume-identity gradient {val:.12e} disagrees with the orbit "
-                f"average {other:.12e} beyond 1e-6 relative"
-            )
-    return val
+    if system.kind == "generic_1d":
+        return -d_volume_dlam(system, E, lam) / orbit_period(system, E, lam)
+    return -2.0 * system.mu * E / lam  # the scale law: -(Omega / lam) / (kappa Omega / E)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Wavefunction-layer tests.
 
 The driven box has a closed-form solution (stretched sine times a dynamical
-phase); it oracles the basis propagator and the dilation maps.  The smooth
+phase); it oracles the basis propagator and the dilation maps.  The bare
+basis arm on a linear ramp is held to the exact Doescher-Rice state.  The smooth
 wells check the spectral generator against the dilation form and the grid
 propagator against its own convergence order and, with the CD term on a
 power-law well, against the exact scale-invariant state.
@@ -59,6 +60,7 @@ from cdrive.schedules import (
     tabulated,
 )
 from cdrive.systems import SystemModel, box, generic_1d, power_law
+from oracles import doescher_rice_coefficients
 
 BOX = box()
 SHO = power_law(2)
@@ -1063,6 +1065,13 @@ def test_box_phase_oracles():
         box_phase(1, jump, 1.0)
 
 
+def test_box_phase_rejects_times_before_the_start_or_not_finite():
+    ramp = linear_ramp(1.0, 2.0, 1.0)
+    for t in (-1.0, -1e-300, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="phase time must be finite and nonnegative"):
+            box_phase(1, ramp, t)
+
+
 def _rough_spline(n_knots=301, duration=0.05, seed=5):
     """Cubic spline through 1.5 + 0.3 sin(140 t) with 1% uniform noise."""
     rng = np.random.default_rng(seed)
@@ -1117,6 +1126,48 @@ def test_basis_bare_expansion_regression():
         pops.append(rec.populations[-1, 0])
     assert pops[0] == pytest.approx(0.36366, abs=5e-4)
     assert abs(pops[0] - pops[1]) < 1e-3
+
+
+def _bare_basis_oracle_check(lam0, lam1, duration, levels=16):
+    """Run the bare basis arm from level 1 at (128 levels, dt 1e-5) and
+    (256, 5e-6) and hold its first levels final coefficients to the exact
+    Doescher-Rice state.  The error falls about 7x per step of this
+    refinement (dt^2 from the Strang steps, with the truncation) and at
+    least 4x, so the finer error is bounded by 1.5 times its Richardson
+    estimate from the pair.
+    """
+    exact = doescher_rice_coefficients(lam0, lam1, duration, [1.0])[:levels]
+    finals = []
+    for n_levels, dt in ((128, 1e-5), (256, 5e-6)):
+        c0 = np.zeros(n_levels, dtype=complex)
+        c0[0] = 1.0
+        rec = propagate_basis(linear_ramp(lam0, lam1, duration), c0, n_levels=n_levels, dt=dt,
+                              with_cd=False)
+        finals.append(rec.coeffs[-1, :levels])
+    err = np.max(np.abs(finals[1] - exact))
+    bound = 1.5 * np.max(np.abs(finals[0] - finals[1])) / 3.0
+    assert err <= bound, f"error {err:.3e} > {bound:.3e}"
+
+
+@pytest.mark.parametrize("lam0, lam1", [(1.0, 2.0), (2.0, 1.0)], ids=["expand", "compress"])
+@pytest.mark.parametrize("duration", [0.01, 0.05])
+def test_basis_bare_arm_matches_the_doescher_rice_state(lam0, lam1, duration):
+    _bare_basis_oracle_check(lam0, lam1, duration)
+
+
+def test_doescher_rice_ground_population():
+    # L 1 -> 2 over 0.05 from level 1: stable to about 3e-12 from 128 modes on
+    for n_modes in (128, 256):
+        c = doescher_rice_coefficients(1.0, 2.0, 0.05, [1.0], n_modes=n_modes)
+        assert abs(c[0]) ** 2 == pytest.approx(0.3636554005, abs=1e-10)
+
+
+def test_bare_basis_oracle_rejects_a_mis_scaled_kick(monkeypatch):
+    real = quantum._kick_basis
+    monkeypatch.setattr(quantum, "_kick_basis",
+                        lambda n: (lambda q, w: (q, 1.01 * w))(*real(n)))
+    with pytest.raises(AssertionError, match="^error .* > "):
+        _bare_basis_oracle_check(1.0, 2.0, 0.01)
 
 
 def test_basis_bare_flags_truncation_leakage():

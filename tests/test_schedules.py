@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,9 @@ def test_clock_rejects_unsorted_times():
         clock(sched, [0.0, 0.5, 0.2])
     with pytest.raises(DomainError):
         clock(sched, [-0.1, 0.5])
+    for times in ([math.nan], [0.2, math.nan], [math.nan, 0.2]):  # NaN compares false
+        with pytest.raises(DomainError):
+            clock(sched, times)
 
 
 def test_tabulated_schedule_breaks_at_its_interior_knots():

@@ -65,6 +65,32 @@ def test_generic_matches_power_law_closed_form():
     assert val == pytest.approx(math.pi * math.sqrt(2), abs=1e-9)
 
 
+# routes to the shell quantities that do not use the scale law: the box's
+# flat interior, the orbit quadrature of smooth wells, and central differences
+
+
+def _volume_route(system, E, lam):
+    if system.kind == "box":  # the momentum width times the length
+        return 2.0 * lam * math.sqrt(2.0 * system.mass * E)
+    return shells._volume_quadrature(system, E, lam)
+
+
+def _period_route(system, E, lam):
+    if system.kind == "box":  # twice the length over the speed
+        return 2.0 * system.mass * lam / math.sqrt(2.0 * system.mass * E)
+    return shells._period_quadrature(system, E, lam)
+
+
+def _fd_dE(system, E, lam):
+    h = max(1e-6 * abs(E), 1e-9)
+    return (_volume_route(system, E + h, lam) - _volume_route(system, E - h, lam)) / (2 * h)
+
+
+def _fd_dlam(system, E, lam):
+    h = 1e-5 * lam
+    return (_volume_route(system, E, lam + h) - _volume_route(system, E, lam - h)) / (2 * h)
+
+
 _SCALE_LAW_QUANTITIES = ("volume", "period", "d_volume_dE", "energy", "d_volume_dlam",
                          "grad_shell_energy")
 
@@ -72,13 +98,12 @@ _SCALE_LAW_QUANTITIES = ("volume", "period", "d_volume_dE", "energy", "d_volume_
 def _scale_law_misses(system, E, lam):
     # the scale-law quantities at (E, lam) that miss their flat-interior,
     # quadrature or finite-difference route, in _SCALE_LAW_QUANTITIES order
-    om = phase_volume(system, E, lam, method="quadrature")
-    dlam = d_volume_dlam(system, E, lam, method="fd")
-    dE = d_volume_dE(system, E, lam, method="fd")
+    om = _volume_route(system, E, lam)
+    dlam = _fd_dlam(system, E, lam)
+    dE = _fd_dE(system, E, lam)
     checks = {
         "volume": (phase_volume(system, E, lam), om, 1e-8),
-        "period": (orbit_period(system, E, lam), orbit_period(system, E, lam, method="quadrature"),
-                   1e-8),
+        "period": (orbit_period(system, E, lam), _period_route(system, E, lam), 1e-8),
         "d_volume_dE": (d_volume_dE(system, E, lam), dE, 2e-6),
         "energy": (shell_energy_from_volume(system, om, lam), E, 1e-9),
         "d_volume_dlam": (d_volume_dlam(system, E, lam), dlam, 1e-6),
@@ -109,7 +134,7 @@ def test_power_law_coefficient_against_quadrature():
     for b in (2, 4, 6):
         system = power_law(b=b)
         c = power_law_coefficient(system)
-        assert phase_volume(system, 1.0, 1.0, method="quadrature") == pytest.approx(c, rel=1e-10)
+        assert shells._volume_quadrature(system, 1.0, 1.0) == pytest.approx(c, rel=1e-10)
 
 
 def test_volume_monotone_in_energy():
@@ -132,16 +157,21 @@ def test_volume_rejects_bad_energy():
 
 
 @pytest.mark.parametrize("system", [box(), power_law(4)], ids=["box", "quartic"])
-@pytest.mark.parametrize("E", [-1.0, 0.0])
+@pytest.mark.parametrize("E", [-1.0, 0.0, math.nan, math.inf, -math.inf])
 def test_scale_law_rejects_bad_energy(system, E):
-    # phase_volume's DomainError, not math.pow's bare ValueError; on the E = 0
-    # shell only the E-derivative, with exponent kappa - 1 < 0, has no value
-    for fn in (orbit_period, d_volume_dE, d_volume_dlam)[:3 if E < 0 else 2]:
-        with pytest.raises(DomainError, match=(
-                f"^shell energy must exceed the potential floor 0, got {E}$")):
+    # phase_volume's DomainError on every scale-law quantity, not math.pow's
+    # bare ValueError, nor a nan, 0 or inf from a shell with no volume
+    why = "exceed the potential floor 0" if math.isfinite(E) else "be finite"
+    for fn in (phase_volume, orbit_period, d_volume_dE, d_volume_dlam):
+        with pytest.raises(DomainError, match=f"^shell energy must {why}, got {E}$"):
             fn(system, E, 1.0)
-    if E == 0.0:
-        assert d_volume_dlam(system, E, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("E", [math.nan, math.inf, -math.inf])
+def test_generic_shell_rejects_non_finite_energy(E):
+    for fn in (turning_points, phase_volume, orbit_period, d_volume_dlam):
+        with pytest.raises(DomainError, match=f"^shell energy must be finite, got {E}$"):
+            fn(_scaled_quartic(), E, 1.0)
 
 
 def test_double_well_rejected():
@@ -169,7 +199,7 @@ def test_invariant_is_volume_at_point_energy():
     val = adiabatic_invariant(QUARTIC, z, lam=1.0)
     assert val == pytest.approx(power_law_coefficient(QUARTIC), rel=1e-12)
     # cross-check the footnote prefactor against raw quadrature on this shell
-    assert val == pytest.approx(phase_volume(QUARTIC, 1.0, 1.0, method="quadrature"), rel=1e-10)
+    assert val == pytest.approx(shells._volume_quadrature(QUARTIC, 1.0, 1.0), rel=1e-10)
 
 
 def test_invariant_composition_random_points():
@@ -303,23 +333,25 @@ def test_cyclic_identity_all_kinds():
         (_scaled_quartic(), 1.1, 1.4),
     ]
     for system, E, lam in cases:
-        lhs = -d_volume_dlam(system, E, lam, method="fd") / d_volume_dE(system, E, lam, method="fd")
+        lhs = -_fd_dlam(system, E, lam) / _fd_dE(system, E, lam)
         rhs = shell_average_grad_lambda(system, E, lam)
         assert abs(lhs - rhs) <= 1e-6 * max(abs(rhs), 1e-12), (system.kind, lhs, rhs)
 
 
-def test_grad_shell_energy_verify_mode():
-    for system in (QUARTIC, *MASSIVE):
-        grad_shell_energy(system, omega=3.0, lam=1.0, verify=True)
-    grad_shell_energy(BOX, omega=4.0, lam=1.0, verify=True)
+def test_grad_shell_energy_matches_the_orbit_average():
+    # the volume identity against the shell average of dH0/dlam, within 1e-6 relative
+    for system, om in [(QUARTIC, 3.0), *((system, 3.0) for system in MASSIVE), (BOX, 4.0)]:
+        val = grad_shell_energy(system, om, 1.0)
+        other = shell_average_grad_lambda(system, shell_energy_from_volume(system, om, 1.0), 1.0)
+        assert abs(val - other) <= 1e-6 * max(abs(val), abs(other), 1e-12), system
 
 
 def test_numeric_route_matches_closed_forms():
     cases = [(BOX, 4.0, 1.0), (SHO, 3.0, 1.2)] + [(system, 3.0, 1.2) for system in MASSIVE]
     for system, om, lam in cases:
-        a = grad_shell_energy(system, om, lam)
-        n = grad_shell_energy(system, om, lam, method="numeric")
-        assert n == pytest.approx(a, rel=1e-5)
+        E = shell_energy_from_volume(system, om, lam)
+        n = -_fd_dlam(system, E, lam) / _fd_dE(system, E, lam)
+        assert n == pytest.approx(grad_shell_energy(system, om, lam), rel=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +359,10 @@ def test_numeric_route_matches_closed_forms():
 
 
 def test_period_identity_dvolume_de():
-    # dOmega/dE equals the orbit period (checked against the spec's fd route)
+    # dOmega/dE equals the orbit period (checked against a central difference)
     for system, E, lam in [(SHO, 1.0, 1.0), (QUARTIC, 0.8, 1.1), (_scaled_quartic(), 1.3, 0.7)]:
         tau = orbit_period(system, E, lam)
-        fd = d_volume_dE(system, E, lam, method="fd")
+        fd = _fd_dE(system, E, lam)
         assert tau == pytest.approx(fd, rel=2e-6)
 
 
@@ -392,7 +424,7 @@ def _steep_wells_converge_to(box_volume) -> bool:
     # ~ [ln(E / eps) + psi(1) - psi(3/2)] / b from the box volume: below 2/b,
     # and halving within 5% per doubling of b
     for E, lam in ((2.0, 1.0), (0.7, 2.5)):
-        gaps = [phase_volume(power_law(b), E, lam, method="quadrature") / 2.0
+        gaps = [shells._volume_quadrature(power_law(b), E, lam) / 2.0
                 / box_volume(E, lam) - 1.0 for b in _STEEP_B]
         if not all(abs(g) < 2.0 / b for g, b in zip(gaps, _STEEP_B)):
             return False
@@ -403,11 +435,8 @@ def _steep_wells_converge_to(box_volume) -> bool:
 
 def test_box_volume_is_the_steep_power_law_limit():
     # checks the box constant independently of its own closed form
-    def box_volume(E, lam):
-        return phase_volume(BOX, E, lam, method="quadrature")
-
-    assert _steep_wells_converge_to(box_volume)
-    assert not _steep_wells_converge_to(lambda E, lam: 1.01 * box_volume(E, lam))
+    assert _steep_wells_converge_to(lambda E, lam: _volume_route(BOX, E, lam))
+    assert not _steep_wells_converge_to(lambda E, lam: 1.01 * _volume_route(BOX, E, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +450,9 @@ def test_orbit_quadrature_matches_power_law_closed_forms(b):
     for E in (0.1, 1.0, 10.0):
         for lam in (0.5, 1.0, 2.0):
             where = f"b={b} E={E} lam={lam}"
-            volume = phase_volume(system, E, lam, method="quadrature")
+            volume = shells._volume_quadrature(system, E, lam)
             assert volume == pytest.approx(phase_volume(system, E, lam), rel=1e-12), where
-            period = orbit_period(system, E, lam, method="quadrature")
+            period = shells._period_quadrature(system, E, lam)
             assert period == pytest.approx(orbit_period(system, E, lam), rel=1e-12), where
             average = shell_average_grad_lambda(system, E, lam)
             assert average == pytest.approx(-2.0 * mu * E / lam, rel=1e-12), where
