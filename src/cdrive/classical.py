@@ -235,7 +235,7 @@ def _box_trajectory(system, schedule, z0, dt, record_every, cd):
     q0, p0 = as_qp(z0)
     system.check_position(q0, schedule.value(0.0))
     n_steps = max(1, math.ceil(T / dt * (1.0 - 1e-12)))
-    times = np.append(dt * np.arange(0, n_steps, max(1, record_every)), T)
+    times = np.append(dt * np.arange(0, n_steps, record_every), T)
     move = _box_cd_flow if cd else _box_bare_flight
     # the margin keeps rounding in the grid from splitting a step in two
     q_rows, p_rows, hits = move(schedule, system.mass, np.array([q0]), np.array([p0]),
@@ -246,6 +246,8 @@ def _box_trajectory(system, schedule, z0, dt, record_every, cd):
 
 
 def _evolve(system, generator, schedule, z0, dt, tol, fixed_step, record_every):
+    if not record_every >= 1:  # NaN fails too
+        raise DomainError(f"record_every must be at least 1, got {record_every}")
     if system.kind == "box":
         return _box_trajectory(system, schedule, z0, dt, record_every, generator is not None)
     q0, p0 = as_qp(z0)

@@ -68,6 +68,8 @@ class GridSpec:
     n_points: int
 
     def __post_init__(self):
+        if not isinstance(self.n_points, (int, np.integer)):
+            raise DomainError(f"grid point count must be an integer, got {self.n_points!r}")
         if self.n_points < 64:
             raise DomainError(f"need at least 64 grid points, got {self.n_points}")
         if not (math.isfinite(self.q_min) and math.isfinite(self.q_max)):
@@ -497,7 +499,7 @@ def _uniform_steps(duration: float, dt: float, record_every: int):
     """Checked stepping inputs: the count and length of equal steps of about dt."""
     if not (math.isfinite(dt) and dt > 0):
         raise DomainError(f"dt must be finite and positive, got {dt}")
-    if record_every < 1:
+    if not record_every >= 1:  # NaN fails too
         raise DomainError(f"record_every must be at least 1, got {record_every}")
     n_steps = max(1, math.ceil(duration / dt - 1e-12))
     return n_steps, duration / n_steps
@@ -846,11 +848,12 @@ def box_phase(
     """Accumulated phase -(1/hbar) * integral_0^t of n^2 pi^2 hbar^2 / (2 m L^2).
 
     The integral of L^-2 is split at the schedule's breaks (a tabulated
-    spline's interior knots), so each piece is smooth.  A piece is a 48-node
-    Gauss-Legendre sum, kept where the 24-node sum on the same interval
-    agrees to 1e-12 relative; else each half is retried, at most 12 halvings
-    deep, before NumericalError.  It does not go through schedules.clock, so
-    it checks the clock the box engines run on.
+    spline's interior knots) and, past the ramp, at its end T, where the rate
+    jumps, so each piece is smooth.  A piece is a 48-node Gauss-Legendre sum,
+    kept where the 24-node sum on the same interval agrees to 1e-12
+    relative; else each half is retried, at most 12 halvings deep, before
+    NumericalError.  It does not go through schedules.clock, so it checks
+    the clock the box engines run on.
     """
     if n < 1:
         raise DomainError(f"sine quantum number must be >= 1, got {n}")
@@ -867,7 +870,7 @@ def box_phase(
             raise NumericalError(f"phase quadrature did not converge on [{a}, {b}]")
         return piece(a, a + half, depth + 1) + piece(a + half, b, depth + 1)
 
-    edges = [0.0, *(x for x in schedule.breaks if x < t), float(t)]
+    edges = [0.0, *(x for x in (*schedule.breaks, schedule.duration) if x < t), float(t)]
     total = sum(map(piece, edges[:-1], edges[1:]))
     return -n * n * math.pi * math.pi * hbar / (2.0 * mass) * total
 

@@ -107,6 +107,8 @@ def tabulated(times, values) -> Schedule:
     values = np.asarray(values, dtype=float)
     if times.ndim != 1 or times.size < 2 or values.shape != times.shape:
         raise DomainError("tabulated schedule needs matching 1D times/values, length >= 2")
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+        raise DomainError("tabulated times and values must be finite")
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise DomainError("tabulated times must start at 0 and increase strictly")
     if np.any(values <= 0):

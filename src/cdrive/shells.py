@@ -12,14 +12,14 @@ of an observable is its time average over one period.
 Scale invariance gives the box and the even power-law wells one law,
 Omega = c lam E^kappa: kappa = 1/2 + 1/b and c = power_law_coefficient for
 the power law, and its b -> infinity limit kappa = 1/2, c = 2 sqrt(2 m) for
-the box.  Every shell quantity of these systems comes from it.  Generic
-potentials go through adaptive quadrature with a turning-point-regularizing
-substitution q = q- + (q+ - q-) sin^2(theta), which removes the
-inverse-square-root endpoint singularity; their dOmega/dE is the orbit
-period by the identity dOmega/dE = tau, and dOmega/dlam is a central
-difference of the quadrature volume.  Orbit states at given fractions of the
-period invert the orbit time that this quadrature tabulates, with no ODE
-solve.
+the box.  Every shell quantity of these systems comes from it, the shell
+average of dH0/dlam = dE/dlam at fixed Omega = -2 mu E / lam included.
+Generic wells substitute q = q- + (q+ - q-) sin^2(theta), which removes the
+inverse-square-root turning-point singularity: fixed-node quadrature in
+theta gives Omega, tau = dOmega/dE and <dH0/dlam>, dOmega/dlam is a central
+difference of the volume, and orbit states invert the tabulated orbit time.
+microcanonical_average is adaptive quad in theta for every kind, the box's
+orbit being [0, lam].
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .systems import SystemModel, _on_nodes, as_qp
 
-_QUAD_RTOL = 1e-12
-_QUAD_LIMIT = 200
 # 24- and 48-node Gauss-Legendre rules on [-1, 1], stacked so one pass gives both sums
 _GL_X24, _GL_W24 = np.polynomial.legendre.leggauss(24)
 _GL_X48, _GL_W48 = np.polynomial.legendre.leggauss(48)
@@ -361,82 +359,48 @@ def shell_energy_from_volume(system: SystemModel, omega: float, lam: float) -> f
 
 
 def microcanonical_average(
-    system: SystemModel,
-    observable: Callable,
-    E: float,
-    lam: float,
-    method: str = "orbit",
-    rtol: float = 1e-12,
+    system: SystemModel, observable: Callable, E: float, lam: float
 ) -> float:
     """Time average of observable(z) over one orbit of the shell H0 = E.
 
-    method "orbit" (primary) integrates the observable along the trajectory
-    with the equations of motion; "quadrature" (cross-check) evaluates the
-    line-integral form  [sum over both momentum branches of
-    integral A m/|p| dq] / tau  with the regularized substitution.  For the
-    box the flow between walls is trivial, so both methods reduce to the
-    same two-branch integral over the interior.
+    The line integral [sum over both momentum branches of integral
+    A(q, +-|p|) m/|p| dq] / tau, taken by adaptive quad in theta of
+    q = q- + (q+ - q-) sin^2(theta) to 1e-12 relative, or 1e-12 absolute in
+    the average.  The box's orbit is [0, lam] at the fixed |p| = sqrt(2 m E).
 
     Observables taking distributional wall contributions (the box dH0/dlam)
     are not representable pointwise; use shell_average_grad_lambda.
     """
-    from scipy.integrate import quad, solve_ivp
-
-    lam = system.check_param(lam)
-    m = system.mass
-    if system.kind == "box":
-        if E <= 0:
-            raise DomainError(f"shell energy must be positive, got {E}")
-        absp = math.sqrt(2.0 * m * E)
-
-        def both(q):
-            return observable((q, absp)) + observable((q, -absp))
-
-        val, _ = quad(both, 0.0, lam, epsabs=1e-300, epsrel=_QUAD_RTOL, limit=_QUAD_LIMIT)
-        return val / (2.0 * lam)
+    from scipy.integrate import quad
 
     tau = orbit_period(system, E, lam)
-    qm, qp = turning_points(system, E, lam)
-    if method == "quadrature":
-        total = _orbit_quadrature(system, E, lam, qm, qp, lambda xs, ps: m / ps * np.array(
-            [observable((x, p)) + observable((x, -p)) for x, p in zip(xs, ps)]))
-        return total / tau
-    if method != "orbit":
-        raise DomainError(f"unknown method {method!r}")
+    lam, m = system.check_param(lam), system.mass
+    qm, qp = (0.0, lam) if system.kind == "box" else turning_points(system, E, lam)
 
-    def rhs(t, y):
-        q, p, _ = y
-        return [p / m, -system.grad_q(q, lam), observable((q, p))]
+    def integrand(theta):
+        q = qm + (qp - qm) * math.sin(theta) ** 2
+        ke = E - system.potential_energy(q, lam)
+        if ke <= 0.0:  # a turning point, to rounding
+            return 0.0
+        absp = math.sqrt(2.0 * m * ke)
+        both = observable((q, absp)) + observable((q, -absp))
+        return both * m / absp * (qp - qm) * math.sin(2.0 * theta)
 
-    sol = solve_ivp(
-        rhs, (0.0, tau), [qp, 0.0, 0.0], method="DOP853",
-        rtol=rtol, atol=rtol, dense_output=False, t_eval=[tau],
-    )
-    if not sol.success:
-        raise NumericalError(f"orbit integration failed: {sol.message}")
-    qf, pf, acc = sol.y[:, -1]
-    p_scale = math.sqrt(2 * m * (E - _potential_floor(system, lam)[1]))
-    if abs(qf - qp) > 1e-6 * abs(qp - qm) or abs(pf) > 1e-6 * p_scale:
-        raise NumericalError(
-            f"orbit failed to close after one period: ({qf}, {pf}) vs ({qp}, 0)"
-        )
-    return acc / tau
+    total, _ = quad(integrand, 0.0, 0.5 * math.pi, epsabs=1e-12 * tau, epsrel=1e-12, limit=200)
+    return total / tau
 
 
 def shell_average_grad_lambda(system: SystemModel, E: float, lam: float) -> float:
     """Shell (single-orbit) average of dH0/dlam.
 
-    Smooth systems take the time average of the pointwise gradient, as the
-    ratio of its orbit quadrature to the half period's.  For the box the
-    gradient is a wall term invisible to interior sampling; the momentum
-    transfer argument gives the closed form -2E/lam (force on the moving wall
-    times unit displacement), which is what the volume identity reproduces.
+    On the scale law it is dE/dlam at fixed Omega, -2 mu E / lam; for the
+    box (mu = 1) it is the force on the moving wall, invisible to interior
+    sampling.  Generic wells take the ratio of the orbit quadrature of the
+    pointwise gradient to the half period's.
     """
     lam = system.check_param(lam)
-    if system.kind == "box":
-        if E <= 0:
-            raise DomainError(f"shell energy must be positive, got {E}")
-        return -2.0 * E / lam
+    if system.kind != "generic_1d":
+        return -2.0 * system.mu * _energy_power(E, 1.0) / lam
     half_tau, moment = _orbit_moments(system, E, lam, *turning_points(system, E, lam))
     return moment / half_tau
 
@@ -452,12 +416,8 @@ def d_volume_dlam(system: SystemModel, E: float, lam: float) -> float:
 
 
 def grad_shell_energy(system: SystemModel, omega: float, lam: float) -> float:
-    """dE/dlam at fixed shell volume: -(dOmega/dlam) / (dOmega/dE)."""
-    lam = system.check_param(lam)
-    E = shell_energy_from_volume(system, omega, lam)
-    if system.kind == "generic_1d":
-        return -d_volume_dlam(system, E, lam) / orbit_period(system, E, lam)
-    return -2.0 * system.mu * E / lam  # the scale law: -(Omega / lam) / (kappa Omega / E)
+    """dE/dlam at fixed shell volume, which is the shell average of dH0/dlam."""
+    return shell_average_grad_lambda(system, shell_energy_from_volume(system, omega, lam), lam)
 
 
 @dataclass(frozen=True)

@@ -56,3 +56,29 @@ def doescher_rice_coefficients(L0, L1, duration, c0, n_modes=256, mass=1.0, hbar
     c[:len(c0)] = c0
     theta = math.pi**2 * hbar * ns**2 * duration / (2.0 * mass * L0 * L1)
     return overlaps(L1) @ (np.exp(-1j * theta) * (overlaps(L0).conj() @ c))
+
+
+def orbit_average(system, observable, lam, q_plus, rtol=1e-12):
+    """Time average of observable((q, p)) over one orbit of a smooth well,
+    from the turning point (q_plus, 0): DOP853 to rtol on q' = p/m,
+    p' = -dV/dq and the running integral of the observable.  The period is
+    twice the time to the far turning point, where p first rises through 0,
+    and the orbit must close on (q_plus, 0) to 1e-9 of its scale."""
+    m = system.mass
+
+    def rhs(t, y):
+        return [y[1] / m, -system.grad_q(y[0], lam), observable((y[0], y[1]))]
+
+    def far_turn(t, y):
+        return y[1]
+
+    far_turn.terminal, far_turn.direction = True, 1.0
+    y0 = [q_plus, 0.0, 0.0]
+    half = solve_ivp(rhs, (0.0, 1e3), y0, method="DOP853", rtol=rtol, atol=rtol, events=far_turn)
+    assert half.status == 1, "no far turning point within t = 1000"
+    tau = 2.0 * half.t_events[0][0]
+    sol = solve_ivp(rhs, (0.0, tau), y0, method="DOP853", rtol=rtol, atol=rtol, t_eval=[tau])
+    q, p, total = sol.y[:, -1]
+    p_scale = math.sqrt(2.0 * m * system.potential_energy(q_plus, lam))
+    assert abs(q - q_plus) <= 1e-9 * abs(q_plus) and abs(p) <= 1e-9 * p_scale, (q, p)
+    return total / tau

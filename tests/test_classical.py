@@ -552,6 +552,20 @@ def test_box_trajectory_rejects_bad_step(driven, dt):
         _box_run(linear_ramp(1.0, 2.0, 1.0), (0.5, 1.0), driven, dt=dt)
 
 
+@pytest.mark.parametrize("record_every", [0, -3, math.nan])
+@pytest.mark.parametrize("system, generator, z0", [(BOX, box_generator(), (0.5, 1.0)),
+                                                   (QUARTIC, power_law_generator(4), (0.3, 0.8))],
+                         ids=["box", "power_law"])
+def test_trajectories_reject_a_record_interval_below_one(system, generator, z0, record_every):
+    # one check for every engine: no interval is clamped to 1 or taken as every step
+    sched = smoothstep_ramp(1.0, 1.5, 1.0)
+    message = f"^record_every must be at least 1, got {record_every}$"
+    with pytest.raises(DomainError, match=message):
+        evolve_cd(system, generator, sched, z0, dt=1e-2, record_every=record_every)
+    with pytest.raises(DomainError, match=message):
+        evolve_bare(system, sched, z0, dt=1e-2, record_every=record_every)
+
+
 # each of these hung the smooth-well RK4: a NaN step or tolerance, or a NaN
 # state, gives a NaN error ratio, and no step was ever accepted
 @pytest.mark.parametrize("kw", [dict(dt=math.nan), dict(dt=math.inf), dict(dt=-1e-3),

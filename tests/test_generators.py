@@ -215,8 +215,8 @@ def test_verify_average_catches_a_constant_gauge_error(system):
 def test_verify_sample_mean_matches_the_orbit_average(b):
     # midpoint rule in orbit time on a smooth periodic xi(t) against the
     # integrated orbit average; the sample points invert the orbit time to
-    # rounding, and the average runs DOP853 at rtol 1e-12, which bounds the
-    # agreement for a varying term like q^2 near 1e-11
+    # rounding, and the average is adaptive quad to 1e-12, so a varying term
+    # like q^2 agrees to 1e-11
     system = power_law(b)
     base = power_law_generator(b)
     for extra, rel in ((lambda z: 0.25, 1e-12), (lambda z: z[0] ** 2, 1e-11)):

@@ -92,6 +92,14 @@ def test_grid_rejects_small_and_empty():
         GridSpec(1.0, 1.0, 128)
 
 
+def test_grid_point_count_must_be_an_integer():
+    # a float count is rejected, not rounded; numpy integers are integers
+    for n in (100.7, 128.0, math.nan, "128"):
+        with pytest.raises(DomainError, match="grid point count must be an integer"):
+            GridSpec(0.0, 1.0, n)
+    assert len(GridSpec(0.0, 1.0, np.int64(100)).qs) == 100
+
+
 def test_state_norm_conventions():
     g = box_grid(1.0, 128)
     st = QuantumState("grid", np.sqrt(2) * np.sin(math.pi * g.qs), g)
@@ -832,6 +840,7 @@ _BAD_STEPPING = [
     pytest.param({"dt": math.inf}, "dt must be finite and positive", id="dt-inf"),
     pytest.param({"record_every": 0}, "record_every must be at least 1", id="record-0"),
     pytest.param({"record_every": -5}, "record_every must be at least 1", id="record-neg"),
+    pytest.param({"record_every": math.nan}, "record_every must be at least 1", id="record-nan"),
 ]
 
 
@@ -1063,6 +1072,18 @@ def test_box_phase_oracles():
                     lambda t: np.zeros_like(np.asarray(t, dtype=float)), "jump")
     with pytest.raises(NumericalError, match="did not converge"):
         box_phase(1, jump, 1.0)
+
+
+def test_box_phase_past_the_ramp_splits_at_its_end():
+    # L = 1 + t up to T = 1, then 2: integral_0^1.5 L^-2 = 1/2 + 1/8 once the
+    # rate's jump at T is a piece edge
+    ramp = linear_ramp(1.0, 2.0, 1.0)
+    assert box_phase(1, ramp, 1.5) == pytest.approx(-math.pi**2 / 2 * 0.625, rel=1e-13, abs=0)
+    # at T the edges are unchanged, so the value keeps its bits: the basis
+    # arm's phase_error reads it there
+    assert box_phase(1, ramp, 1.0) == -2.4674011002723417
+    spline = tabulated([0.0, 0.3, 0.7, 1.0], [1.0, 1.1, 1.6, 2.0])
+    assert box_phase(3, spline, 1.0) == -27.35813235814634
 
 
 def test_box_phase_rejects_times_before_the_start_or_not_finite():

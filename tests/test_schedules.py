@@ -66,6 +66,15 @@ def test_tabulated_validation():
         tabulated([0.0, 1.0], [1.0, -2.0])  # positive values
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tabulated_rejects_non_finite_entries(bad):
+    # a DomainError before the spline is built, not scipy's untyped ValueError
+    for times, values in (([0.0, bad, 1.0], [1.0, 1.5, 2.0]), ([0.0, 0.5, bad], [1.0, 1.5, 2.0]),
+                          ([0.0, 0.5, 1.0], [1.0, bad, 2.0])):
+        with pytest.raises(DomainError, match="tabulated times and values must be finite"):
+            tabulated(times, values)
+
+
 def test_duration_must_be_positive():
     with pytest.raises(DomainError):
         linear_ramp(1.0, 2.0, 0.0)

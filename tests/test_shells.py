@@ -27,6 +27,8 @@ from cdrive import (
     turning_points,
 )
 from cdrive.shells import d_volume_dE, d_volume_dlam
+from cdrive.systems import SystemModel
+from oracles import orbit_average
 
 BOX = box()
 SHO = power_law(b=2)
@@ -43,6 +45,12 @@ def _scaled_quartic():
         dV_dq=lambda q, lam: 4 * q**3 / lam**4,
         dV_dlam=lambda q, lam: -4 * q**4 / lam**5,
     )
+
+
+# the generic test well q^4/4 + lam q^2/2
+_SOFT_QUARTIC = generic_1d(lambda q, lam: 0.25 * q**4 + 0.5 * lam * q * q,
+                           dV_dq=lambda q, lam: q**3 + lam * q,
+                           dV_dlam=lambda q, lam: 0.5 * q * q)
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +170,20 @@ def test_scale_law_rejects_bad_energy(system, E):
     # phase_volume's DomainError on every scale-law quantity, not math.pow's
     # bare ValueError, nor a nan, 0 or inf from a shell with no volume
     why = "exceed the potential floor 0" if math.isfinite(E) else "be finite"
-    for fn in (phase_volume, orbit_period, d_volume_dE, d_volume_dlam):
+    for fn in (phase_volume, orbit_period, d_volume_dE, d_volume_dlam,
+               shell_average_grad_lambda, _average_of_unity):
         with pytest.raises(DomainError, match=f"^shell energy must {why}, got {E}$"):
             fn(system, E, 1.0)
 
 
+def _average_of_unity(system, E, lam):
+    return microcanonical_average(system, lambda z: 1.0, E, lam)
+
+
 @pytest.mark.parametrize("E", [math.nan, math.inf, -math.inf])
 def test_generic_shell_rejects_non_finite_energy(E):
-    for fn in (turning_points, phase_volume, orbit_period, d_volume_dlam):
+    for fn in (turning_points, phase_volume, orbit_period, d_volume_dlam,
+               shell_average_grad_lambda, _average_of_unity):
         with pytest.raises(DomainError, match=f"^shell energy must be finite, got {E}$"):
             fn(_scaled_quartic(), E, 1.0)
 
@@ -269,28 +283,53 @@ def test_box_grad_lambda_average():
 
 def test_average_of_unity():
     for system in (SHO, QUARTIC):
-        for method in ("orbit", "quadrature"):
-            val = microcanonical_average(system, lambda z: 1.0, E=1.0, lam=1.0, method=method)
-            assert val == pytest.approx(1.0, abs=1e-10)
-    assert microcanonical_average(BOX, lambda z: 1.0, E=2.0, lam=1.0) == pytest.approx(
-        1.0, abs=1e-12
-    )
+        assert _average_of_unity(system, 1.0, 1.0) == pytest.approx(1.0, abs=1e-10)
+    assert _average_of_unity(BOX, 2.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_power_law_grad_lambda_average():
     system = SHO
-    obs = lambda z: system.grad_lambda(z, 1.0)
-    for method in ("orbit", "quadrature"):
-        val = microcanonical_average(system, obs, E=1.0, lam=1.0, method=method)
-        assert val == pytest.approx(-1.0, abs=1e-9)
+    val = microcanonical_average(system, lambda z: system.grad_lambda(z, 1.0), E=1.0, lam=1.0)
+    assert val == pytest.approx(-1.0, abs=1e-9)
 
 
-def test_orbit_and_quadrature_methods_agree():
-    system = _scaled_quartic()
-    obs = lambda z: z[0] ** 2 + 0.3 * z[1] ** 2
-    a = microcanonical_average(system, obs, E=1.4, lam=1.2, method="orbit")
-    b = microcanonical_average(system, obs, E=1.4, lam=1.2, method="quadrature")
-    assert a == pytest.approx(b, rel=1e-9)
+_OBSERVABLES = {
+    "kinked": lambda z: abs(z[0] - 0.123456),  # a kink no bisection point hits
+    "even": lambda z: z[0] ** 2 + 0.3 * z[1] ** 2,
+    "mixed": lambda z: math.cos(z[0]) * z[1] ** 2 + z[0] * z[1],
+}
+
+
+@pytest.mark.parametrize("system, b", [(_scaled_quartic(), 4), (SHO, 2), (QUARTIC, 4)],
+                         ids=["scaled_quartic", "power_law2", "power_law4"])
+@pytest.mark.parametrize("name", list(_OBSERVABLES))
+def test_average_matches_the_orbit_oracle(system, b, name):
+    # the DOP853 orbit integration of tests/oracles.py, whose period comes
+    # from its own turning-point event; V = (q/lam)^b puts q+ at lam E^(1/b)
+    for E, lam in ((1.4, 1.2), (0.3, 0.7), (5.0, 1.6)):
+        val = microcanonical_average(system, _OBSERVABLES[name], E, lam)
+        ref = orbit_average(system, _OBSERVABLES[name], lam, lam * E ** (1.0 / b))
+        assert val == pytest.approx(ref, rel=1e-9), f"E={E} lam={lam}"
+
+
+def test_box_average_of_a_kinked_observable():
+    # uniform in q on [0, lam]: <|q - c|> = (c^2 + (lam - c)^2) / (2 lam)
+    for c, lam in ((0.123456, 1.2), (0.3, 1.0), (1.7, 2.5)):
+        val = microcanonical_average(box(mass=0.5), lambda z: abs(z[0] - c), 1.3, lam)
+        assert val == pytest.approx((c * c + (lam - c) ** 2) / (2.0 * lam), rel=1e-12)
+
+
+@pytest.mark.parametrize("system", [SHO, QUARTIC, power_law(6), MASSIVE[2]],
+                         ids=["b2", "b4", "b6", "b4_massive"])
+def test_power_law_average_obeys_the_virial_theorem(system):
+    # for V ~ q^b, 2 <p^2/2m> = b <V>, with <p^2/2m> + <V> = E
+    b, m = system.b, system.mass
+    for E, lam in ((1.0, 1.0), (0.3, 0.7), (5.0, 1.6)):
+        kinetic = microcanonical_average(system, lambda z: 0.5 * z[1] ** 2 / m, E, lam)
+        potential = microcanonical_average(system, lambda z: system.potential_energy(z[0], lam),
+                                           E, lam)
+        assert kinetic == pytest.approx(b * E / (b + 2.0), rel=1e-12), f"E={E} lam={lam}"
+        assert potential == pytest.approx(2.0 * E / (b + 2.0), rel=1e-12), f"E={E} lam={lam}"
 
 
 def test_odd_momentum_observable_averages_to_zero():
@@ -338,12 +377,40 @@ def test_cyclic_identity_all_kinds():
         assert abs(lhs - rhs) <= 1e-6 * max(abs(rhs), 1e-12), (system.kind, lhs, rhs)
 
 
-def test_grad_shell_energy_matches_the_orbit_average():
-    # the volume identity against the shell average of dH0/dlam, within 1e-6 relative
-    for system, om in [(QUARTIC, 3.0), *((system, 3.0) for system in MASSIVE), (BOX, 4.0)]:
-        val = grad_shell_energy(system, om, 1.0)
-        other = shell_average_grad_lambda(system, shell_energy_from_volume(system, om, 1.0), 1.0)
-        assert abs(val - other) <= 1e-6 * max(abs(val), abs(other), 1e-12), system
+@pytest.mark.parametrize("system", [_scaled_quartic(), _SOFT_QUARTIC, generic_1d(
+    lambda q, lam: (q / lam) ** 4, dV_dlam=lambda q, lam: -4 * q**4 / lam**5, mass=2.0)],
+    ids=["scaled_quartic", "soft_quartic", "massive"])
+def test_generic_grad_shell_energy_matches_the_volume_differences(system):
+    # dE/dlam at fixed Omega against -(dOmega/dlam) / (dOmega/dE) by central differences
+    for om, lam in ((3.0, 1.0), (0.8, 1.4)):
+        E = shell_energy_from_volume(system, om, lam)
+        ref = -_fd_dlam(system, E, lam) / _fd_dE(system, E, lam)
+        assert abs(grad_shell_energy(system, om, lam) - ref) <= 1e-6 * abs(ref), (om, lam)
+
+
+def _grad_lambda_misses(system, E, lam):
+    # the scale-law <dH0/dlam> against the orbit quadrature of the pointwise
+    # gradient (power law) or the flat-interior volume differences (box)
+    if system.kind == "box":
+        ref, rtol = -_fd_dlam(system, E, lam) / _fd_dE(system, E, lam), 1e-6
+    else:
+        half_tau, moment = shells._orbit_moments(system, E, lam, *turning_points(system, E, lam))
+        ref, rtol = moment / half_tau, 1e-12
+    return abs(shell_average_grad_lambda(system, E, lam) - ref) > rtol * abs(ref)
+
+
+_GRAD_LAMBDA_CASES = [(BOX, 2.0, 1.0), (SHO, 1.0, 1.0), (QUARTIC, 1.7, 0.9),
+                      (power_law(6), 0.4, 1.3), *((system, 1.3, 0.8) for system in MASSIVE)]
+
+
+def test_scale_law_grad_lambda_average_matches_independent_routes():
+    assert [case for case in _GRAD_LAMBDA_CASES if _grad_lambda_misses(*case)] == []
+
+
+def test_scale_law_grad_lambda_checks_catch_a_wrong_mu(monkeypatch):
+    mu = SystemModel.mu.fget
+    monkeypatch.setattr(SystemModel, "mu", property(lambda system: 1.01 * mu(system)))
+    assert all(_grad_lambda_misses(*case) for case in _GRAD_LAMBDA_CASES)
 
 
 def test_numeric_route_matches_closed_forms():
@@ -446,7 +513,6 @@ def test_box_volume_is_the_steep_power_law_limit():
 @pytest.mark.parametrize("b", [2, 4, 6])
 def test_orbit_quadrature_matches_power_law_closed_forms(b):
     system = power_law(b)
-    mu = b / (b + 2.0)
     for E in (0.1, 1.0, 10.0):
         for lam in (0.5, 1.0, 2.0):
             where = f"b={b} E={E} lam={lam}"
@@ -454,8 +520,7 @@ def test_orbit_quadrature_matches_power_law_closed_forms(b):
             assert volume == pytest.approx(phase_volume(system, E, lam), rel=1e-12), where
             period = shells._period_quadrature(system, E, lam)
             assert period == pytest.approx(orbit_period(system, E, lam), rel=1e-12), where
-            average = shell_average_grad_lambda(system, E, lam)
-            assert average == pytest.approx(-2.0 * mu * E / lam, rel=1e-12), where
+            assert not _grad_lambda_misses(system, E, lam), where
 
 
 def _ramp_well(delta):
@@ -495,10 +560,6 @@ def test_orbit_quadrature_raises_past_the_bisection_depth():
 
 
 _EPS = np.finfo(float).eps
-# the generic test well q^4/4 + lam q^2/2
-_SOFT_QUARTIC = generic_1d(lambda q, lam: 0.25 * q**4 + 0.5 * lam * q * q,
-                           dV_dq=lambda q, lam: q**3 + lam * q,
-                           dV_dlam=lambda q, lam: 0.5 * q * q)
 
 
 def _fractions(seed, n=300):
