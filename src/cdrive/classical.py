@@ -2,12 +2,12 @@
 
 The box is exact, for single trajectories and ensembles alike: the driven
 flow is free flight of x = q/L on the clock tau = integral of L^-2
-(schedules.clock), closed-form at every record, and the bare flow is free
-flight whose work scales with its wall hits, which substeps of dt only
-detect and bracket.  Smooth wells use a classical fourth-order Runge-Kutta
-scheme with step-halving error control, on a batch of particles that share
-one step sequence: one column for a trajectory, the whole ensemble for an
-ensemble.
+(schedules.clock), closed-form at every record and with hits timed by
+Newton's method on the clock, and the bare flow is free flight whose work
+scales with its wall hits, which substeps of dt only detect and bracket.
+Smooth wells use a classical fourth-order Runge-Kutta scheme with
+step-halving error control, on a batch of particles that share one step
+sequence: one column for a trajectory, the whole ensemble for an ensemble.
 
 Hard-wall collision rules: under the driven flow the generator carries the
 wall's motion, so the bounce is p -> -p at both walls; under the bare flow
@@ -27,12 +27,14 @@ import numpy as np
 
 from ._csv import write_csv
 from .errors import DomainError, NumericalError
-from .schedules import Schedule, clock
+from .schedules import Schedule, _clock_spans, _positive_lam, clock
 from .shells import adiabatic_invariant, orbit_states, shell_energy_from_volume
-from .systems import SystemModel, as_qp
+from .systems import PhasePoint, SystemModel, as_qp
 
 _MAX_COLLISION_ROUNDS = 64
 _HIT_SCAN = 32  # substep ends a bare-box particle scans per round for its next hit
+_NEWTON_ROUNDS = 32  # cap on the Newton steps that time a driven box's wall hits
+_HIT_BATCH = 64  # driven-box hits per Newton solve, which bounds the panels it integrates
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +235,7 @@ def _box_trajectory(system, schedule, z0, dt, record_every, cd):
     _check_positive("dt", dt)
     T = schedule.duration
     q0, p0 = as_qp(z0)
-    system.check_position(q0, schedule.value(0.0))
+    system.check_position(q0, _positive_lam(schedule, 0.0))
     n_steps = max(1, math.ceil(T / dt * (1.0 - 1e-12)))
     times = np.append(dt * np.arange(0, n_steps, record_every), T)
     move = _box_cd_flow if cd else _box_bare_flight
@@ -248,6 +250,9 @@ def _box_trajectory(system, schedule, z0, dt, record_every, cd):
 def _evolve(system, generator, schedule, z0, dt, tol, fixed_step, record_every):
     if not record_every >= 1:  # NaN fails too
         raise DomainError(f"record_every must be at least 1, got {record_every}")
+    if record_every % 1:  # inf fails too
+        raise DomainError(f"record_every must be an integer, got {record_every}")
+    z0 = PhasePoint(*as_qp(z0))  # finite, or DomainError
     if system.kind == "box":
         return _box_trajectory(system, schedule, z0, dt, record_every, generator is not None)
     q0, p0 = as_qp(z0)
@@ -269,10 +274,10 @@ def evolve_cd(system: SystemModel, generator, schedule: Schedule, z0, dt: float,
 
     Smooth wells run RK4 from step dt: adaptive to tol, or fixed steps of dt
     with fixed_step, recording every record_every accepted steps.  The box
-    runs the exact driven flow (_box_cd_flow); there dt is the record and
-    bracket step: records sit every record_every steps of the dt grid and
-    at T, and each wall hit is solved for in a bracket padded by dt.  tol
-    and fixed_step apply to smooth wells only.
+    runs the exact driven flow (_box_cd_flow); there dt sets only the
+    records, every record_every steps of the dt grid and at T, and each
+    wall hit is timed by Newton's method on the clock from the record
+    before it.  tol and fixed_step apply to smooth wells only.
     """
     if generator is None:
         raise DomainError("evolve_cd needs a generator; use evolve_bare for none")
@@ -360,7 +365,7 @@ def _draw_initial_conditions(system, sampler, lam, n, seed):
 # exact box ensemble propagation
 
 
-def _box_cd_flow(schedule, m, qs, ps, times, h_target):
+def _box_cd_flow(schedule, m, qs, ps, times, _h_target):
     """Driven box flow in closed form from t = 0: rows of q and of p at the
     sorted times, and the wall hits as (t, wall) pairs.
 
@@ -368,44 +373,55 @@ def _box_cd_flow(schedule, m, qs, ps, times, h_target):
     at P/m on the clock tau, unfolded across the walls with period 2.  The
     hits are the integers the unfolded x passes (odd: right wall, even:
     left), a wall reached exactly at T counting only once the fold has
-    turned the particle back.  They come particle by particle, each listed
-    in the interval that ends at the first record showing its bounce and
-    timed there by brentq on the clock, and are computed only when iterated.
+    turned the particle back.  Each is listed in the interval that ends at
+    the first record showing its bounce and timed by Newton's method on the
+    clock time left from that interval's start, kept in a bracket inside the
+    interval; they are computed only when iterated.
     """
-    lams = schedule.value(np.asarray(times))[:, None]
+    lams = _positive_lam(schedule, np.asarray(times))[:, None]
     x0, P0 = qs / lams[0], ps * lams[0]
     y = x0 + P0 * clock(schedule, times)[:, None] / m
     folded = np.mod(y, 2.0)
     back = folded > 1.0
     q_rows, p_rows = lams * np.where(back, 2.0 - folded, folded), np.where(back, -P0, P0) / lams
     q_rows[0], p_rows[0] = qs, ps
-    return q_rows, p_rows, _cd_hits(schedule, m, x0, P0, np.asarray(times), y, h_target)
+    return q_rows, p_rows, _cd_hits(schedule, m, P0, np.asarray(times), y)
 
 
-def _cd_hits(schedule, m, x0, P0, times, y, h):
-    from scipy.optimize import brentq
-
-    T = schedule.duration
-    for x, P, y_k in zip(x0, P0, y.T):
+def _cd_hits(schedule, m, P0, times, y):
+    for P, y_k in zip(P0, y.T):
         # z counts the walls ahead as 1, 2, ...: z = y moving right, 1 - y
         # moving left (P = 0 reaches none); an odd z reached exactly at T is
         # still heading out
         z_k = y_k if P > 0 else 1.0 - y_k
         top = math.ceil(z_k[-1])
-        for j in range(1, top + (top == z_k[-1] and top % 2 == 0)):
-            n = j if P > 0 else 1 - j
+        walls = np.arange(1, top + (top == z_k[-1] and top % 2 == 0))
+        for j in np.split(walls, range(_HIT_BATCH, walls.size, _HIT_BATCH)):
             # record i is the first whose fold shows the bounce (an odd z reached
             # exactly does not), so the hit is listed in (times[i - 1], times[i]]
-            i = int(np.searchsorted(z_k, j, side="right" if j % 2 else "left"))
-            t_hit = times[i]
-            if z_k[i] > j:
-                tau = (n - x) * m / P
-                # the clock runs on past T at L(T), so rounding cannot empty the bracket
-                root = brentq(lambda s, tau=tau: clock(schedule, [s])[0] - tau,
-                              max(times[i - 1] - h, 0.0), t_hit + h, xtol=1e-13 * T)
-                # a start on a wall heading out keeps its hit at 0
-                t_hit = min(max(root, np.nextafter(times[i - 1], T) if i > 1 else 0.0), t_hit)
-            yield float(t_hit), "right" if n % 2 else "left"
+            i = np.where(j % 2, np.searchsorted(z_k, j, "right"), np.searchsorted(z_k, j, "left"))
+            # Newton on the clock time left from record i - 1, from the secant
+            # between the records, in a bracket [lo, hi] that the residual's
+            # sign shrinks (an iterate leaving it takes the midpoint); r_lo sums
+            # the spans up to lo, so each round integrates from lo only.  A
+            # start on a wall heading out keeps its hit at 0
+            a, b = times[i - 1], times[i]
+            lo, hi = np.where(i > 1, np.nextafter(a, np.inf), a), b
+            t = np.clip(a + (b - a) * (j - z_k[i - 1]) / (z_k[i] - z_k[i - 1]), lo, hi)
+            r_lo = _clock_spans(schedule, a, lo) - (j - z_k[i - 1]) * m / abs(P)
+            for _ in range(_NEWTON_ROUNDS):
+                r = r_lo + _clock_spans(schedule, lo, t)
+                short = r < 0.0
+                lo, r_lo = np.where(short, t, lo), np.where(short, r, r_lo)
+                hi = np.where(short, hi, t)
+                step = r * schedule.value(t) ** 2
+                t = np.where((lo <= t - step) & (t - step <= hi), t - step, 0.5 * (lo + hi))
+                if np.all(np.abs(step) <= 1e-11 * schedule.duration):  # above the clock's rounding
+                    break
+            else:
+                raise NumericalError("wall-hit times did not converge on the clock")
+            t = np.where(z_k[i] > j, t, b)
+            yield from zip(t.tolist(), np.where(j % 2 == (P > 0), "right", "left").tolist())
 
 
 def _box_bare_flight(schedule, m, qs, ps, times, h_target):
@@ -428,8 +444,9 @@ def _box_bare_flight(schedule, m, qs, ps, times, h_target):
         n = max(1, int(math.ceil((b - a) / h_target)))
         # [a, b] is what linspace gives for one substep, without its cost
         grids.append(np.linspace(a, b, n + 1) if n > 1 else np.array([a, b]))
-    walls = np.split(schedule.value(np.concatenate([g[1:] for g in grids])),
-                     np.cumsum([g.size - 1 for g in grids[:-1]]))
+    # the first grid whole, so that lam(times[0]) is checked too
+    lams = _positive_lam(schedule, np.concatenate([grids[0][:1], *(g[1:] for g in grids)]))
+    walls = np.split(lams[1:], np.cumsum([g.size - 1 for g in grids[:-1]]))
     scan = np.arange(_HIT_SCAN)
     for grid, L in zip(grids, walls):
         n, start, end = grid.size - 1, grid[0], grid[-1]

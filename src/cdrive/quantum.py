@@ -22,7 +22,7 @@ import numpy as np
 
 from ._csv import write_csv
 from .errors import DomainError, NumericalError
-from .schedules import Schedule, clock
+from .schedules import Schedule, _positive_lam, clock
 from .shells import _GL_NODES, _GL_W24, _GL_W48
 from .systems import SystemModel, _on_nodes
 
@@ -501,6 +501,8 @@ def _uniform_steps(duration: float, dt: float, record_every: int):
         raise DomainError(f"dt must be finite and positive, got {dt}")
     if not record_every >= 1:  # NaN fails too
         raise DomainError(f"record_every must be at least 1, got {record_every}")
+    if record_every % 1:  # inf fails too
+        raise DomainError(f"record_every must be an integer, got {record_every}")
     n_steps = max(1, math.ceil(duration / dt - 1e-12))
     return n_steps, duration / n_steps
 
@@ -604,11 +606,9 @@ def _propagate_arms(system, schedule, psi0, dt, arms, track_level=0, n_leading=4
     kappa = step / (2.0 * hbar)
     rec_steps = [i for i in range(n_steps + 1) if i % record_every == 0 or i == n_steps]
     mids = (np.arange(n_steps) + 0.5) * step
-    lams = np.asarray(schedule.value(mids), dtype=float)
+    lams = _positive_lam(schedule, mids)
     rates = np.asarray(schedule.rate(mids), dtype=float)
-    rec_lams = np.asarray(schedule.value(step * np.array(rec_steps)), dtype=float)
-    if not (np.all(lams > 0.0) and np.all(rec_lams > 0.0)):
-        raise DomainError("schedule leaves the positive parameter range")
+    rec_lams = _positive_lam(schedule, step * np.array(rec_steps))
 
     sectors = _sectors(system, grid, psi0.amplitudes)
     ends = np.cumsum([rows.size for _, rows in sectors])
@@ -862,7 +862,7 @@ def box_phase(
 
     def piece(a, b, depth=0):
         half = 0.5 * (b - a)
-        f = np.asarray(schedule.value(a + half * (_GL_NODES + 1.0)), dtype=float) ** -2.0
+        f = _positive_lam(schedule, a + half * (_GL_NODES + 1.0)) ** -2.0
         low, high = half * (f[:24] @ _GL_W24), half * (f[24:] @ _GL_W48)
         if abs(high - low) <= 1e-12 * abs(high):
             return high

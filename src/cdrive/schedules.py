@@ -100,7 +100,8 @@ def constant_hold(lam: float, duration: float) -> Schedule:
 
 def tabulated(times, values) -> Schedule:
     """Cubic-spline schedule through (times, values); times must start at 0,
-    be strictly increasing, and the values positive."""
+    be strictly increasing, and the values positive, as must the spline at
+    its interior minima, the roots of its derivative."""
     from scipy.interpolate import CubicSpline
 
     times = np.asarray(times, dtype=float)
@@ -115,6 +116,8 @@ def tabulated(times, values) -> Schedule:
         raise DomainError("tabulated parameter values must be positive")
     spline = CubicSpline(times, values)
     deriv = spline.derivative()
+    if np.any(spline(deriv.roots(extrapolate=False)) <= 0.0):
+        raise DomainError("tabulated spline leaves the positive parameter range")
     duration = float(times[-1])
 
     def value(t):
@@ -133,28 +136,38 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 _PANELS_PER_DURATION = 2048
 
 
-def clock(schedule: Schedule, times) -> np.ndarray:
-    """Scale-invariant clock tau(t) = integral_0^t lam(s)^-2 ds at sorted times.
+def _positive_lam(schedule: Schedule, t) -> np.ndarray:
+    """schedule.value at t, which must be positive there, else DomainError."""
+    lams = np.asarray(schedule.value(t), dtype=float)
+    if not np.all(lams > 0.0):  # NaN fails too
+        raise DomainError("schedule leaves the positive parameter range")
+    return lams
 
-    Composite 4-point Gauss-Legendre over the gaps between consecutive
-    times, each gap split into panels no longer than duration / 2048, with
-    one vectorized schedule.value call for every node.
-    """
-    ts = np.asarray(times, dtype=float)
-    edges = np.concatenate(([0.0], ts))
-    widths = np.diff(edges)
-    if ts.ndim != 1 or not np.all(widths >= 0.0):  # NaN fails too
-        raise DomainError("clock times must be a sorted 1D array of nonnegative times")
+
+def _clock_spans(schedule: Schedule, starts, ends) -> np.ndarray:
+    """Integral of lam^-2 over each (start, end) pair: 4-point Gauss-Legendre
+    on panels of at most duration / 2048, one schedule.value call in all."""
+    widths = ends - starts
     n_pan = np.ceil(widths * (_PANELS_PER_DURATION / schedule.duration)).astype(int)
     n_pan = np.maximum(n_pan, 1)
-    gap = np.repeat(np.arange(ts.size), n_pan)
+    gap = np.repeat(np.arange(widths.size), n_pan)
     k = np.arange(gap.size) - np.repeat(np.cumsum(n_pan) - n_pan, n_pan)
     h = widths[gap] / n_pan[gap]
-    mids = edges[gap] + (k + 0.5) * h
+    mids = starts[gap] + (k + 0.5) * h
     nodes = mids[:, None] + (0.5 * h)[:, None] * _GL_NODES
-    vals = np.asarray(schedule.value(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    vals = _positive_lam(schedule, nodes.ravel()).reshape(nodes.shape)
     panels = 0.5 * h * ((vals**-2.0) @ _GL_WEIGHTS)
-    return np.cumsum(np.bincount(gap, weights=panels, minlength=ts.size))
+    return np.bincount(gap, weights=panels, minlength=widths.size)
+
+
+def clock(schedule: Schedule, times) -> np.ndarray:
+    """Scale-invariant clock tau(t) = integral_0^t lam(s)^-2 ds at sorted
+    times: the running sum of _clock_spans over the gaps between them."""
+    ts = np.asarray(times, dtype=float)
+    edges = np.concatenate(([0.0], ts))
+    if ts.ndim != 1 or not np.all(np.diff(edges) >= 0.0):  # NaN fails too
+        raise DomainError("clock times must be a sorted 1D array of nonnegative times")
+    return np.cumsum(_clock_spans(schedule, edges[:-1], edges[1:]))
 
 
 BUILTIN_SHAPES = {

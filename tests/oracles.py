@@ -2,13 +2,17 @@
 
 Each oracle solves the problem from its own equations, so a test that holds
 an engine to it checks the engine's physics, not only its consistency with
-itself.
+itself.  The driven box's hit timer shares schedules.clock with the engine,
+since that clock defines the driven box's time, but inverts it its own way.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
+
+from cdrive.schedules import clock
 
 
 def harmonic_fundamental_matrices(system, schedule, times, rtol=1e-13):
@@ -27,6 +31,27 @@ def harmonic_fundamental_matrices(system, schedule, times, rtol=1e-13):
     sol = solve_ivp(rhs, (0.0, schedule.duration), np.eye(2).ravel(), method="DOP853",
                     t_eval=times, rtol=rtol, atol=1e-3 * rtol)
     return sol.y.T.reshape(-1, 2, 2)
+
+
+def clock_hit_times(schedule, q0, p0, m=1.0):
+    """Wall hits of the driven box from (q0, p0) at t = 0, as (t, wall) pairs.
+
+    x = q/L runs at P/m = p0 L(0)/m on the clock tau, unfolded across the
+    walls at the integers n (odd: right wall, even: left).  Each n passed by
+    T is timed by brentq on the single-point clock(s) - tau_n, bracketed by
+    the hit before it and 2T (the clock runs on past T at L(T)), to 1e-15 T.
+    """
+    T = schedule.duration
+    L0 = float(schedule.value(0.0))
+    x0, P = q0 / L0, p0 * L0
+    x_T = x0 + P * clock(schedule, [T])[0] / m
+    walls = range(1, math.ceil(x_T)) if P > 0 else range(0, math.floor(x_T), -1)
+    hits, t = [], 0.0
+    for n in walls:
+        tau = (n - x0) * m / P
+        t = brentq(lambda s: clock(schedule, [s])[0] - tau, t, 2.0 * T, xtol=1e-15 * T)
+        hits.append((t, "right" if n % 2 else "left"))
+    return hits
 
 
 def doescher_rice_coefficients(L0, L1, duration, c0, n_modes=256, mass=1.0, hbar=1.0):

@@ -42,10 +42,11 @@ from cdrive.schedules import (
     cosine_ramp,
     linear_ramp,
     smoothstep_ramp,
+    tabulated,
 )
 from cdrive.shells import orbit_period, orbit_states, turning_points
 from cdrive.systems import SystemModel, box, generic_1d, power_law
-from oracles import harmonic_fundamental_matrices
+from oracles import clock_hit_times, harmonic_fundamental_matrices
 
 BOX = box()
 SHO = power_law(2)
@@ -239,6 +240,60 @@ def test_box_trajectory_matches_oracle(shape, lams, T, driven):
         assert [w for _, w in rec.collisions] == [w for _, w in hits]
         np.testing.assert_allclose([t for t, _ in rec.collisions], [t for t, _ in hits],
                                    rtol=0.0, atol=1e-9 * T)
+
+
+_HIT_SCHEDULES = [
+    *(pytest.param(_ramp(*case.values)[0], id=case.id) for case in _ORACLE_CASES),
+    # knots inside the record intervals of every record grid below
+    pytest.param(tabulated(2.0 * np.array([0.0, 0.1234, 0.3071, 0.5519, 0.7713, 1.0]),
+                           [1.0, 1.3, 1.1, 1.6, 1.4, 1.8]), id="tabulated"),
+    pytest.param(constant_hold(1.3, 0.5), id="hold"),
+    # L dips tenfold and comes back inside one record interval when dt = T
+    pytest.param(tabulated([0.0, 0.5, 1.0], [10.0, 1.0, 10.0]), id="tabulated-dip"),
+]
+
+
+@pytest.mark.parametrize("sched", _HIT_SCHEDULES)
+def test_cd_box_hits_match_the_clock_oracle(sched):
+    # the oracle times each hit by brentq on the single-point clock, apart
+    # from any records; the engine's hits must agree on every record grid
+    T = sched.duration
+    for u0, p0 in _ORACLE_STARTS:
+        z0 = (u0 * sched.initial, p0)
+        ref = clock_hit_times(sched, *z0)
+        for dt, record_every in ((T / 2000, 1), (T / 2000, 20), (T / 37, 1), (T / 37, 20),
+                                 (T, 1)):
+            rec = evolve_cd(BOX, box_generator(), sched, z0, dt=dt, record_every=record_every)
+            assert [w for _, w in rec.collisions] == [w for _, w in ref]
+            np.testing.assert_allclose([t for t, _ in rec.collisions], [t for t, _ in ref],
+                                       rtol=0.0, atol=1e-13 * T)
+
+
+def test_cd_box_hits_in_one_long_record_interval_match_the_linear_clock(monkeypatch):
+    # L = 1 - 0.95 t falls 20-fold between the only two records, 0 and T,
+    # and its 100 hits take two Newton batches; the clock tau = t / L(t)
+    # puts the hit at unfolded x = n at t = tau_n / (1 + 0.95 tau_n)
+    ends, spans = [], classical._clock_spans
+
+    def recorded_spans(schedule, starts, stops):
+        ends.append(np.max(stops))
+        return spans(schedule, starts, stops)
+
+    monkeypatch.setattr(classical, "_clock_spans", recorded_spans)
+    rec = evolve_cd(BOX, box_generator(), linear_ramp(1.0, 0.05, 1.0), (0.3, 5.0), dt=1.0)
+    # a Newton step here can leave the record interval: the bracket keeps
+    # every iterate in it, so no solve integrates past it
+    assert max(ends) <= 1.0
+    tau = (np.arange(1, 101) - 0.3) / 5.0
+    assert [w for _, w in rec.collisions] == ["right", "left"] * 50
+    np.testing.assert_allclose([t for t, _ in rec.collisions], tau / (1.0 + 0.95 * tau),
+                               rtol=0.0, atol=1e-13)
+
+
+def test_cd_box_hit_solve_that_does_not_settle_raises(monkeypatch):
+    monkeypatch.setattr(classical, "_NEWTON_ROUNDS", 1)
+    with pytest.raises(NumericalError, match="^wall-hit times did not converge on the clock$"):
+        evolve_cd(BOX, box_generator(), smoothstep_ramp(1.0, 2.0, 1.0), (0.5, 3.0), dt=1e-2)
 
 
 def test_cd_box_matches_linear_oracle():
@@ -564,6 +619,62 @@ def test_trajectories_reject_a_record_interval_below_one(system, generator, z0, 
         evolve_cd(system, generator, sched, z0, dt=1e-2, record_every=record_every)
     with pytest.raises(DomainError, match=message):
         evolve_bare(system, sched, z0, dt=1e-2, record_every=record_every)
+
+
+@pytest.mark.parametrize("record_every", [2.5, math.inf])
+@pytest.mark.parametrize("system, generator, z0", [(BOX, box_generator(), (0.5, 1.0)),
+                                                   (QUARTIC, power_law_generator(4), (0.3, 0.8))],
+                         ids=["box", "power_law"])
+def test_trajectories_reject_a_non_integral_record_interval(system, generator, z0, record_every):
+    # a fractional interval would mean one thing on the box's dt grid and
+    # another in RK4's step count
+    sched = smoothstep_ramp(1.0, 1.5, 1.0)
+    message = f"^record_every must be an integer, got {record_every}$"
+    with pytest.raises(DomainError, match=message):
+        evolve_cd(system, generator, sched, z0, dt=1e-1, record_every=record_every)
+    with pytest.raises(DomainError, match=message):
+        evolve_bare(system, sched, z0, dt=1e-1, record_every=record_every)
+
+
+@pytest.mark.parametrize("system, generator, z0", [(BOX, box_generator(), (0.5, 1.0)),
+                                                   (QUARTIC, power_law_generator(4), (0.3, 0.8))],
+                         ids=["box", "power_law"])
+def test_trajectories_take_a_numpy_integer_record_interval(system, generator, z0):
+    sched = smoothstep_ramp(1.0, 1.5, 1.0)
+    a, b = (evolve_cd(system, generator, sched, z0, dt=1e-1, fixed_step=True, record_every=k)
+            for k in (3, np.int64(3)))
+    np.testing.assert_array_equal(a.times, b.times)
+    np.testing.assert_array_equal(a.qs, b.qs)
+
+
+@pytest.mark.parametrize("driven", [True, False])
+@pytest.mark.parametrize("system, generator", [(BOX, box_generator()),
+                                               (QUARTIC, power_law_generator(4))],
+                         ids=["box", "power_law"])
+@pytest.mark.parametrize("z0", [(math.nan, 0.8), (0.3, math.nan), (0.3, math.inf),
+                                (-math.inf, 0.8)])
+def test_trajectories_reject_a_non_finite_start(system, generator, z0, driven):
+    # checked once, before either engine sees the point
+    sched = linear_ramp(1.0, 2.0, 1.0)
+    with pytest.raises(DomainError, match="^phase point must be finite"):
+        if driven:
+            evolve_cd(system, generator, sched, z0, dt=0.1)
+        else:
+            evolve_bare(system, sched, z0, dt=0.1)
+
+
+@pytest.mark.parametrize("run", [
+    lambda s: evolve_cd(BOX, box_generator(), s, (0.5, 3.0), dt=1e-3),
+    lambda s: evolve_bare(BOX, s, (0.5, 3.0), dt=1e-3),
+    lambda s: evolve_ensemble(BOX, box_generator(), s, uniform_gas_sampler(5.0), 20, 1, [0.5]),
+    lambda s: evolve_ensemble(BOX, None, s, uniform_gas_sampler(5.0), 20, 1, [0.5]),
+], ids=["cd-trajectory", "bare-trajectory", "cd-ensemble", "bare-ensemble"])
+@pytest.mark.parametrize("sched", [linear_ramp(1.0, -1.0, 1.0), linear_ramp(0.0, 1.0, 1.0)],
+                         ids=["ends-negative", "starts-at-zero"])
+def test_box_engines_reject_a_schedule_leaving_positive_lam(run, sched):
+    # the grid arm's error, from the records, the clock or the bare flight's walls
+    with pytest.raises(DomainError, match="^schedule leaves the positive parameter range$"):
+        run(sched)
 
 
 # each of these hung the smooth-well RK4: a NaN step or tolerance, or a NaN

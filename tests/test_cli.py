@@ -362,8 +362,11 @@ basis = {"kind": "quantum_basis", "system": {"kind": "box"}, "schedule": sched,
          "numerics": {"n_levels": 8, "dt": 1e-3}}
 check = {"kind": "generator_check", "system": {"kind": "box"}, "schedule": sched,
          "shells": [1.0, 2.0]}
+trajectory = {"kind": "classical_trajectory", "system": {"kind": "box"}, "schedule": sched,
+              "initial": {"energy": 5000.0}, "numerics": {"dt": 1e-4}}
 for name, cfg, argv in (("gas", gas, ["compare", "--verify"]),
                         ("basis", basis, ["compare", "--verify"]),
+                        ("trajectory", trajectory, ["compare", "--verify"]),
                         ("sweep", gas, ["sweep", "--values", "0.05,0.5"]),
                         ("check", check, ["run", "--verify"])):
     path = out / f"{name}.json"
@@ -380,15 +383,16 @@ def _box_runs_load(tmp_path, watched: str) -> tuple[list, list]:
     proc = subprocess.run([sys.executable, "-c", _BOX_RUNS, str(tmp_path), watched],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    for name in ("gas/on", "gas/off", "basis/on", "basis/off", "sweep", "check"):
+    for name in ("gas/on", "gas/off", "basis/on", "basis/off", "trajectory/on",
+                 "trajectory/off", "sweep", "check"):
         assert (tmp_path / name).is_dir()
     return json.loads(proc.stdout)
 
 
 def test_box_runs_leave_out_unused_scipy_subpackages(tmp_path):
     # the box engines and the box spectrum are closed-form: importing the CLI,
-    # then a gas and a basis compare (both with --verify), a gas sweep and a
-    # generator check load no scipy module at all
+    # then a gas, a basis and a trajectory compare (all with --verify), a gas
+    # sweep and a generator check load no scipy module at all
     assert _box_runs_load(tmp_path, "scipy") == [[], []]
 
 
@@ -911,6 +915,19 @@ def test_zero_dt_is_config_error(tmp_path, cfg):
            "numerics": {**cfg.get("numerics", {}), "dt": 0}}
     out = tmp_path / "out"
     assert main(["run", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg", [box_expansion(), _GAS],
+                         ids=["classical_trajectory", "classical_ensemble"])
+def test_tabulated_spline_below_zero_is_config_error(tmp_path, capsys, cfg):
+    # positive knots whose spline dips to -0.18 near t = 0.81: rejected
+    # with the config, before any engine runs
+    cfg = {**cfg, "schedule": {"shape": "tabulated", "times": [0.0, 0.3, 0.5, 0.7, 1.0],
+                               "values": [1.0, 0.05, 0.6, 0.05, 1.0]}}
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
+    assert "positive parameter range" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -841,6 +841,8 @@ _BAD_STEPPING = [
     pytest.param({"record_every": 0}, "record_every must be at least 1", id="record-0"),
     pytest.param({"record_every": -5}, "record_every must be at least 1", id="record-neg"),
     pytest.param({"record_every": math.nan}, "record_every must be at least 1", id="record-nan"),
+    pytest.param({"record_every": 2.5}, "record_every must be an integer", id="record-2.5"),
+    pytest.param({"record_every": math.inf}, "record_every must be an integer", id="record-inf"),
 ]
 
 
@@ -860,6 +862,25 @@ def test_propagate_basis_rejects_bad_stepping(bad, message, with_cd):
     with pytest.raises(DomainError, match=message):
         propagate_basis(linear_ramp(1.0, 2.0, 0.1), c0, n_levels=8, with_cd=with_cd,
                         **{"dt": 1e-3, **bad})
+
+
+@pytest.mark.parametrize("with_cd", [True, False])
+def test_propagate_basis_takes_a_numpy_integer_record_interval(with_cd):
+    c0 = np.zeros(8, dtype=complex)
+    c0[0] = 1.0
+    a, b = (propagate_basis(linear_ramp(1.0, 2.0, 0.1), c0, n_levels=8, dt=1e-3,
+                            with_cd=with_cd, record_every=k) for k in (7, np.int64(7)))
+    np.testing.assert_array_equal(a.times, b.times)
+    np.testing.assert_array_equal(a.coeffs, b.coeffs)
+
+
+@pytest.mark.parametrize("with_cd", [True, False])
+def test_propagate_basis_rejects_a_schedule_leaving_positive_lam(with_cd):
+    # the driven arm takes no steps: the clock's check is what stops it
+    c0 = np.zeros(8, dtype=complex)
+    c0[0] = 1.0
+    with pytest.raises(DomainError, match="^schedule leaves the positive parameter range$"):
+        propagate_basis(linear_ramp(1.0, -1.0, 1.0), c0, n_levels=8, dt=1e-3, with_cd=with_cd)
 
 
 @pytest.mark.parametrize("with_cd", [True, False])
@@ -1091,6 +1112,12 @@ def test_box_phase_rejects_times_before_the_start_or_not_finite():
     for t in (-1.0, -1e-300, math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="phase time must be finite and nonnegative"):
             box_phase(1, ramp, t)
+
+
+def test_box_phase_rejects_a_schedule_leaving_positive_lam():
+    for sched in (linear_ramp(1.0, -1.0, 1.0), constant_hold(0.0, 1.0)):
+        with pytest.raises(DomainError, match="^schedule leaves the positive parameter range$"):
+            box_phase(1, sched, 1.0)
 
 
 def _rough_spline(n_knots=301, duration=0.05, seed=5):

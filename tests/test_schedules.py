@@ -75,6 +75,19 @@ def test_tabulated_rejects_non_finite_entries(bad):
             tabulated(times, values)
 
 
+def test_tabulated_rejects_a_spline_that_dips_to_zero_between_knots():
+    # every knot is positive, but the spline falls to -0.18 near t = 0.19
+    # and t = 0.81
+    with pytest.raises(DomainError, match="^tabulated spline leaves the positive parameter"):
+        tabulated([0.0, 0.3, 0.5, 0.7, 1.0], [1.0, 0.05, 0.6, 0.05, 1.0])
+
+
+def test_tabulated_takes_a_flat_spline():
+    # its derivative vanishes on whole intervals, where the roots are NaN
+    sched = tabulated([0.0, 0.5, 1.0], [1.2, 1.2, 1.2])
+    np.testing.assert_array_equal(sched.value(np.linspace(0.0, 1.0, 5)), 1.2)
+
+
 def test_duration_must_be_positive():
     with pytest.raises(DomainError):
         linear_ramp(1.0, 2.0, 0.0)
@@ -118,6 +131,14 @@ def test_clock_rejects_unsorted_times():
     for times in ([math.nan], [0.2, math.nan], [math.nan, 0.2]):  # NaN compares false
         with pytest.raises(DomainError):
             clock(sched, times)
+
+
+@pytest.mark.parametrize("sched", [linear_ramp(1.0, -1.0, 1.0), constant_hold(0.0, 1.0),
+                                   Schedule(1.0, lambda t: np.full_like(t, np.nan), None)],
+                         ids=["crossing", "zero", "nan"])
+def test_clock_rejects_a_schedule_leaving_positive_lam(sched):
+    with pytest.raises(DomainError, match="^schedule leaves the positive parameter range$"):
+        clock(sched, [0.25, 1.0])
 
 
 def test_tabulated_schedule_breaks_at_its_interior_knots():
