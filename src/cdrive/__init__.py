@@ -45,7 +45,6 @@ from .generators import (
 from .classical import (
     EnsembleRecord,
     TrajectoryRecord,
-    collide,
     dissipation,
     evolve_bare,
     evolve_cd,
@@ -60,16 +59,13 @@ from .quantum import (
     GridTrajectory,
     HermitianOperator,
     QuantumState,
-    berry_connection,
     box_grid,
     box_phase,
     discretize_h0,
     eigensystem,
     exact_box_state,
     fidelity,
-    finite_stretch,
     grad_h0_matrix,
-    infinitesimal_stretch,
     propagate_basis,
     propagate_grid,
     well_grid,

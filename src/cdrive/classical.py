@@ -12,7 +12,7 @@ sequence: one column for a trajectory, the whole ensemble for an ensemble.
 Hard-wall collision rules: under the driven flow the generator carries the
 wall's motion, so the bounce is p -> -p at both walls; under the bare flow
 the moving wall imparts the usual -p + 2 m Ldot.  The box engines apply
-them inline on whole particle arrays; collide() is the scalar reference.
+them inline on whole particle arrays.
 """
 
 from __future__ import annotations
@@ -107,34 +107,6 @@ class EnsembleRecord:
 
     def snapshot_csv(self, k: int, path) -> None:
         write_csv(path, ("q", "p"), (self.positions[k], self.momenta[k]))
-
-
-# ---------------------------------------------------------------------------
-# collision rule
-
-
-def collide(p: float, wall: str, L: float, L_dot: float, mass: float = 1.0,
-            cd: bool = True) -> float:
-    """Momentum after an elastic bounce at the named wall.
-
-    Driven flow: the lab velocity at the moving wall is p/m + Ldot, matching
-    the wall, so the wall-frame reflection is p -> -p at either wall.  Bare
-    flow at the moving right wall: p -> -p + 2 m Ldot.  The left wall never
-    moves.
-    """
-    if wall not in ("left", "right"):
-        raise DomainError(f"unknown wall {wall!r}")
-    if wall == "left":
-        if p >= 0:
-            raise DomainError("left-wall collision needs momentum toward the wall (p < 0)")
-        return -p
-    if cd:
-        if p <= 0:
-            raise DomainError("right-wall collision under driving needs p > 0")
-        return -p
-    if p / mass - L_dot <= 0:
-        raise DomainError("bare right-wall collision needs relative velocity toward the wall")
-    return -p + 2.0 * mass * L_dot
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,13 @@ keyword.
 """
 
 import functools
+import importlib.util
 import math
 import numbers
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import Optional
 
 import numpy as np
@@ -38,15 +42,12 @@ __all__ = [
     "grad_h0_matrix",
     "xi_spectral",
     "xi_dilation",
-    "infinitesimal_stretch",
-    "finite_stretch",
     "GridTrajectory",
     "propagate_grid",
     "BasisTrajectory",
     "propagate_basis",
     "box_phase",
     "exact_box_state",
-    "berry_connection",
     "fidelity",
 ]
 
@@ -258,9 +259,12 @@ def _checked_eigensystem(energies, vecs, residual, grid, lam) -> EigenSystem:
     return EigenSystem(float(lam), energies, vecs, grid)
 
 
-# scipy.linalg loads on first use: box spectra are closed-form, so box runs
-# never import it.  eigh and eigh_tridiagonal stay module names for callers
-# that wrap or replace them.
+# Grid runs take their LAPACK routines (zgtsv for each Cayley step, dstebz and
+# dstein for each record's spectrum) from scipy's compiled extension alone, so
+# they never import the scipy.linalg package; box spectra are closed-form and
+# load no scipy at all.  Only a dense eigensystem solve imports scipy.linalg,
+# through eigh.  eigh and eigh_tridiagonal stay module names for callers that
+# wrap or replace them.
 
 
 def eigh(*args, **kwargs):
@@ -270,11 +274,53 @@ def eigh(*args, **kwargs):
     return eigh(*args, **kwargs)
 
 
-def eigh_tridiagonal(*args, **kwargs):
-    """scipy.linalg.eigh_tridiagonal, imported on the first call."""
-    from scipy.linalg import eigh_tridiagonal
+@functools.cache
+def _flapack():
+    """scipy.linalg._flapack, loaded without running scipy/linalg/__init__.py.
 
-    return eigh_tridiagonal(*args, **kwargs)
+    That package costs a fresh process about 25 MB and 0.2 s, and the grid
+    path needs only three routines of its LAPACK extension.  A module already
+    imported is returned as it is; otherwise the extension file is loaded
+    from scipy's linalg directory and registered under its real name, so a
+    later import of scipy.linalg reuses this module instead of loading it
+    a second time.
+    """
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        import scipy
+
+        finder = FileFinder(os.path.join(os.path.dirname(scipy.__file__), "linalg"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def eigh_tridiagonal(d, e, select="i", select_range=(0, 0)):
+    """Eigenpairs lo..hi, select_range = (lo, hi) 0-based and ascending, of the
+    real symmetric tridiagonal matrix with diagonal d and off-diagonal e.
+
+    The stebz path of scipy 1.17's eigh_tridiagonal step for step, so its
+    results are bit-identical: bisection (dstebz, block order, tol 0), inverse
+    iteration (dstein), then sort.  The routines come from _flapack.  A
+    nonzero LAPACK info raises NumericalError.
+    """
+    if select != "i":
+        raise DomainError(f"only index selection is supported, got select={select!r}")
+    if d.size == 1:  # the f2py dstebz rejects an empty e
+        return np.array([d[0]]), np.array([[1.0]])
+    lo, hi = select_range
+    lapack = _flapack()
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "B")
+    if info == 0:
+        w = w[:m]
+        v, info = lapack.dstein(d, e, w, iblock, isplit)
+    if info != 0:
+        raise NumericalError(f"tridiagonal eigensolve failed, LAPACK info {info}")
+    order = np.argsort(w)
+    return w[order], v[:, order]
 
 
 def _sine_eigenpairs(d: float, o: float, n: int, n_levels: int):
@@ -424,36 +470,6 @@ def _stretch_times(grid: GridSpec, x: np.ndarray) -> np.ndarray:
     return _tridiag_apply(x, w, -w)
 
 
-def infinitesimal_stretch(state: QuantumState, lam: float, d_lam: float, mu: float = 1.0) -> QuantumState:
-    """First-order dilation map (1 + d_lam xi / i hbar) psi.
-
-    hbar cancels between xi and the 1/i hbar prefactor, leaving the purely
-    geometric map psi - (mu d_lam / L) * (QD + DQ)/2 psi.
-    """
-    if state.representation != "grid":
-        raise DomainError("stretch maps act on grid states")
-    stretched = _stretch_times(state.grid, state.amplitudes[:, None])[:, 0]
-    amps = state.amplitudes - (mu * d_lam / lam) * stretched
-    return QuantumState("grid", amps, state.grid)
-
-
-def finite_stretch(state: QuantumState, s: float, mu: float = 1.0) -> QuantumState:
-    """Finite dilation exp(ln(s) mu (QD + DQ)/2 / ...) mapping L -> s L.
-
-    Exponentiates the antisymmetric bracket (orthogonal map, norm exact),
-    which in the continuum sends psi(q) to s^(-1/2) psi(q/s).
-    """
-    if state.representation != "grid":
-        raise DomainError("stretch maps act on grid states")
-    if s <= 0:
-        raise DomainError(f"stretch factor must be positive, got {s}")
-    from scipy.linalg import expm
-
-    a = _stretch_times(state.grid, np.eye(state.grid.n_points))
-    amps = expm(-mu * math.log(s) * a) @ state.amplitudes
-    return QuantumState("grid", amps, state.grid)
-
-
 # ---------------------------------------------------------------------------
 # grid propagation (Cayley stepper)
 
@@ -507,24 +523,18 @@ def _uniform_steps(duration: float, dt: float, record_every: int):
     return n_steps, duration / n_steps
 
 
-@functools.cache
-def _zgtsv():
-    from scipy.linalg.lapack import zgtsv
-
-    return zgtsv
-
-
 def solve_banded(ab, b):
     """Solve A x = b for the complex tridiagonal A banded as scipy's (1, 1) ab,
     by one LAPACK zgtsv call that consumes ab and b.  Blocks of A uncoupled at
     each junction solve bit-identically to each block alone: gtsv eliminates
     nothing across a zero subdiagonal, and its fill-in there is zero.  zgtsv
-    is imported at the first solve and kept, so later steps pay one cached
-    lookup, not an import.  The name stays: the benchmark tracer and the tests
-    count and poison Cayley solves through it.
+    is the f2py function scipy.linalg.lapack exposes, taken from _flapack, so
+    a step pays one cached lookup and no scipy.linalg import.  The name stays:
+    the benchmark tracer and the tests count and poison Cayley solves through
+    it.
     """
-    *_, x, info = _zgtsv()(ab[2, :-1], ab[1], ab[0, 1:], b, overwrite_dl=1,
-                           overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    *_, x, info = _flapack().zgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, overwrite_dl=1,
+                                   overwrite_d=1, overwrite_du=1, overwrite_b=1)
     if info != 0:
         raise NumericalError(f"tridiagonal solve failed, LAPACK info {info}")
     return x
@@ -901,26 +911,6 @@ def exact_box_state(
 
 # ---------------------------------------------------------------------------
 # diagnostics
-
-
-def berry_connection(es_a: EigenSystem, es_b: EigenSystem, n: int) -> float:
-    """Connection i<n|d/dlam n> from a finite eigensystem pair.
-
-    A flipped sign convention in the second member (negative overlap) is
-    corrected before differencing.  Real eigenbases give zero.
-    """
-    if es_a.grid != es_b.grid:
-        raise DomainError("eigensystem pair must share a grid")
-    d_lam = es_b.lam - es_a.lam
-    if d_lam == 0.0:
-        raise DomainError("eigensystem pair must differ in lam")
-    va = es_a.states[:, n]
-    vb = es_b.states[:, n]
-    h = es_a.grid.h
-    if float(np.real(h * np.vdot(va, vb))) < 0.0:
-        vb = -vb
-    dv = (vb - va) / d_lam
-    return float(np.real(1j * h * np.vdot(va, dv)))
 
 
 def fidelity(psi: QuantumState, es: EigenSystem, n: int) -> float:

@@ -4,14 +4,21 @@ Each oracle solves the problem from its own equations, so a test that holds
 an engine to it checks the engine's physics, not only its consistency with
 itself.  The driven box's hit timer shares schedules.clock with the engine,
 since that clock defines the driven box's time, but inverts it its own way.
+
+The scalar collision rule, the grid stretch maps and the finite-difference
+Berry connection at the end are reference maps that only the tests use; they
+build on the package's types.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 from scipy.optimize import brentq
 
+from cdrive.errors import DomainError
+from cdrive.quantum import EigenSystem, QuantumState, _stretch_times
 from cdrive.schedules import clock
 
 
@@ -31,6 +38,39 @@ def harmonic_fundamental_matrices(system, schedule, times, rtol=1e-13):
     sol = solve_ivp(rhs, (0.0, schedule.duration), np.eye(2).ravel(), method="DOP853",
                     t_eval=times, rtol=rtol, atol=1e-3 * rtol)
     return sol.y.T.reshape(-1, 2, 2)
+
+
+def ermakov_ground_state(system, schedule, times, qs, hbar=1.0, rtol=1e-12):
+    """The bare flow of V = eps (q/lam)^2 from the ground state at lam(0).
+
+    With w(t)^2 = 2 eps/(m lam^2) and w0 = w(0), the width rho solves the
+    Ermakov equation rho'' + w^2 rho = w0^2/rho^3, rho(0) = 1, rho'(0) = 0,
+    and the exact state is the initial Gaussian dilated by rho, chirped by
+    exp(i m rho' q^2/(2 hbar rho)) and phased by -(w0/2) int rho^-2 dt
+    (Lewis & Riesenfeld, J. Math. Phys. 10, 1458 (1969); Chen et al., PRL 104,
+    063002 (2010)): psi = (2 Re a/pi)^(1/4) exp(-a q^2 - i theta/2) with
+    a = m w0/(2 hbar rho^2) - i m rho'/(2 hbar rho), theta = int w0/rho^2.
+    Its fidelity with the instantaneous ground state, exp(-c q^2) with
+    c = m w/(2 hbar), is the Gaussian overlap 2 sqrt(Re a c)/|conj(a) + c|.
+    Returns (fidelities at the sorted times, the state on qs at the last
+    one), rho and theta integrated by DOP853 to rtol.
+    """
+    m, eps = system.mass, system.epsilon
+    w0 = math.sqrt(2.0 * eps / m) / float(schedule.value(0.0))
+
+    def rhs(t, y):
+        rho, drho, _ = y
+        w2 = 2.0 * eps / (m * float(schedule.value(t)) ** 2)
+        return [drho, w0 * w0 / rho**3 - w2 * rho, w0 / (rho * rho)]
+
+    sol = solve_ivp(rhs, (0.0, times[-1]), [1.0, 0.0, 0.0], method="DOP853",
+                    t_eval=times, rtol=rtol, atol=1e-3 * rtol)
+    rho, drho, theta = sol.y
+    a = m * w0 / (2.0 * hbar * rho**2) - 1j * m * drho / (2.0 * hbar * rho)
+    c = math.sqrt(2.0 * eps * m) / (2.0 * hbar * np.asarray(schedule.value(times), dtype=float))
+    fids = 2.0 * np.sqrt(a.real * c) / np.abs(a.conj() + c)
+    psi = (2.0 * a[-1].real / math.pi) ** 0.25 * np.exp(-a[-1] * qs**2 - 0.5j * theta[-1])
+    return fids, psi
 
 
 def clock_hit_times(schedule, q0, p0, m=1.0):
@@ -107,3 +147,79 @@ def orbit_average(system, observable, lam, q_plus, rtol=1e-12):
     p_scale = math.sqrt(2.0 * m * system.potential_energy(q_plus, lam))
     assert abs(q - q_plus) <= 1e-9 * abs(q_plus) and abs(p) <= 1e-9 * p_scale, (q, p)
     return total / tau
+
+
+# ---------------------------------------------------------------------------
+# reference maps
+
+
+def collide(p: float, wall: str, L: float, L_dot: float, mass: float = 1.0,
+            cd: bool = True) -> float:
+    """Momentum after an elastic bounce at the named wall.
+
+    Driven flow: the lab velocity at the moving wall is p/m + Ldot, matching
+    the wall, so the wall-frame reflection is p -> -p at either wall.  Bare
+    flow at the moving right wall: p -> -p + 2 m Ldot.  The left wall never
+    moves.
+    """
+    if wall not in ("left", "right"):
+        raise DomainError(f"unknown wall {wall!r}")
+    if wall == "left":
+        if p >= 0:
+            raise DomainError("left-wall collision needs momentum toward the wall (p < 0)")
+        return -p
+    if cd:
+        if p <= 0:
+            raise DomainError("right-wall collision under driving needs p > 0")
+        return -p
+    if p / mass - L_dot <= 0:
+        raise DomainError("bare right-wall collision needs relative velocity toward the wall")
+    return -p + 2.0 * mass * L_dot
+
+
+def infinitesimal_stretch(state: QuantumState, lam: float, d_lam: float, mu: float = 1.0) -> QuantumState:
+    """First-order dilation map (1 + d_lam xi / i hbar) psi.
+
+    hbar cancels between xi and the 1/i hbar prefactor, leaving the purely
+    geometric map psi - (mu d_lam / L) * (QD + DQ)/2 psi.
+    """
+    if state.representation != "grid":
+        raise DomainError("stretch maps act on grid states")
+    stretched = _stretch_times(state.grid, state.amplitudes[:, None])[:, 0]
+    amps = state.amplitudes - (mu * d_lam / lam) * stretched
+    return QuantumState("grid", amps, state.grid)
+
+
+def finite_stretch(state: QuantumState, s: float, mu: float = 1.0) -> QuantumState:
+    """Finite dilation exp(ln(s) mu (QD + DQ)/2 / ...) mapping L -> s L.
+
+    Exponentiates the antisymmetric bracket (orthogonal map, norm exact),
+    which in the continuum sends psi(q) to s^(-1/2) psi(q/s).
+    """
+    if state.representation != "grid":
+        raise DomainError("stretch maps act on grid states")
+    if s <= 0:
+        raise DomainError(f"stretch factor must be positive, got {s}")
+    a = _stretch_times(state.grid, np.eye(state.grid.n_points))
+    amps = expm(-mu * math.log(s) * a) @ state.amplitudes
+    return QuantumState("grid", amps, state.grid)
+
+
+def berry_connection(es_a: EigenSystem, es_b: EigenSystem, n: int) -> float:
+    """Connection i<n|d/dlam n> from a finite eigensystem pair.
+
+    A flipped sign convention in the second member (negative overlap) is
+    corrected before differencing.  Real eigenbases give zero.
+    """
+    if es_a.grid != es_b.grid:
+        raise DomainError("eigensystem pair must share a grid")
+    d_lam = es_b.lam - es_a.lam
+    if d_lam == 0.0:
+        raise DomainError("eigensystem pair must differ in lam")
+    va = es_a.states[:, n]
+    vb = es_b.states[:, n]
+    h = es_a.grid.h
+    if float(np.real(h * np.vdot(va, vb))) < 0.0:
+        vb = -vb
+    dv = (vb - va) / d_lam
+    return float(np.real(1j * h * np.vdot(va, dv)))

@@ -31,9 +31,7 @@ from cdrive.quantum import (
     box_phase,
     discretize_h0,
     eigensystem,
-    finite_stretch,
     grad_h0_matrix,
-    infinitesimal_stretch,
     propagate_basis,
     propagate_grid,
     well_grid,
@@ -48,6 +46,7 @@ from cdrive.schedules import (
 )
 from cdrive.shells import orbit_period, turning_points
 from cdrive.systems import box, power_law
+from oracles import finite_stretch, infinitesimal_stretch
 
 BOX = box()
 

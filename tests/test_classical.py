@@ -25,7 +25,6 @@ from cdrive.classical import (
     UniformGasSampler,
     _draw_initial_conditions,
     _integrate,
-    collide,
     dissipation,
     evolve_bare,
     evolve_cd,
@@ -46,7 +45,7 @@ from cdrive.schedules import (
 )
 from cdrive.shells import orbit_period, orbit_states, turning_points
 from cdrive.systems import SystemModel, box, generic_1d, power_law
-from oracles import clock_hit_times, harmonic_fundamental_matrices
+from oracles import clock_hit_times, collide, harmonic_fundamental_matrices
 
 BOX = box()
 SHO = power_law(2)

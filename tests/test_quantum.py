@@ -9,6 +9,8 @@ power-law well, against the exact scale-invariant state.
 """
 
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -25,16 +27,13 @@ from cdrive.quantum import (
     GridSpec,
     HermitianOperator,
     QuantumState,
-    berry_connection,
     box_grid,
     box_phase,
     discretize_h0,
     eigensystem,
     exact_box_state,
     fidelity,
-    finite_stretch,
     grad_h0_matrix,
-    infinitesimal_stretch,
     propagate_basis,
     propagate_grid,
     well_grid,
@@ -60,7 +59,13 @@ from cdrive.schedules import (
     tabulated,
 )
 from cdrive.systems import SystemModel, box, generic_1d, power_law
-from oracles import doescher_rice_coefficients
+from oracles import (
+    berry_connection,
+    doescher_rice_coefficients,
+    ermakov_ground_state,
+    finite_stretch,
+    infinitesimal_stretch,
+)
 
 BOX = box()
 SHO = power_law(2)
@@ -437,6 +442,31 @@ def test_grid_fidelity_deficit_second_order_in_dt():
     assert 3.0 < ratio < 5.5
 
 
+@pytest.mark.parametrize("lam0, lam1", [(1.0, 2.0), (2.0, 1.0)], ids=["expand", "compress"])
+@pytest.mark.parametrize("T", [0.1, 0.3, 1.0])
+def test_grid_bare_arm_matches_ermakov_state(lam0, lam1, T):
+    # from the grid ground state, the bare arm of V = (q/lam)^2 misses the
+    # exact Ermakov state by O(h^2): its fidelity history and its final state
+    # (phase included) each come 4.0x closer per doubling of n_points, 256 ->
+    # 512 measured 3.98-4.03, and the 512-point misses are at most 1.18e-4 and
+    # 6.1e-4 T (the phase error grows with T).  With the potential band's lam
+    # scaled by 1.01 the drops read 0.78-1.42 and the misses at least 7.7e-4
+    # and 4.3e-3 T
+    sched = smoothstep_ramp(lam0, lam1, T)
+    misses = []
+    for n in (256, 512):
+        g = well_grid(SHO, 2.0, 40.0, n)
+        es = eigensystem(discretize_h0(SHO, lam0, g), g, lam0, n_levels=1)
+        psi0 = QuantumState("grid", es.states[:, 0].astype(complex), g)
+        off, = _propagate_arms(SHO, sched, psi0, 1e-3, (False,))
+        fids, psi = ermakov_ground_state(SHO, sched, off.times, g.qs)
+        overlap = g.h * np.vdot(psi, off.final_state.amplitudes)
+        misses.append((np.max(np.abs(off.fidelities - fids)), abs(overlap - 1.0)))
+    (fid_256, state_256), (fid_512, state_512) = misses
+    assert 3.9 < fid_256 / fid_512 < 4.1 and 3.9 < state_256 / state_512 < 4.1
+    assert fid_512 < 1.5e-4 and state_512 < 7.5e-4 * T
+
+
 _GL64 = np.polynomial.legendre.leggauss(64)
 
 
@@ -645,6 +675,85 @@ def test_solve_banded_matches_scipy(n):
 def test_solve_banded_singular_is_numerical_error():
     with pytest.raises(NumericalError, match="LAPACK info 1"):
         quantum.solve_banded(np.zeros((3, 8), dtype=complex), np.ones(8, dtype=complex))
+
+
+def _assert_eigh_tridiagonal_matches_scipy(d, e, k):
+    got = quantum.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+    want = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 256, 511])
+def test_eigh_tridiagonal_matches_scipy_on_random_bands(n):
+    # the stebz path of scipy's eigh_tridiagonal, step for step: bit-identical
+    rng = np.random.default_rng(n)
+    d, e = rng.normal(size=n), rng.normal(size=n - 1)
+    for k in sorted({1, min(2, n), min(8, n)}):
+        _assert_eigh_tridiagonal_matches_scipy(d, e, k)
+
+
+@pytest.mark.parametrize("n", [128, 129])
+@pytest.mark.parametrize("b", [2, 4])
+def test_eigh_tridiagonal_matches_scipy_on_half_grid_bands(monkeypatch, b, n):
+    # the bands a power-law grid run solves, one half grid of each parity
+    # (closed at the centre as the stepper closes them), at every record
+    system = power_law(b)
+    g = well_grid(system, 1.7, 15.0, n)
+    v0, v1 = eigensystem(discretize_h0(system, 1.0, g), g, 1.0, n_levels=2).states.T
+    psi0 = QuantumState("grid", ((v0 + v1) / math.sqrt(2.0)).astype(complex), g)
+    bands, real = [], quantum.eigh_tridiagonal
+
+    def captured(d, e, **kwargs):
+        bands.append((d.copy(), e.copy()))
+        return real(d, e, **kwargs)
+
+    monkeypatch.setattr(quantum, "eigh_tridiagonal", captured)
+    propagate_grid(system, smoothstep_ramp(1.0, 1.7, 0.1), psi0, 1e-2, record_every=5)
+    monkeypatch.undo()
+    assert {d.size for d, _ in bands} == {n // 2, (n + 1) // 2} and len(bands) == 6
+    for d, e in bands:
+        for k in (1, 2, 8):
+            _assert_eigh_tridiagonal_matches_scipy(d, e, k)
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_eigh_tridiagonal_lapack_failure_is_numerical_error(monkeypatch, routine):
+    real = quantum._flapack()
+
+    class Failing:
+        def __getattr__(self, name):
+            fn = getattr(real, name)
+            return (lambda *args: (*fn(*args)[:-1], 1)) if name == routine else fn
+
+    monkeypatch.setattr(quantum, "_flapack", Failing)
+    d, e = np.arange(1.0, 9.0), np.ones(7)
+    with pytest.raises(NumericalError, match="LAPACK info 1"):
+        quantum.eigh_tridiagonal(d, e, select="i", select_range=(0, 2))
+
+
+_LOADER_ORDER = """
+import sys
+import cdrive.quantum as quantum
+if sys.argv[1] == "loader-first":
+    flapack = quantum._flapack()
+    assert "scipy.linalg" not in sys.modules
+    import scipy.linalg
+else:
+    import scipy.linalg
+    flapack = quantum._flapack()
+assert flapack is sys.modules["scipy.linalg._flapack"] is scipy.linalg.lapack._flapack
+assert quantum._flapack().zgtsv is scipy.linalg.lapack.zgtsv
+"""
+
+
+@pytest.mark.parametrize("order", ["loader-first", "scipy-first"])
+def test_flapack_loader_shares_the_module_with_scipy_linalg(order):
+    # loaded first, the extension is the one a later scipy.linalg import
+    # uses; loaded second, it is scipy.linalg's own module, not a second copy
+    proc = subprocess.run([sys.executable, "-c", _LOADER_ORDER, order],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("n", [2, 7, 64])
