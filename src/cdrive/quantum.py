@@ -156,11 +156,12 @@ class HermitianOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError(f"operator matrix must be square, got {m.shape}")
         object.__setattr__(self, "matrix", m)
-        scale = float(np.max(np.abs(m)))
-        if self.hermiticity_defect > 1e-12 * max(scale, 1e-300):
+        scale = float(np.max(np.abs(m)))  # NaN or inf when an entry is not finite
+        defect = self.hermiticity_defect if scale < np.inf else np.nan
+        if not defect <= 1e-12 * max(scale, 1e-300):
             raise NumericalError(
-                f"hermiticity defect {self.hermiticity_defect:.3e} exceeds "
-                f"1e-12 of scale {scale:.3e}"
+                f"hermiticity defect {defect:.3e} exceeds 1e-12 of scale {scale:.3e} "
+                f"(entries must be finite)"
             )
 
     @property

@@ -10,16 +10,19 @@ import os
 import subprocess
 import sys
 from importlib import resources
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cdrive.cli as cli
 import cdrive.config as config
 from cdrive._csv import write_csv
 from cdrive.cli import main
-from cdrive.errors import ConfigError, NumericalError
+from cdrive.errors import ConfigError, DomainError, NumericalError
 
 
 def write_config(tmp_path, name, cfg):
@@ -982,6 +985,90 @@ def test_write_csv_pins_the_cell_format(tmp_path):
 
     write_csv(path, ("x", "k"), (floats[:0], np.arange(0)))
     assert path.read_text() == "x,k\n"
+
+
+def _repr_csv(header, columns):
+    """The CSV text by definition: repr of the double, str of an int, "" for None."""
+    def cell(v):
+        if v is None:
+            return ""
+        return str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
+    return "".join(",".join(row) + "\n" for row in
+                   [header, *zip(*([cell(v) for v in col] for col in columns))])
+
+
+# one of each cell orjson spells differently from repr, as its own double
+_SPLICED = [1e-5, -3.25e-7, 5e-324, -np.finfo(float).tiny, np.nextafter(1e-4, 0), 1e16,
+            -2.5e20, np.finfo(float).max, np.nan, np.inf, -np.inf]
+
+
+def test_write_csv_float_block_splices_repr_across_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr("cdrive._csv._ROWS_PER_CHUNK", 4)
+    n = 4 * 11 + 1  # eleven full chunks and a one-row tail
+    rng = np.random.default_rng(11)
+    block = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-3, 15, (n, 3))
+    edges = [r for r in range(n) if r % 4 in (0, 3) or r == n - 1]  # each chunk's first and last
+    for j in range(3):
+        for i, r in enumerate(edges):
+            block[r, j] = _SPLICED[(i + j) % len(_SPLICED)]
+    assert all(np.sum(block[:, j] == v) or np.isnan(v) for v in _SPLICED for j in range(3))
+    path = tmp_path / "x.csv"
+    columns = tuple(block.T)
+    write_csv(path, ("a", "b", "c"), columns)
+    assert path.read_text() == _repr_csv(("a", "b", "c"), columns)
+
+    narrow = np.array([0.1, 1e-5, 3e38, np.nan, np.inf, -0.0, 1e-45, 2.5] * 5, dtype=np.float32)
+    for header, columns in ((("f",), (narrow,)),
+                            (("f", "x"), (narrow, block[:40, 0])),
+                            (("k", "f", "g"), (np.arange(40), narrow, [None, 1e-5, 7, 2.5] * 10))):
+        write_csv(path, header, columns)
+        assert path.read_text() == _repr_csv(header, columns)
+
+
+_CSV_COLUMN_KINDS = {
+    "float64": lambda n: st.lists(st.floats(), min_size=n, max_size=n).map(np.array),
+    "float32": lambda n: st.lists(st.floats(width=32), min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=np.float32)),
+    "int64": lambda n: st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=np.int64)),
+    "object": lambda n: st.lists(st.none() | st.floats() | st.integers(-2**63, 2**63 - 1),
+                                 min_size=n, max_size=n).map(lambda v: np.array(v, dtype=object)),
+}
+
+
+@st.composite
+def _csv_tables(draw):
+    n = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(sorted(_CSV_COLUMN_KINDS)), min_size=1, max_size=4))
+    return [draw(_CSV_COLUMN_KINDS[kind](n)) for kind in kinds]
+
+
+@given(columns=_csv_tables(), chunk=st.integers(1, 5))
+def test_write_csv_matches_repr_on_mixed_columns(tmp_path_factory, columns, chunk):
+    header = tuple(f"c{j}" for j in range(len(columns)))
+    path = tmp_path_factory.mktemp("csv") / "x.csv"
+    with mock.patch("cdrive._csv._ROWS_PER_CHUNK", chunk):
+        write_csv(path, header, columns)
+    assert path.read_text() == _repr_csv(header, columns)
+
+
+def test_write_csv_writes_numpy_scalars_as_python_numbers(tmp_path):
+    path = tmp_path / "x.csv"
+    write_csv(path, ("a", "b", "c"), ([np.float64(1e-5), None], [np.float64(2.5), None],
+                                      [np.int64(3), None]))
+    assert path.read_text() == "a,b,c\n1e-05,2.5,3\n,,\n"
+
+
+@pytest.mark.parametrize("header, columns, lengths", [
+    (("a", "b"), (np.arange(5.0), np.arange(3.0)), "[5, 3]"),
+    (("a",), (np.arange(2.0), np.arange(2.0)), "[2, 2]"),
+    (("a", "b"), (np.arange(2.0),), "[2]"),
+], ids=["ragged", "header-short", "header-long"])
+def test_write_csv_rejects_columns_that_do_not_fit_the_header(tmp_path, header, columns, lengths):
+    path = tmp_path / "out" / "x.csv"
+    with pytest.raises(DomainError, match=lengths.replace("[", r"\[").replace("]", r"\]")):
+        write_csv(path, header, columns)
+    assert not path.parent.exists()
 
 
 @pytest.mark.parametrize("cfg", [_GAS, _BASIS], ids=["classical", "quantum"])

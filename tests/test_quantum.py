@@ -139,6 +139,15 @@ def test_hermitian_operator_rejects_defect():
     HermitianOperator(np.zeros((4, 4)))  # zero operator is fine
 
 
+@pytest.mark.parametrize("entry, value", [((2, 2), np.nan), ((0, 3), np.inf)],
+                         ids=["nan-diagonal", "inf-off-diagonal"])
+def test_hermitian_operator_rejects_non_finite_entries(entry, value):
+    m = np.diag(np.arange(1.0, 9.0)) + np.diag(np.full(7, 0.5), 1) + np.diag(np.full(7, 0.5), -1)
+    m[entry] = value
+    with pytest.raises(NumericalError, match="must be finite"):
+        HermitianOperator(m)
+
+
 # ---------------------------------------------------------------------------
 # discretization and spectra
 
