@@ -15,11 +15,13 @@ point q+, where xi = 0, to the query point:
                                     / sqrt(2m(E - U(q'))) dq',   E = H0(q, p).
 
 This xi is odd in p, so its orbit average vanishes by itself.  The integral
-and the shell average <dU/dlam>_E are fixed-node Gauss-Legendre sums on the
-sin^2 angle of shells._orbit_quadrature (the average and the half period as
-two rows on one node set), so the full half-orbit integral cancels.  The
-phase-space gradient splits along the flow X_H = (p/m, -dU/dq) and the unit
-normal n = grad H0 / |grad H0|, which are orthogonal:
+is a fixed-node Gauss-Legendre sum on the sin^2 angle of
+shells._orbit_quadrature.  The shell average <dU/dlam>_E and the half period
+come per kind, as in shells: the scale law gives them exactly on the power
+law, and on generic wells they are two rows of one quadrature on the same
+node set, so the full half-orbit integral cancels to the sums' accuracy.
+The phase-space gradient splits along the flow X_H = (p/m, -dU/dq) and the
+unit normal n = grad H0 / |grad H0|, which are orthogonal:
 
     grad xi = beta X_H + (d xi / dn) n,   beta = (dH0/dlam - <dH0/dlam>_E) / |grad H0|^2,
 
@@ -45,7 +47,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .systems import SystemModel, _on_nodes, as_qp
 from .shells import (
-    _orbit_moments,
+    _half_period_and_average,
     _orbit_quadrature,
     _potential_floor,
     d_volume_dE,
@@ -210,12 +212,11 @@ _TURNING_ZONE = math.sqrt(np.finfo(float).eps)
 
 
 def _shell_source(system: SystemModel, E: float, lam: float):
-    """(q-, q+, <dH0/dlam>_E, scale) of the shell H0 = E on the sin^2
-    quadrature; scale bounds the half-orbit integral of the centered source
-    dH0/dlam - <dH0/dlam>_E over the orbit time."""
+    """(q-, q+, <dH0/dlam>_E, scale) of the shell H0 = E, the average from
+    shells' per-kind route; scale bounds the half-orbit integral of the
+    centered source dH0/dlam - <dH0/dlam>_E over the orbit time."""
     qm, qp = turning_points(system, E, lam)
-    half_tau, moment = _orbit_moments(system, E, lam, qm, qp)
-    g = moment / half_tau
+    half_tau, g = _half_period_and_average(system, E, lam, qm, qp)
     ends = (abs(system.grad_lambda((x, 0.0), lam) - g) for x in (qm, qp))
     return qm, qp, g, half_tau * max(abs(g), *ends)
 

@@ -153,8 +153,8 @@ class HermitianOperator:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DomainError(f"operator matrix must be square, got {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise DomainError(f"operator matrix must be square and nonempty, got {m.shape}")
         object.__setattr__(self, "matrix", m)
         scale = float(np.max(np.abs(m)))  # NaN or inf when an entry is not finite
         defect = self.hermiticity_defect if scale < np.inf else np.nan
@@ -556,9 +556,12 @@ def propagate_grid(
 
     With A = 1 + (i dt/2hbar) H(t+dt/2), psi(t+dt) = A^-1 (2 - A) psi(t)
     = 2 A^-1 psi(t) - psi(t): one LAPACK gtsv call per step, through
-    solve_banded, unconditionally unitary; a per-step norm drift above 1e-10,
-    or a non-finite state, raises.  The schedule is evaluated once per run,
-    and the bands of A are built _GRID_BLOCK steps at a time.  Power-law
+    solve_banded, unconditionally unitary.  The schedule is evaluated once
+    per run, and the bands of A are written _GRID_BLOCK steps at a time,
+    straight into the real and imaginary parts of one reused band array.
+    The steps of a block go into a block of states whose norms are checked
+    together at its end: a norm drift above 1e-10, or a non-finite state,
+    raises, naming the first such step.  Power-law
     wells use scale invariance, V(q; lam) = lam^-b V(q; 1), and the dilation
     generator is xi(lam) = xi(1) / lam, so a block rescales fixed bands
     instead of rebuilding them.  On a symmetric grid a power-law H(t)
@@ -668,29 +671,35 @@ def _propagate_arms(system, schedule, psi0, dt, arms, track_level=0, n_leading=4
     # off the diagonal, i kappa H is -i kappa kin plus (super) or minus (sub)
     # kappa lam_dot w(lam), with the dilation weight w(lam) = w(1) / lam; the
     # zero link at each sector's first row uncouples the sectors and the arms
-    off_kin = -1j * kappa * kin * links
+    off_kin = -kappa * kin * links
     w1 = np.array([kappa * np.append(0.0, _dilation_offdiag(1.0, mu, grid, hbar))[left] * links
                    for mu in mus])
     ab = np.zeros((_GRID_BLOCK, 3, len(arms), left.size), dtype=complex)
-    flat = psi.view(float)  # psi is updated in place
+    re, im = np.moveaxis(ab.view(float).reshape(ab.shape + (2,)), -1, 0)
+    rhs = np.empty(psi.size, dtype=complex)
+    states = np.empty((_GRID_BLOCK,) + psi.shape, dtype=complex)  # psi after each step of a block
     record(psi)
     for lo in range(0, n_steps, _GRID_BLOCK):
         hi = min(lo + _GRID_BLOCK, n_steps)
-        cd = (rates[lo:hi] / lams[lo:hi])[:, None, None] * w1
-        ab[:hi - lo, 0] = off_kin + cd
-        ab[:hi - lo, 1] = (1.0 + 1j * kappa * diagonals(lams[lo:hi]))[:, None]
-        ab[:hi - lo, 2, :, :-1] = (off_kin - cd)[..., 1:]
+        np.multiply((rates[lo:hi] / lams[lo:hi])[:, None, None], w1, out=re[:hi - lo, 0])
+        np.negative(re[:hi - lo, 0, :, 1:], out=re[:hi - lo, 2, :, :-1])
+        im[:hi - lo, 0] = off_kin
+        im[:hi - lo, 2, :, :-1] = off_kin[1:]
+        re[:hi - lo, 1] = 1.0
+        im[:hi - lo, 1] = kappa * diagonals(lams[lo:hi])[:, None]
         for i in range(lo, hi):
             # psi' = 2 A^-1 psi - psi; the bands of A and the rhs are consumed
-            x = solve_banded(ab[i - lo].reshape(3, -1), 2.0 * psi.ravel())
-            np.subtract(x.reshape(psi.shape), psi, out=psi)
-            for sq in np.einsum("ij,ij->i", flat, flat).tolist():  # each arm's sum |psi|^2
-                norm = math.sqrt(fold * h * sq)
-                # written so that a NaN norm fails too
-                if not abs(norm - 1.0) <= 1e-10:
-                    raise NumericalError(f"norm drift {abs(norm - 1.0):.3e} at step {i}")
+            np.multiply(psi.ravel(), 2.0, out=rhs)
+            x = solve_banded(ab[i - lo].reshape(3, -1), rhs)
+            psi = np.subtract(x.reshape(psi.shape), psi, out=states[i - lo])
             if i + 1 == rec_steps[len(times)]:
                 record(psi)
+        flat = states[:hi - lo].view(float)
+        drift = np.abs(np.sqrt(fold * h * np.einsum("kij,kij->ki", flat, flat)) - 1.0)
+        bad = np.argwhere(~(drift <= 1e-10))  # written so that a NaN norm fails too
+        if bad.size:
+            k, arm = bad[0]
+            raise NumericalError(f"norm drift {drift[k, arm]:.3e} at step {lo + k}")
 
     return tuple(GridTrajectory(  # the sum of the unfolded sectors is a new array
         times=np.array(times), norms=np.array(norms), fidelities=np.array(fids),

@@ -401,8 +401,17 @@ def shell_average_grad_lambda(system: SystemModel, E: float, lam: float) -> floa
     lam = system.check_param(lam)
     if system.kind != "generic_1d":
         return -2.0 * system.mu * _energy_power(E, 1.0) / lam
-    half_tau, moment = _orbit_moments(system, E, lam, *turning_points(system, E, lam))
-    return moment / half_tau
+    return _half_period_and_average(system, E, lam, *turning_points(system, E, lam))[1]
+
+
+def _half_period_and_average(system, E, lam, qm, qp):
+    """(tau/2, <dH0/dlam>_E) of a smooth-well shell with turning points
+    (q-, q+): the scale law on the power law, one _orbit_moments pair on
+    generic wells."""
+    if system.kind != "generic_1d":
+        return 0.5 * orbit_period(system, E, lam), shell_average_grad_lambda(system, E, lam)
+    half_tau, moment = _orbit_moments(system, E, lam, qm, qp)
+    return half_tau, moment / half_tau
 
 
 def d_volume_dlam(system: SystemModel, E: float, lam: float) -> float:

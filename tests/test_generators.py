@@ -352,25 +352,80 @@ def test_numeric_generator_at_turning_point_to_the_last_bit():
                 assert abs(gen.evaluate((q, p), lam) - ref) < 1e-9, f"b={b} at ({q}, {p})"
 
 
-def test_numeric_generator_error_on_the_shell_scale():
-    # fixed-node sums keep the quad-level accuracy: within 2e-12 of the
-    # shell's source scale (the bound on its half-orbit integral) everywhere
-    # on the orbit, at the turning points and 1e-10 of the width inside them
-    gen, analytic = NumericShellGenerator(QUARTIC), power_law_generator(4)
+def _quartic_error_on_the_shell_scale(system):
+    """Worst |xi - xi_b=4| of NumericShellGenerator(system) over the orbit,
+    at the turning points and 1e-10 of the width inside them, in units of
+    the shell's source scale (the bound on its half-orbit integral)."""
+    gen, analytic = NumericShellGenerator(system), power_law_generator(4)
     worst = 0.0
     for lam in (1.0, 1.3, 2.0):
         for E in (0.3, 1.0, 3.0):
-            qm, qp = turning_points(QUARTIC, E, lam)
-            scale = _shell_source(QUARTIC, E, lam)[3]
+            qm, qp = turning_points(system, E, lam)
+            scale = _shell_source(system, E, lam)[3]
             pts = [(qm, 1.5e-8), (qp, -1.5e-8), (qm, 0.0), (qp, 0.0)]
             for f in (1e-10, 1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9):
                 for q in (qm + f * (qp - qm), qp - f * (qp - qm)):
-                    absp = math.sqrt(2.0 * (E - QUARTIC.potential_energy(q, lam)))
+                    absp = math.sqrt(2.0 * (E - system.potential_energy(q, lam)))
                     pts += [(q, absp), (q, -absp)]
             for q, p in pts:
                 ref = analytic.evaluate((q, p), lam)
                 worst = max(worst, abs(gen.evaluate((q, p), lam) - ref) / scale)
-    assert worst < 2e-12
+    return worst
+
+
+def test_numeric_generator_error_on_the_shell_scale():
+    # fixed-node sums keep the quad-level accuracy: within 2e-12 of the
+    # shell's source scale everywhere on the orbit
+    assert _quartic_error_on_the_shell_scale(QUARTIC) < 2e-12
+
+
+def test_numeric_generator_quadrature_source_on_the_quartic():
+    # the same quartic as a generic well takes its half period and
+    # <dH0/dlam> from the orbit quadrature, with finite-difference
+    # derivatives; it read 1.6e-11 of the source scale when written
+    quartic = generic_1d(lambda q, lam: (q / lam) ** 4)
+    assert _quartic_error_on_the_shell_scale(quartic) < 5e-11
+
+
+@pytest.mark.parametrize("system, quadratures, moments", [
+    (SHO, 2, 0), (QUARTIC, 2, 0), (power_law(6), 2, 0),
+    (generic_1d(lambda q, lam: (q / lam) ** 4), 5, 3),
+])
+def test_numeric_gradient_orbit_quadrature_count(monkeypatch, system, quadratures, moments):
+    # a gradient is one shell source and two evaluations, each a source and
+    # one partial orbit; the scale law gives a power-law source with no
+    # quadrature, a generic source is one _orbit_moments pair
+    import cdrive.generators as generators
+
+    calls = {"quadrature": 0, "moments": 0}
+
+    def counting(module, name, key):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (shells, generators):
+        counting(module, "_orbit_quadrature", "quadrature")
+    counting(shells, "_orbit_moments", "moments")
+    gen = NumericShellGenerator(system)
+    qm, qp = turning_points(system, 1.0, 1.3)
+    q = qm + 0.3 * (qp - qm)
+    p = -math.sqrt(2.0 * (1.0 - system.potential_energy(q, 1.3)))
+    gen.evaluate_grad_z((q, p), 1.3)
+    assert calls == {"quadrature": quadratures, "moments": moments}
+
+
+@pytest.mark.parametrize("b", [2, 4, 6])
+def test_power_law_shell_source_is_the_scale_law(b):
+    system = power_law(b)
+    for lam in (1.0, 1.3, 2.0):
+        for E in (0.3, 1.0, 3.0):
+            assert _shell_source(system, E, lam)[2] == shells.shell_average_grad_lambda(
+                system, E, lam)
 
 
 def test_numeric_generator_gradients():

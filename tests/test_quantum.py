@@ -9,6 +9,7 @@ power-law well, against the exact scale-invariant state.
 """
 
 import math
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -137,6 +138,12 @@ def test_hermitian_operator_rejects_defect():
     with pytest.raises(NumericalError):
         HermitianOperator(m)
     HermitianOperator(np.zeros((4, 4)))  # zero operator is fine
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (2, 2, 2)])
+def test_hermitian_operator_rejects_empty_or_non_square_matrices(shape):
+    with pytest.raises(DomainError, match=re.escape(f"square and nonempty, got {shape}")):
+        HermitianOperator(np.zeros(shape))
 
 
 @pytest.mark.parametrize("entry, value", [((2, 2), np.nan), ((0, 3), np.inf)],
@@ -822,6 +829,28 @@ def test_grid_arm_norm_drift_alone_raises(monkeypatch, arm):
     psi0 = QuantumState("grid", (0.5 * (v + v[::-1])).astype(complex), g)
     with pytest.raises(NumericalError, match="norm drift .* at step 2"):
         _propagate_arms(SHO, sched, psi0, 1e-2, (True, False))
+
+
+@pytest.mark.parametrize("step", [63, 64, 99], ids=["block-end", "next-block-start", "last-step"])
+def test_grid_norm_drift_is_named_at_block_edges(monkeypatch, step):
+    # the norms are checked once per block of quantum._GRID_BLOCK = 64 steps:
+    # a drift on the last step of a block, the first of the next, or the last
+    # step of a final partial block (steps 64..99) names the step it began
+    real = quantum.solve_banded
+    calls = []
+    g, es, sched = _driving_setup(SHO, 128)
+
+    def drifted(*args, **kwargs):
+        calls.append(None)
+        x = real(*args, **kwargs)
+        if len(calls) == step + 1:
+            x *= 1.0 + 1e-9
+        return x
+
+    monkeypatch.setattr(quantum, "solve_banded", drifted)
+    psi0 = QuantumState("grid", es.states[:, 0].astype(complex), g)
+    with pytest.raises(NumericalError, match=f"norm drift .* at step {step}$"):
+        propagate_grid(SHO, sched, psi0, dt=sched.duration / 100, record_every=64)
 
 
 def test_grid_arms_own_their_final_states():
