@@ -3,8 +3,8 @@
 The box is exact, for single trajectories and ensembles alike: the driven
 flow is free flight of x = q/L on the clock tau = integral of L^-2
 (schedules.clock), closed-form at every record and with hits timed by
-Newton's method on the clock, and the bare flow is free flight whose work
-scales with its wall hits, which substeps of dt only detect and bracket.
+Newton's method in one clock-table panel; the bare flow is free flight whose
+work scales with its wall hits, which substeps of dt only detect and bracket.
 Smooth wells use a classical fourth-order Runge-Kutta scheme with
 step-halving error control, on a batch of particles that share one step
 sequence: one column for a trajectory, the whole ensemble for an ensemble.
@@ -27,14 +27,13 @@ import numpy as np
 
 from ._csv import write_csv
 from .errors import DomainError, NumericalError
-from .schedules import Schedule, _clock_spans, _positive_lam, clock
+from .schedules import Schedule, _clock_span, _clock_table, _positive_lam, clock
 from .shells import adiabatic_invariant, orbit_states, shell_energy_from_volume
 from .systems import PhasePoint, SystemModel, as_qp
 
 _MAX_COLLISION_ROUNDS = 64
 _HIT_SCAN = 32  # substep ends a bare-box particle scans per round for its next hit
 _NEWTON_ROUNDS = 32  # cap on the Newton steps that time a driven box's wall hits
-_HIT_BATCH = 64  # driven-box hits per Newton solve, which bounds the panels it integrates
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +247,8 @@ def evolve_cd(system: SystemModel, generator, schedule: Schedule, z0, dt: float,
     with fixed_step, recording every record_every accepted steps.  The box
     runs the exact driven flow (_box_cd_flow); there dt sets only the
     records, every record_every steps of the dt grid and at T, and each
-    wall hit is timed by Newton's method on the clock from the record
-    before it.  tol and fixed_step apply to smooth wells only.
+    wall hit is timed by Newton's method inside the clock-table panel that
+    holds it.  tol and fixed_step apply to smooth wells only.
     """
     if generator is None:
         raise DomainError("evolve_cd needs a generator; use evolve_bare for none")
@@ -345,10 +344,11 @@ def _box_cd_flow(schedule, m, qs, ps, times, _h_target):
     at P/m on the clock tau, unfolded across the walls with period 2.  The
     hits are the integers the unfolded x passes (odd: right wall, even:
     left), a wall reached exactly at T counting only once the fold has
-    turned the particle back.  Each is listed in the interval that ends at
-    the first record showing its bounce and timed by Newton's method on the
-    clock time left from that interval's start, kept in a bracket inside the
-    interval; they are computed only when iterated.
+    turned the particle back.  Wall j is reached at clock time
+    tau_j = (j - z0) m / |P|, timed by Newton's method inside the panel of
+    the clock table (schedules._clock_table) that holds tau_j, and listed in
+    and clipped into the interval that ends at the first record showing its
+    bounce; hits are computed only when iterated.
     """
     lams = _positive_lam(schedule, np.asarray(times))[:, None]
     x0, P0 = qs / lams[0], ps * lams[0]
@@ -361,39 +361,34 @@ def _box_cd_flow(schedule, m, qs, ps, times, _h_target):
 
 
 def _cd_hits(schedule, m, P0, times, y):
+    edges, taus = _clock_table(schedule)
     for P, y_k in zip(P0, y.T):
         # z counts the walls ahead as 1, 2, ...: z = y moving right, 1 - y
         # moving left (P = 0 reaches none); an odd z reached exactly at T is
         # still heading out
         z_k = y_k if P > 0 else 1.0 - y_k
         top = math.ceil(z_k[-1])
-        walls = np.arange(1, top + (top == z_k[-1] and top % 2 == 0))
-        for j in np.split(walls, range(_HIT_BATCH, walls.size, _HIT_BATCH)):
-            # record i is the first whose fold shows the bounce (an odd z reached
-            # exactly does not), so the hit is listed in (times[i - 1], times[i]]
-            i = np.where(j % 2, np.searchsorted(z_k, j, "right"), np.searchsorted(z_k, j, "left"))
-            # Newton on the clock time left from record i - 1, from the secant
-            # between the records, in a bracket [lo, hi] that the residual's
-            # sign shrinks (an iterate leaving it takes the midpoint); r_lo sums
-            # the spans up to lo, so each round integrates from lo only.  A
-            # start on a wall heading out keeps its hit at 0
-            a, b = times[i - 1], times[i]
-            lo, hi = np.where(i > 1, np.nextafter(a, np.inf), a), b
-            t = np.clip(a + (b - a) * (j - z_k[i - 1]) / (z_k[i] - z_k[i - 1]), lo, hi)
-            r_lo = _clock_spans(schedule, a, lo) - (j - z_k[i - 1]) * m / abs(P)
-            for _ in range(_NEWTON_ROUNDS):
-                r = r_lo + _clock_spans(schedule, lo, t)
-                short = r < 0.0
-                lo, r_lo = np.where(short, t, lo), np.where(short, r, r_lo)
-                hi = np.where(short, hi, t)
-                step = r * schedule.value(t) ** 2
-                t = np.where((lo <= t - step) & (t - step <= hi), t - step, 0.5 * (lo + hi))
-                if np.all(np.abs(step) <= 1e-11 * schedule.duration):  # above the clock's rounding
-                    break
-            else:
-                raise NumericalError("wall-hit times did not converge on the clock")
-            t = np.where(z_k[i] > j, t, b)
-            yield from zip(t.tolist(), np.where(j % 2 == (P > 0), "right", "left").tolist())
+        j = np.arange(1, top + (top == z_k[-1] and top % 2 == 0))
+        # wall j is reached at clock time tau_j in the table's panel k (the last
+        # for a tau_j that rounding put past T): Newton from the chord, in it
+        tau_j = (j - z_k[0]) * m / abs(P)
+        k = np.minimum(np.searchsorted(taus, tau_j, "right"), taus.size - 1) - 1
+        lo, hi = edges[k], edges[k + 1]
+        t = lo + (hi - lo) * (tau_j - taus[k]) / (taus[k + 1] - taus[k])
+        for _ in range(_NEWTON_ROUNDS):
+            step = (taus[k] + _clock_span(schedule, lo, t) - tau_j) * schedule.value(t) ** 2
+            t = np.clip(t - step, lo, hi)
+            if np.all(np.abs(step) <= 1e-11 * schedule.duration):  # above the clock's rounding
+                break
+        else:
+            raise NumericalError("wall-hit times did not converge on the clock")
+        # record i is the first whose fold shows the bounce (an odd z reached
+        # exactly does not), so the hit is clipped into (times[i - 1], times[i]];
+        # a start on a wall heading out keeps its hit at 0
+        i = np.where(j % 2, np.searchsorted(z_k, j, "right"), np.searchsorted(z_k, j, "left"))
+        a, b = times[i - 1], times[i]
+        t = np.where(z_k[i] > j, np.clip(t, np.where(i > 1, np.nextafter(a, np.inf), a), b), b)
+        yield from zip(t.tolist(), np.where(j % 2 == (P > 0), "right", "left").tolist())
 
 
 def _box_bare_flight(schedule, m, qs, ps, times, h_target):

@@ -7,7 +7,9 @@ spline derivative, so value and rate are consistent by construction).
 value() and rate() accept scalars or numpy arrays; times are clamped to
 [0, T] so integrators may probe the endpoints without fuss.  clock() gives
 the scale-invariant time tau(t) = integral of lam^-2 that the exact box
-engines run on.
+engines run on: one table of it per schedule at fixed panel edges
+(_clock_table), plus one partial-panel span, and the driven box inverts the
+same table to time its wall hits.
 """
 
 from __future__ import annotations
@@ -130,9 +132,9 @@ def tabulated(times, values) -> Schedule:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
-# longest quadrature panel as a fraction of the duration; short enough that
-# the third-derivative jumps of a tabulated spline at its knots stay below
-# 1e-12 of the integral
+# the clock table's panels are at most duration / 2048 wide, which holds the
+# 4-point rule below 1e-12 of the integral; a tabulated spline's knots are
+# panel edges, so no panel straddles a jump in its third derivative
 _PANELS_PER_DURATION = 2048
 
 
@@ -144,30 +146,33 @@ def _positive_lam(schedule: Schedule, t) -> np.ndarray:
     return lams
 
 
-def _clock_spans(schedule: Schedule, starts, ends) -> np.ndarray:
-    """Integral of lam^-2 over each (start, end) pair: 4-point Gauss-Legendre
-    on panels of at most duration / 2048, one schedule.value call in all."""
-    widths = ends - starts
-    n_pan = np.ceil(widths * (_PANELS_PER_DURATION / schedule.duration)).astype(int)
-    n_pan = np.maximum(n_pan, 1)
-    gap = np.repeat(np.arange(widths.size), n_pan)
-    k = np.arange(gap.size) - np.repeat(np.cumsum(n_pan) - n_pan, n_pan)
-    h = widths[gap] / n_pan[gap]
-    mids = starts[gap] + (k + 0.5) * h
-    nodes = mids[:, None] + (0.5 * h)[:, None] * _GL_NODES
-    vals = _positive_lam(schedule, nodes.ravel()).reshape(nodes.shape)
-    panels = 0.5 * h * ((vals**-2.0) @ _GL_WEIGHTS)
-    return np.bincount(gap, weights=panels, minlength=widths.size)
+def _clock_span(schedule: Schedule, starts, ends) -> np.ndarray:
+    """Integral of lam^-2 from each start to its end, by one 4-point
+    Gauss-Legendre rule: exact past T, where lam holds at lam(T)."""
+    h = 0.5 * (ends - starts)
+    nodes = (starts + h)[..., None] + h[..., None] * _GL_NODES
+    return h * (_positive_lam(schedule, nodes) ** -2.0 @ _GL_WEIGHTS)
+
+
+def _clock_table(schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
+    """The panel edges on [0, T], schedule.breaks among them, and the clock
+    at each edge, which clock() and the driven box's wall hits both read.  A
+    break on a grid edge adds an empty panel, which no lookup lands in."""
+    grid = np.linspace(0.0, schedule.duration, _PANELS_PER_DURATION + 1)
+    edges = np.sort(np.concatenate((grid, schedule.breaks)))
+    return edges, np.concatenate(([0.0], np.cumsum(_clock_span(schedule, edges[:-1], edges[1:]))))
 
 
 def clock(schedule: Schedule, times) -> np.ndarray:
     """Scale-invariant clock tau(t) = integral_0^t lam(s)^-2 ds at sorted
-    times: the running sum of _clock_spans over the gaps between them."""
+    times: the table at the last edge at or before t, plus the span from
+    there to t."""
     ts = np.asarray(times, dtype=float)
-    edges = np.concatenate(([0.0], ts))
-    if ts.ndim != 1 or not np.all(np.diff(edges) >= 0.0):  # NaN fails too
+    if ts.ndim != 1 or not np.all(np.diff(np.concatenate(([0.0], ts))) >= 0.0):  # NaN fails too
         raise DomainError("clock times must be a sorted 1D array of nonnegative times")
-    return np.cumsum(_clock_spans(schedule, edges[:-1], edges[1:]))
+    edges, taus = _clock_table(schedule)
+    k = np.searchsorted(edges, ts, "right") - 1
+    return taus[k] + _clock_span(schedule, edges[k], ts)
 
 
 BUILTIN_SHAPES = {

@@ -10,6 +10,7 @@ against it hit for hit.
 """
 
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -270,23 +271,40 @@ def test_cd_box_hits_match_the_clock_oracle(sched):
 
 def test_cd_box_hits_in_one_long_record_interval_match_the_linear_clock(monkeypatch):
     # L = 1 - 0.95 t falls 20-fold between the only two records, 0 and T,
-    # and its 100 hits take two Newton batches; the clock tau = t / L(t)
-    # puts the hit at unfolded x = n at t = tau_n / (1 + 0.95 tau_n)
-    ends, spans = [], classical._clock_spans
+    # and all 100 hits are timed inside that one interval; the clock
+    # tau = t / L(t) puts the hit at unfolded x = n at t = tau_n / (1 + 0.95 tau_n)
+    ends, span = [], classical._clock_span
 
-    def recorded_spans(schedule, starts, stops):
+    def recorded_span(schedule, starts, stops):
         ends.append(np.max(stops))
-        return spans(schedule, starts, stops)
+        return span(schedule, starts, stops)
 
-    monkeypatch.setattr(classical, "_clock_spans", recorded_spans)
+    monkeypatch.setattr(classical, "_clock_span", recorded_span)
     rec = evolve_cd(BOX, box_generator(), linear_ramp(1.0, 0.05, 1.0), (0.3, 5.0), dt=1.0)
-    # a Newton step here can leave the record interval: the bracket keeps
-    # every iterate in it, so no solve integrates past it
+    # each Newton iterate is clipped to its clock-table panel, so the inverse
+    # integrates no span past T, and each hit is clipped into its record interval
     assert max(ends) <= 1.0
+    hit_times = np.array([t for t, _ in rec.collisions])
+    assert np.all((hit_times > rec.times[0]) & (hit_times <= rec.times[1]))
     tau = (np.arange(1, 101) - 0.3) / 5.0
     assert [w for _, w in rec.collisions] == ["right", "left"] * 50
-    np.testing.assert_allclose([t for t, _ in rec.collisions], tau / (1.0 + 0.95 * tau),
-                               rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(hit_times, tau / (1.0 + 0.95 * tau), rtol=0.0, atol=1e-13)
+
+
+def test_cd_box_hits_by_the_ten_thousand_in_one_record_interval_are_fast():
+    # L = a + bt falls a thousandfold between the only two records, 0 and T;
+    # from x = 0.9 at P = -40 the particle meets 40 000 walls, the n-th at
+    # clock time tau_n = (n - 0.1) / 40, and tau = t / (a L(t)) puts it at
+    # t = tau a^2 / (1 - tau a b)
+    a, b, T = 1.0, 1e-3 - 1.0, 1.0
+    t0 = time.perf_counter()
+    rec = evolve_cd(BOX, box_generator(), linear_ramp(1.0, 1e-3, 1.0), (0.9, -40.0), dt=1.0)
+    elapsed = time.perf_counter() - t0
+    assert [w for _, w in rec.collisions] == ["left", "right"] * 20_000
+    tau = (np.arange(1, 40_001) - 0.1) / 40.0
+    np.testing.assert_allclose([t for t, _ in rec.collisions], tau * a**2 / (1.0 - tau * a * b),
+                               rtol=0.0, atol=1e-10 * T)
+    assert elapsed < 1.0
 
 
 def test_cd_box_hit_solve_that_does_not_settle_raises(monkeypatch):

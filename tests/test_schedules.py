@@ -96,17 +96,21 @@ def test_duration_must_be_positive():
 _KNOTS = np.linspace(0.0, 1.2, 9)
 
 
-@pytest.mark.parametrize("sched", [
+_CLOCK_SCHEDULES = [
     linear_ramp(1.0, 2.0, 0.05),
     smoothstep_ramp(2.0, 1.0, 0.3),
     cosine_ramp(1.0, 3.0, 1.7),
     constant_hold(1.5, 1.0),
     tabulated(_KNOTS, [1.0, 1.2, 1.1, 1.5, 1.9, 1.7, 2.2, 2.0, 2.4]),
-], ids=lambda s: s.tag)
+]
+
+
+@pytest.mark.parametrize("sched", _CLOCK_SCHEDULES, ids=lambda s: s.tag)
 def test_clock_matches_adaptive_quadrature(sched):
     T = sched.duration
-    times = T * np.array([0.0, 1e-3, 0.13, 0.5, 0.77, 0.771, 1.0])
     knots = _KNOTS if sched.tag == "tabulated" else []
+    # a tabulated schedule's knots are clock panel edges: read there too
+    times = np.union1d(T * np.array([0.0, 1e-3, 0.13, 0.5, 0.77, 0.771, 1.0]), knots)
 
     def reference(t):
         # piecewise between spline knots, where the integrand is smooth
@@ -120,6 +124,18 @@ def test_clock_matches_adaptive_quadrature(sched):
     for t, tau in zip(times[1:], got[1:]):
         ref = reference(t)
         assert abs(tau - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("sched", [_CLOCK_SCHEDULES[0], linear_ramp(1.0, 1e-3, 1.0),
+                                   _CLOCK_SCHEDULES[-1]], ids=["expand", "compress", "tabulated"])
+def test_clock_runs_on_past_T_at_the_final_lam(sched):
+    # lam holds at lam(T) after T, so the clock gains s / L(T)^2 there to
+    # rounding; brentq on the clock brackets wall hits out to 2T
+    T = sched.duration
+    for s in T * np.array([1e-9, 1e-3, 0.3, 1.0]):
+        tau_T, tau = clock(sched, [T, T + s])
+        gain = ((T + s) - T) / sched.final**2  # s as the sum T + s holds it
+        assert abs((tau - tau_T) - gain) <= 2.0 * np.finfo(float).eps * tau
 
 
 def test_clock_rejects_unsorted_times():
