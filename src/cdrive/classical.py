@@ -28,7 +28,7 @@ import numpy as np
 from ._csv import write_csv
 from .errors import DomainError, NumericalError
 from .schedules import Schedule, _clock_span, _clock_table, _positive_lam, clock
-from .shells import adiabatic_invariant, orbit_states, shell_energy_from_volume
+from .shells import orbit_states, point_energies, point_invariants, shell_energy_from_volume
 from .systems import PhasePoint, SystemModel, as_qp
 
 _MAX_COLLISION_ROUNDS = 64
@@ -96,13 +96,7 @@ class EnsembleRecord:
         return len(self.positions[0])
 
     def omegas(self, system: SystemModel, k: int) -> np.ndarray:
-        lam = float(self.lams[k])
-        qs, ps = self.positions[k], self.momenta[k]
-        if system.kind == "box":
-            return 2.0 * np.abs(ps) * lam
-        return np.array(
-            [adiabatic_invariant(system, (q, p), lam) for q, p in zip(qs, ps)]
-        )
+        return point_invariants(system, self.positions[k], self.momenta[k], float(self.lams[k]))
 
     def snapshot_csv(self, k: int, path) -> None:
         write_csv(path, ("q", "p"), (self.positions[k], self.momenta[k]))
@@ -201,8 +195,8 @@ def _integrate(system, generator, schedule, y0, stops, dt, tol, fixed_step, reco
 
 
 def _box_trajectory(system, schedule, z0, dt, record_every, cd):
-    """One box particle on its arm's exact engine, recorded every
-    record_every steps of the uniform dt grid and at T."""
+    """One box particle on its arm's exact engine: the record times, every
+    record_every steps of the uniform dt grid and at T, with q, p and the hits."""
     _check_positive("dt", dt)
     T = schedule.duration
     q0, p0 = as_qp(z0)
@@ -213,9 +207,7 @@ def _box_trajectory(system, schedule, z0, dt, record_every, cd):
     # the margin keeps rounding in the grid from splitting a step in two
     q_rows, p_rows, hits = move(schedule, system.mass, np.array([q0]), np.array([p0]),
                                 times, dt * (1.0 + 1e-12))
-    qs, ps = q_rows[:, 0], p_rows[:, 0]
-    return TrajectoryRecord(times, qs, ps, ps**2 / (2.0 * system.mass),
-                            2.0 * np.abs(ps) * schedule.value(times), tuple(hits))
+    return times, q_rows[:, 0], p_rows[:, 0], hits
 
 
 def _evolve(system, generator, schedule, z0, dt, tol, fixed_step, record_every):
@@ -225,17 +217,15 @@ def _evolve(system, generator, schedule, z0, dt, tol, fixed_step, record_every):
         raise DomainError(f"record_every must be an integer, got {record_every}")
     z0 = PhasePoint(*as_qp(z0))  # finite, or DomainError
     if system.kind == "box":
-        return _box_trajectory(system, schedule, z0, dt, record_every, generator is not None)
-    q0, p0 = as_qp(z0)
-    ts, q_rows, p_rows = _integrate(system, generator, schedule, [[q0], [p0]],
-                                    [schedule.duration], dt, tol, fixed_step, record_every)
-    qs, ps = q_rows[:, 0], p_rows[:, 0]
+        ts, qs, ps, hits = _box_trajectory(system, schedule, z0, dt, record_every,
+                                           generator is not None)
+    else:
+        ts, q_rows, p_rows = _integrate(system, generator, schedule, [[z0.q], [z0.p]],
+                                        [schedule.duration], dt, tol, fixed_step, record_every)
+        qs, ps, hits = q_rows[:, 0], p_rows[:, 0], ()
     lams = schedule.value(ts)
-    h0s = np.array([system.energy((q, p), lam) for q, p, lam in zip(qs, ps, lams)])
-    omegas = np.array(
-        [adiabatic_invariant(system, (q, p), lam) for q, p, lam in zip(qs, ps, lams)]
-    )
-    return TrajectoryRecord(ts, qs, ps, h0s, omegas, ())
+    return TrajectoryRecord(ts, qs, ps, point_energies(system, qs, ps, lams),
+                            point_invariants(system, qs, ps, lams), tuple(hits))
 
 
 def evolve_cd(system: SystemModel, generator, schedule: Schedule, z0, dt: float,
@@ -559,11 +549,6 @@ def dissipation(record: EnsembleRecord, system: SystemModel, schedule: Schedule)
     lam_T = float(record.lams[-1])
     omega0 = float(np.mean(record.omegas(system, 0)))
     e_target = shell_energy_from_volume(system, omega0, lam_T)
-    qf, pf = record.positions[-1], record.momenta[-1]
-    if system.kind == "box":
-        e_final = float(np.mean(pf**2 / (2.0 * system.mass)))
-    else:
-        e_final = float(
-            np.mean([system.energy((q, p), lam_T) for q, p in zip(qf, pf)])
-        )
+    e_final = float(np.mean(point_energies(system, record.positions[-1], record.momenta[-1],
+                                           lam_T)))
     return e_final - e_target

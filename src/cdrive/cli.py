@@ -395,14 +395,7 @@ def _verify_block(cfg: ExperimentConfig) -> tuple[dict, list, bool]:
 
 def _base_report(cfg: ExperimentConfig, mode: str, threads: int, resolved: dict) -> dict:
     system = cfg.system
-    numerics = {
-        "threads": int(threads),
-        **{k: cfg.numerics.get(k) for k in (
-            "dt", "tol", "n_points", "n_levels", "n_particles", "e_max",
-            "record_every", "shell_points", "hbar",
-        )},
-    }
-    numerics.update(resolved)
+    numerics = {"threads": int(threads), **cfg.numerics, **resolved}
     return {
         "schema_version": SCHEMA_VERSION,
         "mode": mode,

@@ -24,15 +24,6 @@ from .schedules import (
 )
 from .systems import SystemModel, box, power_law
 
-KINDS = (
-    "classical_trajectory",
-    "classical_ensemble",
-    "quantum_grid",
-    "quantum_basis",
-    "generator_check",
-)
-
-
 def _load_schema(name: str) -> dict:
     text = resources.files("cdrive.schemas").joinpath(name).read_text()
     return json.loads(text)
@@ -134,7 +125,6 @@ class ExperimentConfig:
     snapshots: Optional[tuple]
     numerics: dict
     assertions: dict
-    sweep_axis: str
     sweep_values: tuple
     out_dir: Optional[str]
     raw: dict
@@ -215,8 +205,12 @@ def _check_kind_inputs(data: dict, system: SystemModel, schedule: Schedule) -> N
             raise ConfigError("give initial.energy or initial.gas_momentum, not both")
         if has_gas and system.kind != "box":
             raise ConfigError("gas initial conditions need the box")
-    if kind == "quantum_grid" and system.kind != "power_law":
-        raise ConfigError("quantum_grid drives smooth wells; use quantum_basis for the box")
+    if kind == "quantum_grid":
+        if system.kind != "power_law":
+            raise ConfigError("quantum_grid drives smooth wells; use quantum_basis for the box")
+        if data["generator"] == "numeric":
+            raise ConfigError("quantum_grid drives the analytic dilation band; "
+                              "it has no numeric generator")
     if kind == "quantum_basis":
         if system.kind != "box":
             raise ConfigError("quantum_basis is the box eigenbasis path")
@@ -268,7 +262,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         _check_kind_inputs(data, system, schedule)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    sweep = data.get("sweep", {})
     return ExperimentConfig(
         kind=data["kind"],
         system=system,
@@ -281,8 +274,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         snapshots=tuple(data["snapshots"]) if "snapshots" in data else None,
         numerics=data["numerics"],
         assertions=data["assertions"],
-        sweep_axis=sweep.get("axis", "T"),
-        sweep_values=tuple(sweep.get("values", ())),
+        sweep_values=tuple(data.get("sweep", {}).get("values", ())),
         out_dir=data.get("out_dir"),
         raw=data,
     )

@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .systems import SystemModel, _on_nodes, as_qp
+from .systems import SystemModel, _on_nodes, as_qp, box, power_law
 from .shells import (
     _half_period_and_average,
     _orbit_quadrature,
@@ -91,21 +91,19 @@ def dilation_generator(mu: float, name: str) -> AnalyticGenerator:
 
 
 def box_generator() -> AnalyticGenerator:
-    return dilation_generator(1.0, name="box_dilation")
+    return analytic_generator_for(box())
 
 
 def power_law_generator(b: int) -> AnalyticGenerator:
-    if b < 2 or b % 2 != 0:
-        raise DomainError(f"exponent must be a positive even integer, got {b}")
-    return dilation_generator(b / (b + 2.0), name=f"power_law_dilation_b{b}")
+    return analytic_generator_for(power_law(b))
 
 
 def analytic_generator_for(system: SystemModel) -> AnalyticGenerator:
-    if system.kind == "box":
-        return box_generator()
-    if system.kind == "power_law":
-        return power_law_generator(system.b)
-    raise DomainError("generic_1d has no analytic generator; use NumericShellGenerator")
+    """The dilation generator at the system's mu: box_dilation, power_law_dilation_b<b>."""
+    if system.kind == "generic_1d":
+        raise DomainError("generic_1d has no analytic generator; use NumericShellGenerator")
+    name = "box_dilation" if system.kind == "box" else f"power_law_dilation_b{system.b}"
+    return dilation_generator(system.mu, name=name)
 
 
 # ---------------------------------------------------------------------------

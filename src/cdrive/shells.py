@@ -7,7 +7,8 @@ The central objects are the phase-space volume enclosed by an energy shell,
 the adiabatic invariant omega(z; lam) = Omega(H0(z; lam), lam), the inverse
 map E(Omega, lam), and microcanonical (single-orbit time) averages.  For a
 1D bound orbit the shell is the orbit itself, so the microcanonical average
-of an observable is its time average over one period.
+of an observable is its time average over one period.  point_energies and
+point_invariants give H0 and omega of many phase points at once.
 
 Scale invariance gives the box and the even power-law wells one law,
 Omega = c lam E^kappa: kappa = 1/2 + 1/b and c = power_law_coefficient for
@@ -255,14 +256,36 @@ def phase_volume(system: SystemModel, E: float, lam: float) -> float:
     return _volume_closed(system, E, lam)
 
 
+def point_energies(system: SystemModel, qs, ps, lams) -> np.ndarray:
+    """H0 = p^2/2m + V at the phase points (qs[i], ps[i]), lams one parameter for
+    all of them or one per point."""
+    ps = np.asarray(ps, dtype=float)
+    return 0.5 * ps * ps / system.mass + _on_nodes(system, np.asarray(qs, dtype=float), lams)
+
+
+def point_invariants(system: SystemModel, qs, ps, lams) -> np.ndarray:
+    """omega = Omega(H0, lam) at the phase points of point_energies: the scale law
+    on the box and the power law, one volume quadrature per point on generic
+    wells.  A box particle at rest has omega = 0; any other energy outside
+    phase_volume's domain is its DomainError."""
+    E, lams = point_energies(system, qs, ps, lams), np.asarray(lams, dtype=float)
+    if system.kind == "generic_1d":
+        return np.array([_volume_quadrature(system, e, lam) for e, lam in
+                         zip(E.tolist(), np.broadcast_to(lams, E.shape).tolist())], dtype=float)
+    c, kappa = _scaling(system)
+    bad = E[~np.isfinite(E) | (E < 0.0) | ((E == 0.0) & (system.kind != "box"))]
+    if bad.size:
+        _energy_power(float(bad[0]), kappa)  # phase_volume's DomainError
+    return c * lams * E**kappa
+
+
 def adiabatic_invariant(system: SystemModel, z, lam: float) -> float:
-    """omega(z; lam) = Omega(H0(z; lam), lam); for the box this is 2 |p| lam."""
+    """omega(z; lam) = Omega(H0(z; lam), lam), point_invariants at the one point z,
+    which must lie inside the box."""
     lam = system.check_param(lam)
     q, p = as_qp(z)
-    if system.kind == "box":
-        system.check_position(q, lam)
-        return 2.0 * abs(p) * lam
-    return phase_volume(system, system.energy((q, p), lam), lam)
+    system.check_position(q, lam)
+    return float(point_invariants(system, [q], [p], lam)[0])
 
 
 def orbit_period(system: SystemModel, E: float, lam: float) -> float:

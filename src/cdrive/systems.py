@@ -151,17 +151,19 @@ class SystemModel:
         return (self.potential(q, lam + h) - self.potential(q, lam - h)) / (2 * h)
 
 
-def _on_nodes(system: SystemModel, qs: np.ndarray, lam: float, d_lam: bool = False) -> np.ndarray:
-    """V, or dV/dlam with d_lam, on the array qs: one array expression for the power law, one
-    scalar call per node for generic wells (user callables may take scalars only), 0 in the box."""
+def _on_nodes(system: SystemModel, qs: np.ndarray, lam, d_lam: bool = False) -> np.ndarray:
+    """V, or dV/dlam with d_lam, on the array qs at lam, one value or one per node: one array
+    expression for the power law, one scalar call per node for generic wells (user callables
+    may take scalars only), 0 in the box."""
     if system.kind == "box":
         return np.zeros(len(qs))
     if system.kind == "power_law":
         scale = -system.b / lam * system.epsilon if d_lam else system.epsilon
         return scale * (qs / lam) ** system.b
+    lams = np.broadcast_to(lam, len(qs)).tolist()
     if d_lam:
-        return np.array([system.grad_lambda((q, 0.0), lam) for q in qs], dtype=float)
-    return np.array([system.potential_energy(q, lam) for q in qs], dtype=float)
+        return np.array([system.grad_lambda((q, 0.0), at) for q, at in zip(qs, lams)], dtype=float)
+    return np.array([system.potential_energy(q, at) for q, at in zip(qs, lams)], dtype=float)
 
 
 def box(mass: float = 1.0) -> SystemModel:
@@ -170,7 +172,9 @@ def box(mass: float = 1.0) -> SystemModel:
 
 
 def power_law(b: int, epsilon: float = 1.0, mass: float = 1.0) -> SystemModel:
-    """V(q; lam) = epsilon * (q/lam)**b, b a positive even integer."""
+    """V(q; lam) = epsilon * (q/lam)**b, b a positive even integer (4.0 is b = 4)."""
+    if not float(b).is_integer():
+        raise DomainError(f"power_law exponent must be a positive even integer, got {b}")
     return SystemModel(kind="power_law", mass=mass, b=int(b), epsilon=float(epsilon))
 
 

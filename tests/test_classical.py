@@ -44,7 +44,7 @@ from cdrive.schedules import (
     smoothstep_ramp,
     tabulated,
 )
-from cdrive.shells import orbit_period, orbit_states, turning_points
+from cdrive.shells import orbit_period, orbit_states, shell_energy_from_volume, turning_points
 from cdrive.systems import SystemModel, box, generic_1d, power_law
 from oracles import clock_hit_times, collide, harmonic_fundamental_matrices
 
@@ -1313,6 +1313,29 @@ def test_dissipation_zero_when_static():
         snapshot_times=[0.0, 1.0],
     )
     assert abs(dissipation(rec, BOX, sched)) < 1e-9
+
+
+def test_dissipation_takes_no_invariant_of_the_final_snapshot(monkeypatch):
+    # on a generic well each invariant is one volume quadrature per particle,
+    # and only the first snapshot's set the target shell
+    sched = smoothstep_ramp(1.2, 1.0, 0.05)
+    rec = evolve_ensemble(_WELL, None, sched, shell_sampler(1.0), 4, seed=3,
+                          snapshot_times=[0.05])
+    seen, invariants = [], classical.point_invariants
+    monkeypatch.setattr(classical, "point_invariants",
+                        lambda system, qs, *rest: seen.append(qs) or invariants(system, qs, *rest))
+    w = dissipation(rec, _WELL, sched)
+    assert len(seen) == 1 and seen[0] is rec.positions[0]
+    h0 = [_WELL.energy((q, p), 1.0) for q, p in zip(rec.positions[-1], rec.momenta[-1])]
+    target = shell_energy_from_volume(_WELL, float(np.mean(rec.omegas(_WELL, 0))), 1.0)
+    assert w == pytest.approx(np.mean(h0) - target, rel=1e-12, abs=1e-15)
+
+
+def test_box_particle_at_rest_records_zero_energy_and_invariant():
+    sched = linear_ramp(1.0, 2.0, 0.5)
+    for rec in (evolve_bare(BOX, sched, (0.3, 0.0), dt=0.05),
+                evolve_cd(BOX, box_generator(), sched, (0.3, 0.0), dt=0.05)):
+        assert not rec.h0s.any() and not rec.omegas.any()
 
 
 def test_bare_dissipation_positive_and_decreasing():

@@ -243,6 +243,23 @@ def test_integral_float_count_is_config_error(tmp_path, capsys, section, key, va
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("mode", ["run", "compare"])
+def test_quantum_grid_rejects_the_numeric_generator(tmp_path, capsys, mode):
+    # the grid drives the analytic dilation band only, so the choice would go unread
+    cfg = {
+        "kind": "quantum_grid",
+        "system": {"kind": "power_law", "b": 4},
+        "generator": "numeric",
+        "schedule": {"shape": "smoothstep", "lam_start": 1.0, "lam_end": 2.0,
+                     "duration": 0.1},
+        "numerics": {"n_points": 128, "dt": 1e-2},
+    }
+    out = tmp_path / "out"
+    assert main([mode, write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
+    assert "quantum_grid drives the analytic dilation band" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value, literal", [
     ("gas_momentum", float("nan"), "NaN"),
     ("gas_momentum", float("inf"), "Infinity"),

@@ -54,11 +54,27 @@ def test_xi_power_law_rejects_bad_exponent():
             power_law_generator(b)
 
 
+def test_power_law_rejects_a_non_integral_exponent():
+    # int(b) once made power_law(4.5) the quartic, while power_law_generator(4.5) raised
+    for b in (4.5, 2.000001, math.inf, math.nan):
+        for factory in (power_law, power_law_generator):
+            with pytest.raises(DomainError, match="^power_law exponent must be a positive even"):
+                factory(b)
+    assert type(power_law(4.0).b) is int and power_law(4.0) == QUARTIC
+    assert power_law_generator(4.0).name == "power_law_dilation_b4"
+
+
 def test_analytic_generator_for_dispatch():
     assert analytic_generator_for(BOX).name == "box_dilation"
     assert analytic_generator_for(QUARTIC).evaluate((1.0, 1.0), 1.0) == pytest.approx(
         2.0 / 3.0
     )
+    # the dilation at the system's own mu, every kind and stiffness
+    q, p, lam = 0.3, -1.7, 1.4
+    for system in (BOX, SHO, QUARTIC, power_law(6, epsilon=2.0, mass=3.0)):
+        gen = analytic_generator_for(system)
+        assert gen.evaluate((q, p), lam) == system.mu * q * p / lam
+        assert gen.evaluate_grad_z((q, p), lam) == (system.mu * p / lam, system.mu * q / lam)
     with pytest.raises(DomainError):
         analytic_generator_for(generic_1d(lambda q, lam: (q / lam) ** 2))
 

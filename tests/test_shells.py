@@ -26,7 +26,7 @@ from cdrive import (
     shell_energy_from_volume,
     turning_points,
 )
-from cdrive.shells import d_volume_dE, d_volume_dlam
+from cdrive.shells import d_volume_dE, d_volume_dlam, point_energies, point_invariants
 from cdrive.systems import SystemModel
 from oracles import orbit_average
 
@@ -233,6 +233,54 @@ def test_invariant_composition_random_points():
 def test_box_invariant_requires_point_inside():
     with pytest.raises(DomainError):
         adiabatic_invariant(BOX, (1.5, 1.0), lam=1.0)
+
+
+# the array route of the records against the scalar route, row by row: every
+# kind with its own scale-law constant, masses other than 1, a generic well
+_POINT_SYSTEMS = [BOX, SHO, QUARTIC, power_law(6), *MASSIVE, _SOFT_QUARTIC]
+_POINT_IDS = ["box", "sho", "quartic", "b6", "box_m0.5", "box_m3", "quartic_m2", "soft_quartic"]
+
+
+def _phase_points(system, n, seed):
+    rng = np.random.default_rng(seed)
+    lams = rng.uniform(0.6, 1.8, n)
+    qs = rng.uniform(0.0, 1.0, n) * lams if system.kind == "box" else rng.uniform(-0.9, 0.9, n)
+    return qs, rng.uniform(-2.0, 2.0, n), lams
+
+
+@pytest.mark.parametrize("system", _POINT_SYSTEMS, ids=_POINT_IDS)
+def test_point_route_matches_energy_and_phase_volume_row_by_row(system):
+    n = 40 if system.kind == "generic_1d" else 500
+    qs, ps, lams = _phase_points(system, n, seed=5)
+    E, W = point_energies(system, qs, ps, lams), point_invariants(system, qs, ps, lams)
+    e = np.array([system.energy((q, p), lam) for q, p, lam in zip(qs, ps, lams)])
+    w = np.array([phase_volume(system, x, lam) for x, lam in zip(e, lams)])
+    # array and scalar powers differ in the last bit: measured at most 3.8e-16
+    # relative in H0 and 3.5e-16 in omega over these systems; the bound is 1e-15
+    assert np.all(np.abs(E - e) <= 1e-15 * e)
+    assert np.all(np.abs(W - w) <= 1e-15 * w)
+    if system.kind == "box":  # the flat interior's 2 |p| lam, measured within 4.4e-16
+        assert np.all(np.abs(W - 2.0 * np.abs(ps) * lams) <= 1e-15 * W)
+    # one lam for every row is that lam on each row
+    assert np.array_equal(point_invariants(system, qs, ps, lams[0]),
+                          point_invariants(system, qs, ps, np.full(n, lams[0])))
+
+
+def test_invariant_raises_where_the_box_shortcut_did():
+    # outside [0, lam] in the box, and the power law's floor E = 0
+    for q in (1.5, -0.1):
+        with pytest.raises(DomainError, match=rf"^box position q={q} outside \[0, 1.0\]$"):
+            adiabatic_invariant(BOX, (q, 1.0), lam=1.0)
+    floor = "^shell energy must exceed the potential floor 0, got 0.0$"
+    with pytest.raises(DomainError, match=floor):
+        adiabatic_invariant(QUARTIC, (0.0, 0.0), lam=1.0)
+    with pytest.raises(DomainError, match=floor):
+        point_invariants(QUARTIC, [0.3, 0.0], [1.0, 0.0], 1.0)
+
+
+def test_box_particle_at_rest_keeps_a_zero_invariant():
+    assert adiabatic_invariant(BOX, (0.3, 0.0), lam=2.0) == 0.0
+    assert point_invariants(BOX, [0.3, 0.7], [0.0, -0.0], [2.0, 1.0]).tolist() == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
